@@ -1,4 +1,4 @@
-.PHONY: build test faults crash fuzz chaos shrink tamper federation overload bench bench-quick bench-coverage bench-wal bench-governor
+.PHONY: build test faults crash fuzz chaos shrink tamper federation overload pipebench bench bench-quick bench-coverage bench-wal bench-governor
 
 build:
 	dune build
@@ -27,7 +27,7 @@ fuzz:
 
 # Whole-system chaos sweep: 20 seeds x 400-step composed fault schedules
 # (crashes, outages, corruption, budget trips) checked against the pure
-# model oracle's nine invariants.  A smaller 3-seed regression lives in
+# model oracle's ten invariants.  A smaller 3-seed regression lives in
 # dune runtest (test/test_chaos.ml); one schedule replays with
 # `prima chaos --seed N --steps M`.
 chaos:
@@ -69,6 +69,17 @@ federation:
 # BENCH_overload.json.
 overload:
 	dune build && dune exec bench/overload_sweep.exe
+
+# Pipeline benchmark smoke run: each workload once at seed 1 for 5 s,
+# untraced (see pipebench/NOTES.md for the full protocol).  Every run is
+# made; the target fails if any of them exits non-zero, i.e. if any
+# output check failed.
+pipebench:
+	@status=0; \
+	for w in monitor bulk clinic; do \
+	  python3 pipebench/run.py --workload $$w --seed 1 --seconds 5 --trace 0 || status=1; \
+	done; \
+	exit $$status
 
 # All experiments + Bechamel microbenchmarks.
 bench:

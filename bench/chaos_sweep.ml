@@ -2,7 +2,7 @@
 
    Bigger than the regression suite baked into dune runtest: by default 20
    seeds x 400-step composed fault schedules, each checked against the
-   model oracle's nine invariants.  Any violation prints the full fault
+   model oracle's ten invariants.  Any violation prints the full fault
    log and the violation trace, and reproduces from its seed alone:
 
      dune exec bench/chaos_sweep.exe               -- default sweep
@@ -30,4 +30,4 @@ let () =
     Fmt.pr "@.CHAOS SWEEP FOUND VIOLATIONS.@.";
     exit 1
   end
-  else Fmt.pr "@.All seeds clean: nine invariants held on every schedule.@."
+  else Fmt.pr "@.All seeds clean: ten invariants held on every schedule.@."

@@ -8,6 +8,10 @@ val pattern_rule_of_entry : Hdb.Audit_schema.entry -> Prima_core.Rule.t
 (** Projection to (data, purpose, authorized), as Figure 3(b) presents log
     rules. *)
 
+val same_rule : Hdb.Audit_schema.entry -> Hdb.Audit_schema.entry -> bool
+(** The two entries convert to equal rules: they agree on the seven audit
+    attributes (provenance is not part of the rule). *)
+
 val policy_of_entries : Hdb.Audit_schema.entry list -> Prima_core.Policy.t
 (** Tagged with the {!Prima_core.Policy.Audit_log} source. *)
 

@@ -266,6 +266,7 @@ let q_items sys = List.sort compare (Q.items (transit sys))
 let rule_key r = List.sort compare (Prima_core.Rule.to_assoc r)
 let rule_keys rules = List.sort compare (List.map rule_key rules)
 let policy_keys p = rule_keys (Prima_core.Policy.rules p)
+let policy_sequence p = List.map rule_key (Prima_core.Policy.rules p)
 
 (* [a] a sub-multiset of [b]; both sorted. *)
 let rec sorted_multiset_leq a b =
@@ -1396,10 +1397,15 @@ let epilogue h =
   event h "      epilogue consolidation      completeness %.3f" health.H.completeness;
   if health.H.completeness < 1.0 then
     violate "convergence" "completeness %.3f after all faults healed" health.H.completeness;
-  let sys_rules = policy_keys (Prima_core.Prima.audit_policy (Sys_.prima h.sys)) in
-  let model_rules = policy_keys (Model.trail_policy h.model) in
-  if sys_rules <> model_rules then
+  let sys_al = Prima_core.Prima.audit_policy (Sys_.prima h.sys) in
+  let model_al = Model.trail_policy h.model in
+  if policy_keys sys_al <> policy_keys model_al then
     violate "convergence" "fault-free consolidated trail differs from the model";
+  (* as sequences too: P_AL's order drives Trend windows and the order of
+     bag-semantics uncovered listings, so an entry appended out of place
+     must not pass as the same multiset *)
+  if policy_sequence sys_al <> policy_sequence model_al then
+    violate "convergence" "fault-free consolidated trail is out of the model's order";
   (* exact coverage parity on the healed trail *)
   let check_parity () =
     let qc = Sys_.coverage_qualified h.sys in

@@ -19,7 +19,8 @@
     + {b recovery-idempotent} — recovering the same devices twice yields
       identical state with nothing newly dropped.
     + {b convergence} — after faults stop, consolidation, coverage and a
-      final refinement all agree exactly with the model.
+      final refinement all agree exactly with the model; the consolidated
+      P_AL equals the model trail as a sequence, not only as a multiset.
     + {b tamper-evidence} — every injected bit-flip of an accepted
       (stable) audit record is reported as
       {!Durable.Recovery.Tamper_detected} at the exact frame offset,

@@ -36,10 +36,11 @@ val set_training_minimum : t -> int -> unit
 val refinement_config : t -> Refinement.config
 val set_refinement_config : t -> Refinement.config -> unit
 
-val ingest_rule : t -> Rule.t -> unit
-(** Append one audit rule to P_AL. *)
-
 val ingest_rules : t -> Rule.t list -> unit
+(** Append audit rules to P_AL, and their projections onto the pattern
+    attributes to the projection kept beside it, which {!coverage} and
+    {!refine} read.  Each distinct pattern rule is held once.  An empty
+    list leaves P_AL untouched (the same {!audit_policy} value). *)
 
 val add_store_rule : t -> Rule.t -> unit
 (** Stakeholder-driven extension of P_PS. *)
@@ -50,7 +51,9 @@ type coverage_report = {
 }
 
 val coverage : t -> coverage_report
-(** Both coverage readings, over the pattern attributes. *)
+(** Both coverage readings, over the pattern attributes: equal to
+    {!Coverage.aligned} over {!policy_store} and {!audit_policy}, without
+    projecting P_AL again. *)
 
 val in_training : t -> bool
 
@@ -62,4 +65,5 @@ val refine :
     when P_AL came from a partial consolidation. *)
 
 val reset_audit : t -> unit
-(** Drop consumed audit entries (sliding-window refinement). *)
+(** Drop consumed audit entries (sliding-window refinement), and P_AL's
+    projection with them. *)

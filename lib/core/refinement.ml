@@ -72,11 +72,12 @@ type epoch_report = {
 (* One refinement epoch: run the pipeline, apply the acceptance policy,
    extend the store, and report coverage (bag semantics over the audit
    entries, per Section 5) before and after.  The audit policy is projected
-   onto the pattern attributes once and shared by both coverage calls; the
+   onto the pattern attributes once (or not at all, when the caller keeps
+   the projection as [p_al_pattern]) and shared by both coverage calls; the
    second call grounds the same rules as the first plus the accepted
    patterns, so it runs almost entirely out of the grounding memo. *)
-let run_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true) ~vocab
-    ~p_ps ~p_al () : epoch_report =
+let run_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true)
+    ?p_al_pattern ~vocab ~p_ps ~p_al () : epoch_report =
   let attrs = Vocabulary.Audit_attrs.pattern in
   let practice = Filter.run ~keep_prohibitions:config.keep_prohibitions p_al in
   let extraction = extract config practice in
@@ -88,7 +89,9 @@ let run_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true
   let useful = Prune.run vocab ~patterns ~p_ps in
   let accepted = accept config.acceptance useful in
   let p_ps' = Policy.add_rules p_ps accepted in
-  let p_al_proj = Policy.project p_al ~attrs in
+  let p_al_proj =
+    match p_al_pattern with Some p -> p | None -> Policy.project p_al ~attrs
+  in
   let coverage_before =
     Coverage.compute_bag vocab ~p_x:(Policy.project p_ps ~attrs) ~p_y:p_al_proj
   in

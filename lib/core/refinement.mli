@@ -61,12 +61,16 @@ val run_epoch :
   ?config:config ->
   ?completeness:float ->
   ?verified:bool ->
+  ?p_al_pattern:Policy.t ->
   vocab:Vocabulary.Vocab.t ->
   p_ps:Policy.t ->
   p_al:Policy.t ->
   unit ->
   epoch_report
-(** [completeness] (default 1.0) is the fraction of the audit window that
+(** [p_al_pattern], when given, must be
+    [Policy.project p_al ~attrs:Vocabulary.Audit_attrs.pattern]; the
+    coverage readings use it instead of projecting [p_al] again.
+    [completeness] (default 1.0) is the fraction of the audit window that
     was actually consolidated; below 1.0 the report's coverage readings are
     labelled {!Coverage.Lower_bound}.  [verified] (default [true]) states
     whether the trail itself is trustworthy; [false] — e.g. crash recovery

@@ -52,11 +52,12 @@ let find_attr t attr =
 
 (* Restriction of the rule to the given attributes, e.g. projecting a
    seven-term audit rule onto (data, purpose, authorized).  None when no
-   term survives. *)
+   term survives.  A sublist of sorted, distinct terms is itself sorted and
+   distinct, so the survivors need no re-canonicalisation. *)
 let project t ~attrs =
   match List.filter (fun term -> List.mem (Rule_term.attr term) attrs) t.terms with
   | [] -> None
-  | survivors -> Some (make survivors)
+  | survivors -> Some (of_terms survivors)
 
 let is_ground vocab t = List.for_all (Rule_term.is_ground vocab) t.terms
 

@@ -13,17 +13,25 @@ type t = {
   hash : int;
 }
 
-(* The intern table only ever grows with *distinct* strings that appear in
-   rules; vocabularies and audit attributes draw from small fixed alphabets,
-   so this stays proportional to the vocabulary, not the audit volume. *)
+(* The intern table grows with every *distinct* string that enters a rule.
+   Vocabulary values draw from small fixed alphabets, but audit rules also
+   carry one timestamp per entry, so the table is reset wholesale once it
+   reaches [intern_limit] — the same crude bound as [Rule.ground_cache].
+   A reset only costs speed: strings interned before and after it are
+   equal but not physically equal, and every comparison below falls back
+   to [String.equal] / [String.compare] when the pointer check misses. *)
 let intern_table : (string, string) Hashtbl.t = Hashtbl.create 1024
+let intern_limit = 1 lsl 16
 
 let intern s =
   match Hashtbl.find_opt intern_table s with
   | Some canonical -> canonical
   | None ->
+    if Hashtbl.length intern_table >= intern_limit then Hashtbl.reset intern_table;
     Hashtbl.add intern_table s s;
     s
+
+let interned () = Hashtbl.length intern_table
 
 let combine_hash h1 h2 = (h1 * 0x01000193) lxor h2
 

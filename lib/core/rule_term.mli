@@ -4,13 +4,23 @@
 type t
 
 val make : attr:string -> value:string -> t
+(** Interns [attr] and [value] in a process-wide table that is reset once
+    it holds {!intern_limit} strings, so it stays bounded however many
+    distinct values (e.g. audit timestamps) pass through. *)
+
+val intern_limit : int
+
+val interned : unit -> int
+(** Strings the intern table currently holds; never above {!intern_limit}. *)
+
 val attr : t -> string
 val value : t -> string
 
 val equal_syntactic : t -> t -> bool
 (** Structural identity (no vocabulary involved).  O(1) on the fast path:
     strings are interned and the hash is precomputed, so distinct terms are
-    rejected by hash and equal terms accepted by pointer comparison. *)
+    rejected by hash and equal terms accepted by pointer comparison; terms
+    interned on either side of a table reset compare by content. *)
 
 val compare : t -> t -> int
 (** Total order by attribute then value; canonicalises rules. *)

@@ -44,6 +44,10 @@ type t = {
   mutable last_budget_stats : Relational.Errors.budget_stats option;
   mutable brownout_epochs : int; (* refinement epochs run under a brownout grant *)
   mutable shed_requests : int; (* admitted-path requests shed at the gate *)
+  (* The merge P_AL was last converted from, and the P_AL [sync_audit]
+     installed from it: the next sync converts only what a fresh merge
+     appends to it (see [sync_audit]). *)
+  mutable synced : (Hdb.Audit_schema.entry list * Prima_core.Policy.t) option;
 }
 
 let create ?(training_minimum = 0) ?(completeness_threshold = 0.9) ?config ?storage ~vocab
@@ -99,6 +103,7 @@ let create ?(training_minimum = 0) ?(completeness_threshold = 0.9) ?config ?stor
     last_budget_stats = None;
     brownout_epochs = 0;
     shed_requests = 0;
+    synced = None;
   }
 
 let recovery t = t.recovery
@@ -273,16 +278,46 @@ let set_auto_checkpoint ?(policy = Durable.Log.checkpoint_every ~records:64 ()) 
     List.iter (fun site -> clear (Audit_mgmt.Site.wal site)) sites
   end
 
+(* [Some suffix] when [fresh] is [prev] followed by [suffix], entry for
+   entry. *)
+let rec suffix_after prev fresh =
+  match (prev, fresh) with
+  | [], suffix -> Some suffix
+  | p :: prev, f :: fresh when Audit_mgmt.To_policy.same_rule p f ->
+    suffix_after prev fresh
+  | _ -> None
+
 (* Pull the fault-aware consolidated view into the refinement component's
    P_AL; the health report of this consolidation is retained and its
-   completeness qualifies everything computed from the window. *)
+   completeness qualifies everything computed from the window.
+
+   Each entry is converted once.  When the fresh merge extends the one P_AL
+   was built from, and Prima still holds the P_AL installed here, only the
+   new suffix is converted and appended: conversion is entry by entry, so
+   the result equals a full rebuild.  Anything else — an entry dropped or
+   moved by a skipped, stale-served, quarantined or crash-reseated site, a
+   late entry merged before the old tail, or P_AL reset from outside —
+   falls back to rebuilding P_AL from the whole merge. *)
 let sync_audit t =
   let result = Audit_mgmt.Federation.consolidated_result t.federation in
+  let entries = result.Audit_mgmt.Federation.entries in
   t.last_health <- Some result.Audit_mgmt.Federation.health;
-  Prima_core.Prima.reset_audit t.prima;
-  Prima_core.Prima.ingest_rules t.prima
-    (Prima_core.Policy.rules
-       (Audit_mgmt.To_policy.policy_of_entries result.Audit_mgmt.Federation.entries));
+  let prima = t.prima in
+  let suffix =
+    match t.synced with
+    | Some (prev, installed) when Prima_core.Prima.audit_policy prima == installed ->
+      suffix_after prev entries
+    | _ -> None
+  in
+  let fresh =
+    match suffix with
+    | Some suffix -> suffix
+    | None ->
+      Prima_core.Prima.reset_audit prima;
+      entries
+  in
+  Prima_core.Prima.ingest_rules prima (List.map Audit_mgmt.To_policy.rule_of_entry fresh);
+  t.synced <- Some (entries, Prima_core.Prima.audit_policy prima);
   result.Audit_mgmt.Federation.health
 
 let completeness t =

@@ -187,7 +187,12 @@ val set_auto_checkpoint : ?policy:Durable.Log.checkpoint_policy -> t -> bool -> 
 
 val sync_audit : t -> Audit_mgmt.Health.t
 (** Pull the fault-aware consolidated view into the refinement component's
-    P_AL; returns (and retains) the consolidation's health report. *)
+    P_AL; returns (and retains) the consolidation's health report.  When
+    the fresh merge extends the previous one entry for entry and P_AL is
+    still the one this function installed, only the new entries are
+    converted and appended; otherwise P_AL is rebuilt from the whole
+    merge.  Either way P_AL equals
+    [To_policy.policy_of_entries] of the fresh merge. *)
 
 val coverage : t -> Prima_core.Prima.coverage_report
 (** Syncs, then reports both coverage readings (unqualified). *)
