@@ -25,9 +25,8 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let vocab_of_name = function
-  | "figure1" -> Vocabulary.Samples.figure1 ()
-  | "hospital" -> Vocabulary.Samples.hospital ()
-  | name -> Fmt.failwith "unknown vocabulary %S (use figure1 or hospital)" name
+  | `Figure1 -> Vocabulary.Samples.figure1 ()
+  | `Hospital -> Vocabulary.Samples.hospital ()
 
 let parse_policy_file path : Prima_core.Policy.t =
   Prima_core.Policy_file.of_string (read_file path)
@@ -579,8 +578,8 @@ let run_federation_health audit_path nsites seed p_unavailable p_timeout p_flaky
 open Cmdliner
 
 let vocab_arg =
-  Arg.(value & opt string "figure1" & info [ "vocab" ] ~docv:"NAME"
-         ~doc:"Vocabulary: figure1 or hospital.")
+  Arg.(value & opt (enum [ ("figure1", `Figure1); ("hospital", `Hospital) ]) `Figure1
+       & info [ "vocab" ] ~docv:"NAME" ~doc:"Vocabulary: figure1 or hospital.")
 
 let policy_arg =
   Arg.(required & opt (some file) None & info [ "policy" ] ~docv:"FILE"

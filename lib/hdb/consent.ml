@@ -32,6 +32,8 @@ let record t ~patient ~purpose ~data choice =
   Hashtbl.replace t.by_patient patient ({ patient; purpose; data; choice } :: existing);
   t.total <- t.total + 1
 
+let recorded_patients t = Hashtbl.fold (fun patient _ acc -> patient :: acc) t.by_patient []
+
 let records t =
   Hashtbl.fold (fun _ rs acc -> List.rev_append rs acc) t.by_patient []
   |> List.sort (fun a b -> String.compare a.patient b.patient)

@@ -24,6 +24,9 @@ val create : ?default:choice -> vocab:Vocabulary.Vocab.t -> unit -> t
 val default : t -> choice
 val record : t -> patient:string -> purpose:string -> data:string -> choice -> unit
 
+val recorded_patients : t -> string list
+(** Patients with at least one recorded choice, in no particular order. *)
+
 val records : t -> record list
 (** Grouped by patient; newest-first within a patient. *)
 

@@ -132,20 +132,67 @@ let category_of_ref t scope column_ref =
 let permitted t ctx category =
   Privacy_rules.permits t.rules ~data:category ~purpose:ctx.purpose ~authorized:ctx.role
 
-(* All distinct patient ids present in a table, in first-seen order. *)
-let patients_in_table t ~table ~patient_column =
+exception Untyped_patient_column of string
+
+(* The patients a disclosure of [categories] from [table] must exclude, as
+   the column values to put in NOT IN, in the order of their first row.  A
+   consent id names the non-NULL value that renders as it
+   ([Value.to_string]).  The patient index is built here on first use;
+   [Table] keeps it current.  Under an opt-in store only patients with a
+   recorded choice can be excluded, so those are probed through the index;
+   under an opt-out store every patient is a candidate and the rows are
+   scanned.
+   @raise Untyped_patient_column when the column can hold no patient id. *)
+let excluded_in_table t ctx ~table ~patient_column ~categories =
   let tbl = Database.table (Engine.database t.engine) table in
-  let idx = Schema.find_exn (Table.schema tbl) patient_column in
-  let seen = Hashtbl.create 256 in
-  Table.fold
-    (fun acc row ->
-      match Value.as_string (Row.get row idx) with
-      | Some p when not (Hashtbl.mem seen p) ->
-        Hashtbl.add seen p ();
-        p :: acc
-      | Some _ | None -> acc)
-    [] tbl
-  |> List.rev
+  let column = Schema.find_exn (Table.schema tbl) patient_column in
+  let value_of_id =
+    match Schema.ty_at (Table.schema tbl) column with
+    | Value.T_string -> fun id -> Some (Value.Str id)
+    | Value.T_int -> (
+      fun id ->
+        match int_of_string_opt id with
+        | Some n when String.equal (string_of_int n) id -> Some (Value.Int n)
+        | Some _ | None -> None)
+    | (Value.T_float | Value.T_bool) as ty ->
+      raise
+        (Untyped_patient_column
+           (Printf.sprintf "patient column %s.%s is %s; patient ids need TEXT or INTEGER"
+              table patient_column (Value.ty_to_string ty)))
+  in
+  Table.create_index tbl ~column_name:patient_column;
+  let candidates =
+    match Consent.default t.consent with
+    | Consent.Opt_in ->
+      let index = Option.get (Table.index_on tbl ~column) in
+      List.filter_map
+        (fun id ->
+          match Option.map (Index.lookup index) (value_of_id id) with
+          | Some (first_row :: _) -> Some (first_row, id)
+          | Some [] | None -> None)
+        (Consent.recorded_patients t.consent)
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.map snd
+    | Consent.Opt_out ->
+      let seen = Hashtbl.create 256 in
+      Table.fold
+        (fun acc row ->
+          match Row.get row column with
+          | Value.Null -> acc
+          | v ->
+            let id = Value.to_string v in
+            if Hashtbl.mem seen id then acc
+            else begin
+              Hashtbl.add seen id ();
+              id :: acc
+            end)
+        [] tbl
+      |> List.rev
+  in
+  (* Every candidate renders from a column value, so [value_of_id] maps it
+     back to that value. *)
+  Consent.opted_out_patients t.consent ~patients:candidates ~purpose:ctx.purpose ~categories
+  |> List.map (fun id -> (id, Option.get (value_of_id id)))
 
 let log_categories t ctx ~op ~status categories =
   let _ = Audit_logger.tick t.logger in
@@ -174,10 +221,11 @@ let expand_select_projections scope (projections : Sql_ast.projection list) =
       | Sql_ast.Proj _ -> [ p ])
     projections
 
-(* The rewrite itself, pure of side effects: returns the rewritten select,
-   masked output columns, excluded patients and disclosed categories, or the
-   denial reason.  Handles any join tree of base tables; unmapped tables in
-   scope contribute nothing to enforcement. *)
+(* The rewrite itself: returns the rewritten select, masked output columns,
+   excluded patients and disclosed categories, or the denial reason.  Its
+   one side effect is building a patient index on first use (see
+   [excluded_in_table]).  Handles any join tree of base tables; unmapped
+   tables in scope contribute nothing to enforcement. *)
 let rewrite t ctx (select : Sql_ast.select) =
   match select.Sql_ast.from with
   | None -> Ok (select, [], [], [])
@@ -265,32 +313,28 @@ let rewrite t ctx (select : Sql_ast.select) =
         else begin
           (* Row-level consent exclusion, per mapped table with a patient
              column, over the categories disclosed from that table. *)
-          let exclusions =
-            List.filter_map
-              (fun entry ->
-                match Category_map.patient_column t.categories ~table:entry.table_name with
-                | None -> None
-                | Some pc ->
-                  let table_categories =
-                    List.filter_map
-                      (fun (tbl, c) ->
-                        if String.equal tbl entry.table_name then Some c else None)
-                      disclosed_pairs
-                  in
-                  if table_categories = [] then None
-                  else begin
-                    let patients =
-                      patients_in_table t ~table:entry.table_name ~patient_column:pc
-                    in
-                    match
-                      Consent.opted_out_patients t.consent ~patients ~purpose:ctx.purpose
-                        ~categories:table_categories
-                    with
-                    | [] -> None
-                    | excluded -> Some (entry, pc, excluded)
-                  end)
-              scope
+          let exclusion entry =
+            match Category_map.patient_column t.categories ~table:entry.table_name with
+            | None -> None
+            | Some pc ->
+              let table_categories =
+                List.filter_map
+                  (fun (tbl, c) -> if String.equal tbl entry.table_name then Some c else None)
+                  disclosed_pairs
+              in
+              if table_categories = [] then None
+              else begin
+                match
+                  excluded_in_table t ctx ~table:entry.table_name ~patient_column:pc
+                    ~categories:table_categories
+                with
+                | [] -> None
+                | excluded -> Some (entry, pc, excluded)
+              end
           in
+          match List.filter_map exclusion scope with
+          | exception Untyped_patient_column reason -> Error (Unsupported reason)
+          | exclusions ->
           let where =
             List.fold_left
               (fun where (entry, pc, excluded) ->
@@ -299,7 +343,7 @@ let rewrite t ctx (select : Sql_ast.select) =
                     { scrutinee =
                         Sql_ast.Col { qualifier = Some entry.qualifier; name = pc };
                       negated = true;
-                      items = List.map (fun p -> Sql_ast.Lit (Value.Str p)) excluded;
+                      items = List.map (fun (_, value) -> Sql_ast.Lit value) excluded;
                     }
                 in
                 match where with
@@ -311,7 +355,7 @@ let rewrite t ctx (select : Sql_ast.select) =
             { select with Sql_ast.projections = masked_projections; where }
           in
           let excluded_patients =
-            dedupe (List.concat_map (fun (_, _, excluded) -> excluded) exclusions)
+            dedupe (List.concat_map (fun (_, _, excluded) -> List.map fst excluded) exclusions)
           in
           Ok (rewritten, dedupe !masked, excluded_patients, disclosed_categories)
         end

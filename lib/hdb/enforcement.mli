@@ -57,9 +57,12 @@ val rewrite :
   context ->
   Relational.Sql_ast.select ->
   (Relational.Sql_ast.select * string list * string list * string list, error) result
-(** The pure rewrite: [(rewritten, masked columns, excluded patients,
+(** The rewrite: [(rewritten, masked columns, excluded patients,
     disclosed categories)] or the denial.  Queries over unmapped tables
-    pass through untouched. *)
+    pass through untouched.  Its one side effect: the first exclusion
+    computed over a table builds a hash index on its patient column, which
+    the table then keeps current.  A disclosure from a table whose patient
+    column is neither TEXT nor INTEGER is [Unsupported]. *)
 
 val run_query :
   ?break_glass:bool ->

@@ -479,6 +479,55 @@ let test_consent_opt_out_default_store () =
   in
   Alcotest.(check (list string)) "p10 excluded by default" [ "p10" ] out
 
+(* --- typed patient ids --- *)
+
+(* [visits] with a patient column of type [ty], one row per literal in
+   [patients]; patient "2" opted out of treatment uses of referral. *)
+let make_typed_control ty patients =
+  let control = Control_center.create ~vocab () in
+  List.iter
+    (fun sql -> ignore (Control_center.admin_exec control sql))
+    [ Printf.sprintf "CREATE TABLE visits (patient %s, referral TEXT)" ty;
+      "INSERT INTO visits VALUES "
+      ^ String.concat ", " (List.map (Printf.sprintf "(%s, 'r')") patients);
+    ];
+  Control_center.set_patient_column control ~table:"visits" ~column:"patient";
+  Control_center.map_column control ~table:"visits" ~column:"referral" ~category:"referral";
+  Control_center.permit control ~data:"routine" ~purpose:"treatment" ~authorized:"nurse";
+  Control_center.opt_out control ~patient:"2" ~purpose:"treatment" ~data:"referral";
+  control
+
+let query_typed_visits control =
+  Control_center.query control ~user:"tim" ~role:"nurse" ~purpose:"treatment"
+    "SELECT patient, referral FROM visits"
+
+let test_enforcement_int_patient_ids () =
+  List.iter
+    (fun (ty, patients, excluded_literal) ->
+      match query_typed_visits (make_typed_control ty patients) with
+      | Error e -> Alcotest.failf "%s: %s" ty (Enforcement.error_to_string e)
+      | Ok outcome ->
+        check_int (ty ^ ": patient 2's row withheld") 2
+          (List.length outcome.Enforcement.result.Relational.Executor.rows);
+        Alcotest.(check (list string)) (ty ^ ": excluded") [ "2" ]
+          outcome.Enforcement.excluded_patients;
+        check_string (ty ^ ": NOT IN carries the column's type")
+          ("SELECT patient, referral FROM visits WHERE visits.patient NOT IN ("
+          ^ excluded_literal ^ ")")
+          outcome.Enforcement.rewritten_sql)
+    [ ("INT", [ "1"; "2"; "3" ], "2"); ("TEXT", [ "'1'"; "'2'"; "'3'" ], "'2'") ]
+
+let test_enforcement_untyped_patient_column_fails_closed () =
+  List.iter
+    (fun (ty, patients) ->
+      match query_typed_visits (make_typed_control ty patients) with
+      | Error (Enforcement.Unsupported _) -> ()
+      | Error e -> Alcotest.failf "%s: wrong error: %s" ty (Enforcement.error_to_string e)
+      | Ok outcome ->
+        Alcotest.failf "%s patient column: %d rows returned without consent filtering" ty
+          (List.length outcome.Enforcement.result.Relational.Executor.rows))
+    [ ("REAL", [ "1.0"; "2.0"; "3.0" ]); ("BOOLEAN", [ "TRUE"; "FALSE" ]) ]
+
 (* --- multi-table enforcement --- *)
 
 let make_join_control () =
@@ -621,5 +670,10 @@ let () =
           Alcotest.test_case "join-condition leak denied" `Quick
             test_enforcement_join_predicate_leak_denied;
           Alcotest.test_case "alias supported" `Quick test_enforcement_alias_supported;
+        ] );
+      ( "enforcement-patient-ids",
+        [ Alcotest.test_case "INTEGER ids are excluded" `Quick test_enforcement_int_patient_ids;
+          Alcotest.test_case "REAL/BOOLEAN columns fail closed" `Quick
+            test_enforcement_untyped_patient_column_fails_closed;
         ] );
     ]
