@@ -1,4 +1,4 @@
-.PHONY: build test faults crash fuzz chaos shrink tamper federation overload pipebench bench bench-quick bench-coverage bench-wal bench-governor
+.PHONY: build test faults crash fuzz chaos shrink tamper federation overload pipebench pipebench-trace bench bench-quick bench-coverage bench-wal bench-governor
 
 build:
 	dune build
@@ -78,6 +78,20 @@ pipebench:
 	@status=0; \
 	for w in monitor bulk clinic; do \
 	  python3 pipebench/run.py --workload $$w --seed 1 --seconds 5 --trace 0 || status=1; \
+	done; \
+	exit $$status
+
+# Traced pipeline run: each workload once at seed 1 for 5 s with the
+# stage-by-stage replay on.  Every black-box refine and coverage_qualified
+# is checked against the reference functions it composes (Filter, the SQL
+# GROUP BY, Coverage over the rebuilt P_AL), so this exercises the fused
+# Algorithm 3 + 5 path and coverage over codes on the benchmark's own
+# workloads.  Every run is made; the target fails if any of them exits
+# non-zero.
+pipebench-trace:
+	@status=0; \
+	for w in monitor bulk clinic; do \
+	  python3 pipebench/run.py --workload $$w --seed 1 --seconds 5 --trace 1 || status=1; \
 	done; \
 	exit $$status
 

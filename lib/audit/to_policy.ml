@@ -13,6 +13,43 @@ let pattern_rule_of_entry (e : Hdb.Audit_schema.entry) : Prima_core.Rule.t =
       (Vocabulary.Audit_attrs.authorized, e.Hdb.Audit_schema.authorized);
     ]
 
+(* Coding entries for a [Prima_core.Trail] without building their rules.
+   The memo is keyed by an entry's (data, purpose, authorized) strings
+   alone, so each distinct combination shares one pattern rule.  It is
+   reset wholesale at [patterns_limit], like the intern table. *)
+module Patterns = Hashtbl.Make (struct
+  type t = Hdb.Audit_schema.entry
+
+  let equal (a : t) (b : t) =
+    String.equal a.data b.data
+    && String.equal a.purpose b.purpose
+    && String.equal a.authorized b.authorized
+
+  let hash (e : t) =
+    Hashtbl.hash e.data + (31 * (Hashtbl.hash e.purpose + (31 * Hashtbl.hash e.authorized)))
+end)
+
+type patterns = Prima_core.Rule.t option Patterns.t
+
+let patterns () : patterns = Patterns.create 16
+let patterns_limit = 1 lsl 16
+
+let trail_entry memo (e : Hdb.Audit_schema.entry) : Prima_core.Trail.entry =
+  let pattern =
+    match Patterns.find memo e with
+    | shared -> shared
+    | exception Not_found ->
+      if Patterns.length memo >= patterns_limit then Patterns.reset memo;
+      let shared = Some (pattern_rule_of_entry e) in
+      Patterns.add memo e shared;
+      shared
+  in
+  { Prima_core.Trail.pattern;
+    user = Some e.user;
+    exception_based = e.status = Hdb.Audit_schema.Exception_based;
+    prohibition = e.op = Hdb.Audit_schema.Disallow;
+  }
+
 (* Same seven attributes, hence equal rules.  Pointer checks first: a
    re-fetched merge draws its strings from the sites' dictionaries, so this
    runs about three times faster than [Audit_schema.equal]. *)

@@ -8,6 +8,18 @@ val pattern_rule_of_entry : Hdb.Audit_schema.entry -> Prima_core.Rule.t
 (** Projection to (data, purpose, authorized), as Figure 3(b) presents log
     rules. *)
 
+type patterns
+(** A memo of shared pattern rules, one per distinct
+    (data, purpose, authorized). *)
+
+val patterns : unit -> patterns
+
+val trail_entry : patterns -> Hdb.Audit_schema.entry -> Prima_core.Trail.entry
+(** The entry's columns for {!Prima_core.Trail.append}, equal to
+    [Trail.entry_of_rule (rule_of_entry e)] but without building the
+    rule: its pattern rule comes from the memo (built by
+    {!pattern_rule_of_entry} on a miss). *)
+
 val same_rule : Hdb.Audit_schema.entry -> Hdb.Audit_schema.entry -> bool
 (** The two entries convert to equal rules: they agree on the seven audit
     attributes (provenance is not part of the rule). *)

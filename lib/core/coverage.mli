@@ -15,6 +15,9 @@ type stats = {
   uncovered : Rule.t list;  (** the rules of P_y driving the gap *)
 }
 
+val ratio : int -> int -> float
+(** [ratio overlap denominator], 1.0 when the denominator is 0. *)
+
 val compute : ?uncovered:bool -> Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Policy.t -> stats
 (** Algorithm 1, set semantics.  Policies over different attribute sets
     never intersect (Definition 6 compares cardinalities) — align them with

@@ -32,7 +32,10 @@ let default_config =
   }
 
 (* Materialise a policy of audit rules as a relational table; every column
-   is TEXT, one per attribute appearing in the policy's rules. *)
+   is TEXT.  The seven audit-schema columns always exist, NULL where a
+   rule lacks the attribute, so the paper's statement finds its columns
+   even when no rule carries one of them (e.g. hand-built rules without a
+   user); any other attribute a rule carries gets a column after them. *)
 let materialize engine ~table_name (p : Policy.t) =
   let attrs =
     List.fold_left
@@ -40,7 +43,7 @@ let materialize engine ~table_name (p : Policy.t) =
         List.fold_left
           (fun acc (attr, _) -> if List.mem attr acc then acc else acc @ [ attr ])
           acc (Rule.to_assoc rule))
-      [] (Policy.rules p)
+      Vocabulary.Audit_attrs.all (Policy.rules p)
   in
   let db = Relational.Engine.database engine in
   if Relational.Database.table_exists db table_name then
@@ -90,10 +93,8 @@ let run ?budget engine ~table_name config : Rule.t list =
 (* One-call variant: load the practice policy into a fresh engine and
    analyse it there. *)
 let analyse ?(config = default_config) ?budget (practice : Policy.t) : Rule.t list =
-  (* An empty practice materialises as a zero-column table the GROUP BY
-     cannot reference — and no pattern can meet a positive frequency
-     threshold anyway (found by the chaos harness: refining over a window
-     whose only site was down). *)
+  (* An empty practice forms no group, so there is no table to build
+     (the chaos harness refines over windows whose only site was down). *)
   if Policy.cardinality practice = 0 then []
   else
   let engine = Relational.Engine.create () in

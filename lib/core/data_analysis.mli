@@ -24,8 +24,12 @@ val default_config : config
     c = [COUNT(DISTINCT user) > 1], at-least comparator. *)
 
 val materialize : Relational.Engine.t -> table_name:string -> Policy.t -> string list
-(** Loads a policy of audit rules into a (re)created TEXT table, one column
-    per attribute appearing in the rules; returns the column order. *)
+(** Loads a policy of audit rules into a (re)created TEXT table and returns
+    its column order: the seven audit-schema columns
+    ({!Vocabulary.Audit_attrs.all}), then any other attribute appearing in
+    the rules, in first-seen order.  A rule lacking an attribute leaves
+    NULL in its column, so the statement's columns (e.g. [user] in the
+    default condition) exist whatever the rules carry. *)
 
 val statement : table_name:string -> config -> string
 (** The generated SQL text (Algorithm 5, line 2). *)

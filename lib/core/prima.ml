@@ -4,27 +4,12 @@
    coverage measurement and refinement runs.  The stakeholder-facing
    integration with HDB enforcement lives in the prima_system library. *)
 
-(* One instance per distinct pattern rule of P_AL: audit trails repeat a
-   few hundred (data, purpose, authorized) combinations across thousands
-   of entries, so sharing them makes the projection one list cell per
-   entry. *)
-module Shared = Hashtbl.Make (struct
-  type t = Rule.t
-
-  let equal = Rule.equal
-  let hash = Rule.hash
-end)
-
 type t = {
   mutable vocab : Vocabulary.Vocab.t;
   mutable p_ps : Policy.t;
-  mutable p_al : Policy.t;
-  (* P_AL projected onto the pattern attributes, kept beside it: exactly
-     [Policy.project p_al ~attrs:Audit_attrs.pattern], extended by
-     [ingest_rules] and cleared by [reset_audit], the only writers of
-     either. *)
-  mutable p_al_pattern : Policy.t;
-  pattern_rules : Rule.t Shared.t;
+  (* P_AL, coded (see Trail); [ingest_rules] and outside appends extend
+     it, [reset_audit] replaces it *)
+  mutable trail : Trail.t;
   mutable training_minimum : int; (* entries required before refinement *)
   mutable refinement_config : Refinement.config;
   mutable history : Refinement.epoch_report list; (* newest first *)
@@ -33,9 +18,7 @@ type t = {
 let create ?(training_minimum = 0) ?(config = Refinement.default_config) ~vocab ~p_ps () =
   { vocab;
     p_ps;
-    p_al = Policy.make ~source:Policy.Audit_log [];
-    p_al_pattern = Policy.make ~source:Policy.Audit_log [];
-    pattern_rules = Shared.create 256;
+    trail = Trail.create ();
     training_minimum;
     refinement_config = config;
     history = [];
@@ -50,30 +33,16 @@ let vocab t = t.vocab
 let set_vocab t vocab = t.vocab <- vocab
 
 let policy_store t = t.p_ps
-let audit_policy t = t.p_al
+let audit_policy t = Trail.policy t.trail
+let trail t = t.trail
 let history t = List.rev t.history
 
 let set_training_minimum t n = t.training_minimum <- n
 let refinement_config t = t.refinement_config
 let set_refinement_config t config = t.refinement_config <- config
 
-let share t rule =
-  match Shared.find_opt t.pattern_rules rule with
-  | Some shared -> shared
-  | None ->
-    Shared.add t.pattern_rules rule rule;
-    rule
-
-(* Append to P_AL and to its projection; an empty batch leaves both (and
-   their identity) untouched. *)
-let ingest_rules t rules =
-  if rules <> [] then begin
-    let attrs = Vocabulary.Audit_attrs.pattern in
-    t.p_al <- Policy.add_rules t.p_al rules;
-    t.p_al_pattern <-
-      Policy.add_rules t.p_al_pattern
-        (List.filter_map (fun rule -> Option.map (share t) (Rule.project rule ~attrs)) rules)
-  end
+(* Append to P_AL; an empty batch leaves it (and its identity) untouched. *)
+let ingest_rules t rules = Trail.append_rules t.trail rules
 
 let add_store_rule t rule = t.p_ps <- Policy.add_rule t.p_ps rule
 
@@ -83,15 +52,14 @@ type coverage_report = {
   bag_semantics : Coverage.stats; (* Section 5 accounting *)
 }
 
-(* [Coverage.aligned] over the store and P_AL, reading P_AL's kept
-   projection instead of projecting the trail again. *)
+(* [Coverage.aligned] over the store and P_AL, read from P_AL's codes. *)
 let coverage t =
   let p_x = Policy.project t.p_ps ~attrs:Vocabulary.Audit_attrs.pattern in
-  { set_semantics = Coverage.compute t.vocab ~p_x ~p_y:t.p_al_pattern;
-    bag_semantics = Coverage.compute_bag t.vocab ~p_x ~p_y:t.p_al_pattern;
+  { set_semantics = Trail.coverage t.vocab t.trail ~p_x;
+    bag_semantics = Trail.coverage_bag t.vocab t.trail ~p_x;
   }
 
-let in_training t = Policy.cardinality t.p_al < t.training_minimum
+let in_training t = Trail.length t.trail < t.training_minimum
 
 (* Run one refinement pass over everything collected so far; the accepted
    patterns extend the policy store in place.  [Error] while the training
@@ -102,20 +70,16 @@ let refine ?(completeness = 1.0) ?(verified = true) t :
   if in_training t then
     Error
       (Printf.sprintf "training period: %d/%d audit entries collected"
-         (Policy.cardinality t.p_al) t.training_minimum)
+         (Trail.length t.trail) t.training_minimum)
   else begin
     let report =
-      Refinement.run_epoch ~config:t.refinement_config ~completeness ~verified
-        ~p_al_pattern:t.p_al_pattern ~vocab:t.vocab ~p_ps:t.p_ps ~p_al:t.p_al ()
+      Refinement.run_trail_epoch ~config:t.refinement_config ~completeness ~verified
+        ~vocab:t.vocab ~p_ps:t.p_ps t.trail
     in
     t.p_ps <- report.Refinement.p_ps';
     t.history <- report :: t.history;
     Ok report
   end
 
-(* Drop consumed audit entries (e.g. after an epoch over a sliding window),
-   together with their projection and its shared pattern rules. *)
-let reset_audit t =
-  t.p_al <- Policy.make ~source:Policy.Audit_log [];
-  t.p_al_pattern <- Policy.make ~source:Policy.Audit_log [];
-  Shared.reset t.pattern_rules
+(* Drop consumed audit entries (e.g. after an epoch over a sliding window). *)
+let reset_audit t = t.trail <- Trail.create ()

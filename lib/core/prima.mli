@@ -27,7 +27,16 @@ val set_vocab : t -> Vocabulary.Vocab.t -> unit
     policies. *)
 
 val policy_store : t -> Policy.t
+
 val audit_policy : t -> Policy.t
+(** P_AL as seven-term rules.  P_AL is held coded ({!trail}); the first
+    call after an append builds the appended entries' rules and extends
+    the previous result with them, so the rules of a prefix stay the same
+    values across appends. *)
+
+val trail : t -> Trail.t
+(** P_AL itself.  Appending to it ({!Trail.append}) is ingesting; the
+    trail is replaced, never cleared, by {!reset_audit}. *)
 
 val history : t -> Refinement.epoch_report list
 (** All completed refinement runs, oldest first. *)
@@ -37,10 +46,8 @@ val refinement_config : t -> Refinement.config
 val set_refinement_config : t -> Refinement.config -> unit
 
 val ingest_rules : t -> Rule.t list -> unit
-(** Append audit rules to P_AL, and their projections onto the pattern
-    attributes to the projection kept beside it, which {!coverage} and
-    {!refine} read.  Each distinct pattern rule is held once.  An empty
-    list leaves P_AL untouched (the same {!audit_policy} value). *)
+(** Append audit rules to P_AL, coding each ({!Trail.append_rules}).  An
+    empty list leaves P_AL untouched (the same {!audit_policy} value). *)
 
 val add_store_rule : t -> Rule.t -> unit
 (** Stakeholder-driven extension of P_PS. *)
@@ -52,18 +59,21 @@ type coverage_report = {
 
 val coverage : t -> coverage_report
 (** Both coverage readings, over the pattern attributes: equal to
-    {!Coverage.aligned} over {!policy_store} and {!audit_policy}, without
-    projecting P_AL again. *)
+    {!Coverage.aligned} over {!policy_store} and {!audit_policy},
+    [uncovered] lists included, computed from P_AL's codes
+    ({!Trail.coverage}, {!Trail.coverage_bag}) without building its
+    rules. *)
 
 val in_training : t -> bool
 
 val refine :
   ?completeness:float -> ?verified:bool -> t -> (Refinement.epoch_report, string) result
-(** One refinement pass over everything collected so far; accepted patterns
-    extend the store in place.  [Error] during the training period.
-    [completeness] (default 1.0) qualifies the epoch's coverage readings
-    when P_AL came from a partial consolidation. *)
+(** One refinement pass over everything collected so far
+    ({!Refinement.run_trail_epoch} with the refinement config); accepted
+    patterns extend the store in place.  [Error] during the training
+    period.  [completeness] (default 1.0) qualifies the epoch's coverage
+    readings when P_AL came from a partial consolidation. *)
 
 val reset_audit : t -> unit
-(** Drop consumed audit entries (sliding-window refinement), and P_AL's
-    projection with them. *)
+(** Drop consumed audit entries (sliding-window refinement): P_AL becomes
+    a fresh, empty {!trail}. *)

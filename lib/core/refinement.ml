@@ -69,18 +69,11 @@ type epoch_report = {
   budget_stats : Relational.Errors.budget_stats; (* resources extraction used *)
 }
 
-(* One refinement epoch: run the pipeline, apply the acceptance policy,
-   extend the store, and report coverage (bag semantics over the audit
-   entries, per Section 5) before and after.  The audit policy is projected
-   onto the pattern attributes once (or not at all, when the caller keeps
-   the projection as [p_al_pattern]) and shared by both coverage calls; the
-   second call grounds the same rules as the first plus the accepted
-   patterns, so it runs almost entirely out of the grounding memo. *)
-let run_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true)
-    ?p_al_pattern ~vocab ~p_ps ~p_al () : epoch_report =
-  let attrs = Vocabulary.Audit_attrs.pattern in
-  let practice = Filter.run ~keep_prohibitions:config.keep_prohibitions p_al in
-  let extraction = extract config practice in
+(* The tail both epoch runners share: Prune, the acceptance policy, the
+   store extension, and the bag-coverage readings (Section 5) before and
+   after, which [coverage] computes for a store over the epoch's trail. *)
+let conclude config ~completeness ~verified ~vocab ~p_ps ~practice_size ~coverage
+    (extraction : Data_analysis.governed) : epoch_report =
   let patterns = extraction.Data_analysis.patterns in
   if extraction.Data_analysis.degraded then
     Log.warn (fun m ->
@@ -89,22 +82,14 @@ let run_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true
   let useful = Prune.run vocab ~patterns ~p_ps in
   let accepted = accept config.acceptance useful in
   let p_ps' = Policy.add_rules p_ps accepted in
-  let p_al_proj =
-    match p_al_pattern with Some p -> p | None -> Policy.project p_al ~attrs
-  in
-  let coverage_before =
-    Coverage.compute_bag vocab ~p_x:(Policy.project p_ps ~attrs) ~p_y:p_al_proj
-  in
-  let coverage_after =
-    Coverage.compute_bag vocab ~p_x:(Policy.project p_ps' ~attrs) ~p_y:p_al_proj
-  in
+  let coverage_before = coverage p_ps in
+  let coverage_after = coverage p_ps' in
   Log.info (fun m ->
       m "epoch: %d practice entries, %d patterns, %d useful, %d accepted, coverage %.0f%% -> %.0f%%"
-        (Policy.cardinality practice) (List.length patterns) (List.length useful)
-        (List.length accepted)
+        practice_size (List.length patterns) (List.length useful) (List.length accepted)
         (100. *. coverage_before.Coverage.coverage)
         (100. *. coverage_after.Coverage.coverage));
-  { practice_size = Policy.cardinality practice;
+  { practice_size;
     patterns;
     useful;
     accepted;
@@ -121,6 +106,70 @@ let run_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true
     degraded = extraction.Data_analysis.degraded;
     budget_stats = extraction.Data_analysis.stats;
   }
+
+let pattern_attrs = Vocabulary.Audit_attrs.pattern
+
+(* One refinement epoch over a policy: Filter, extraction, then the shared
+   tail.  The audit policy is projected onto the pattern attributes once
+   and shared by both coverage calls; the second call grounds the same
+   rules as the first plus the accepted patterns, so it runs almost
+   entirely out of the grounding memo.  This is the reference the coded
+   epoch below must agree with. *)
+let run_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true) ~vocab
+    ~p_ps ~p_al () : epoch_report =
+  let practice = Filter.run ~keep_prohibitions:config.keep_prohibitions p_al in
+  let p_al_proj = Policy.project p_al ~attrs:pattern_attrs in
+  conclude config ~completeness ~verified ~vocab ~p_ps
+    ~practice_size:(Policy.cardinality practice)
+    ~coverage:(fun p_x ->
+      Coverage.compute_bag vocab ~p_x:(Policy.project p_x ~attrs:pattern_attrs) ~p_y:p_al_proj)
+    (extract config practice)
+
+(* The Algorithm 5 settings the fused pass computes exactly: ungoverned
+   SQL grouping by the pattern attributes, with no HAVING conjunct beyond
+   the paper's distinct-user condition, over a trail whose every entry
+   has one term per grouped column and one user. *)
+let fusable config trail =
+  let same_set a b = List.sort_uniq String.compare a = List.sort_uniq String.compare b in
+  match config with
+  | { limits = None; backend = Extract_patterns.Sql analysis; _ }
+    when same_set analysis.Data_analysis.attributes pattern_attrs
+         && (analysis.Data_analysis.condition = None
+            || analysis.Data_analysis.condition = Data_analysis.default_config.condition)
+         && Trail.regular trail ->
+    Some analysis
+  | _ -> None
+
+let fuses config trail = Option.is_some (fusable config trail)
+
+(* The same epoch over a coded trail.  Where [fusable] holds, Filter and
+   the GROUP BY run as one pass over the codes; otherwise the trail's
+   rules take the reference path.  Coverage reads the codes either way. *)
+let run_trail_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true)
+    ~vocab ~p_ps trail : epoch_report =
+  let keep_prohibitions = config.keep_prohibitions in
+  let practice_size, extraction =
+    match fusable config trail with
+    | Some analysis ->
+      let f = analysis.Data_analysis.min_frequency in
+      let frequent =
+        match analysis.Data_analysis.comparator with
+        | Data_analysis.At_least -> fun n -> n >= f
+        | Data_analysis.More_than -> fun n -> n > f
+      in
+      let practice_size, patterns =
+        Trail.frequent_groups trail ~keep_prohibitions ~frequent
+          ~distinct_users:(analysis.Data_analysis.condition <> None)
+      in
+      (practice_size, Data_analysis.exact patterns)
+    | None ->
+      let practice = Filter.run ~keep_prohibitions (Trail.policy trail) in
+      (Policy.cardinality practice, extract config practice)
+  in
+  conclude config ~completeness ~verified ~vocab ~p_ps ~practice_size
+    ~coverage:(fun p_x ->
+      Trail.coverage_bag vocab trail ~p_x:(Policy.project p_x ~attrs:pattern_attrs))
+    extraction
 
 (* Iterated refinement over a stream of audit batches: each epoch sees one
    batch, extends the store, and the next batch is judged against the

@@ -61,21 +61,45 @@ val run_epoch :
   ?config:config ->
   ?completeness:float ->
   ?verified:bool ->
-  ?p_al_pattern:Policy.t ->
   vocab:Vocabulary.Vocab.t ->
   p_ps:Policy.t ->
   p_al:Policy.t ->
   unit ->
   epoch_report
-(** [p_al_pattern], when given, must be
-    [Policy.project p_al ~attrs:Vocabulary.Audit_attrs.pattern]; the
-    coverage readings use it instead of projecting [p_al] again.
+(** One epoch over a policy: {!Filter.run}, {!Extract_patterns}, Prune,
+    acceptance, and bag coverage before and after over P_AL's projection
+    onto the pattern attributes.  This is the reference {!run_trail_epoch}
+    must agree with.
     [completeness] (default 1.0) is the fraction of the audit window that
     was actually consolidated; below 1.0 the report's coverage readings are
     labelled {!Coverage.Lower_bound}.  [verified] (default [true]) states
     whether the trail itself is trustworthy; [false] — e.g. crash recovery
     dropped an unverifiable WAL tail — forces the lower-bound label even at
     completeness 1.0. *)
+
+val run_trail_epoch :
+  ?config:config ->
+  ?completeness:float ->
+  ?verified:bool ->
+  vocab:Vocabulary.Vocab.t ->
+  p_ps:Policy.t ->
+  Trail.t ->
+  epoch_report
+(** {!run_epoch} over a coded trail, equal to
+    [run_epoch ~p_al:(Trail.policy trail)] field for field, ordered
+    [patterns] and [uncovered] lists included.  Filter and Algorithm 5
+    run as one pass over the codes ({!Trail.frequent_groups}) when all of
+    these hold: [config.limits] is [None]; the backend is [Sql c] with
+    [c.attributes] equal to the pattern attributes as a set; [c.condition]
+    is [None] or {!Data_analysis.default_config}'s; and the trail is
+    {!Trail.regular}.  Any other epoch — governed, another [HAVING]
+    condition, the mining backend, hand-built partial rules — runs the
+    reference Filter and extraction over {!Trail.policy}.  Coverage reads
+    the codes either way. *)
+
+val fuses : config -> Trail.t -> bool
+(** Whether {!run_trail_epoch} takes the fused pass for this config and
+    trail. *)
 
 val run_epochs :
   ?config:config ->

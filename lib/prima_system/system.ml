@@ -44,10 +44,11 @@ type t = {
   mutable last_budget_stats : Relational.Errors.budget_stats option;
   mutable brownout_epochs : int; (* refinement epochs run under a brownout grant *)
   mutable shed_requests : int; (* admitted-path requests shed at the gate *)
-  (* The merge P_AL was last converted from, and the P_AL [sync_audit]
-     installed from it: the next sync converts only what a fresh merge
-     appends to it (see [sync_audit]). *)
-  mutable synced : (Hdb.Audit_schema.entry list * Prima_core.Policy.t) option;
+  (* The merge P_AL was last coded from, the trail [sync_audit] installed
+     it in, and that trail's length then: the next sync codes only what a
+     fresh merge appends to it (see [sync_audit]). *)
+  mutable synced : (Hdb.Audit_schema.entry list * Prima_core.Trail.t * int) option;
+  patterns : Audit_mgmt.To_policy.patterns; (* shared pattern rules for coding *)
 }
 
 let create ?(training_minimum = 0) ?(completeness_threshold = 0.9) ?config ?storage ~vocab
@@ -104,6 +105,7 @@ let create ?(training_minimum = 0) ?(completeness_threshold = 0.9) ?config ?stor
     brownout_epochs = 0;
     shed_requests = 0;
     synced = None;
+    patterns = Audit_mgmt.To_policy.patterns ();
   }
 
 let recovery t = t.recovery
@@ -291,13 +293,15 @@ let rec suffix_after prev fresh =
    P_AL; the health report of this consolidation is retained and its
    completeness qualifies everything computed from the window.
 
-   Each entry is converted once.  When the fresh merge extends the one P_AL
-   was built from, and Prima still holds the P_AL installed here, only the
-   new suffix is converted and appended: conversion is entry by entry, so
-   the result equals a full rebuild.  Anything else — an entry dropped or
-   moved by a skipped, stale-served, quarantined or crash-reseated site, a
-   late entry merged before the old tail, or P_AL reset from outside —
-   falls back to rebuilding P_AL from the whole merge. *)
+   Each entry is coded once, and its seven-term rule is built only if
+   someone asks Prima for P_AL's rules.  When the fresh merge extends the
+   one P_AL was coded from, and Prima still holds the trail installed here
+   at the length it had then, only the new suffix is coded and appended:
+   coding is entry by entry, so the result equals a full rebuild.
+   Anything else — an entry dropped or moved by a skipped, stale-served,
+   quarantined or crash-reseated site, a late entry merged before the old
+   tail, or P_AL reset or appended to from outside — falls back to
+   rebuilding P_AL from the whole merge. *)
 let sync_audit t =
   let result = Audit_mgmt.Federation.consolidated_result t.federation in
   let entries = result.Audit_mgmt.Federation.entries in
@@ -305,7 +309,8 @@ let sync_audit t =
   let prima = t.prima in
   let suffix =
     match t.synced with
-    | Some (prev, installed) when Prima_core.Prima.audit_policy prima == installed ->
+    | Some (prev, trail, length)
+      when Prima_core.Prima.trail prima == trail && Prima_core.Trail.length trail = length ->
       suffix_after prev entries
     | _ -> None
   in
@@ -316,8 +321,12 @@ let sync_audit t =
       Prima_core.Prima.reset_audit prima;
       entries
   in
-  Prima_core.Prima.ingest_rules prima (List.map Audit_mgmt.To_policy.rule_of_entry fresh);
-  t.synced <- Some (entries, Prima_core.Prima.audit_policy prima);
+  let trail = Prima_core.Prima.trail prima in
+  Prima_core.Trail.append trail
+    ~rules:(lazy (List.map Audit_mgmt.To_policy.rule_of_entry fresh))
+    (Audit_mgmt.To_policy.trail_entry t.patterns)
+    fresh;
+  t.synced <- Some (entries, trail, Prima_core.Trail.length trail);
   result.Audit_mgmt.Federation.health
 
 let completeness t =

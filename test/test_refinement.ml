@@ -9,6 +9,10 @@ module Ref = Prima_core.Refinement
 module P = Prima_core.Policy
 module R = Prima_core.Rule
 module S = Workload.Scenario
+module C = Prima_core.Coverage
+module T = Prima_core.Trail
+module E = Hdb.Audit_schema
+module To_policy = Audit_mgmt.To_policy
 
 let vocab = S.vocab ()
 
@@ -251,6 +255,290 @@ let test_prima_history_and_store_growth () =
   Alcotest.(check (float 1e-9)) "bag coverage now 80%" 0.8
     cov.Prima_core.Prima.bag_semantics.Prima_core.Coverage.coverage
 
+(* --- rules without a user term (regression) --- *)
+
+(* Six practice entries of one pattern, none with a user: the paper's
+   statement names [user] in its condition, so the practice table must
+   carry that column even though no rule does. *)
+let userless_rules () =
+  List.init 6 (fun i ->
+      R.of_assoc
+        [ ("time", string_of_int i); ("status", "0"); ("op", "1"); ("data", "referral");
+          ("purpose", "registration"); ("authorized", "nurse") ])
+
+let test_userless_rules_refine () =
+  let refine config =
+    let prima = Prima_core.Prima.create ~config ~vocab ~p_ps:(S.policy_store ()) () in
+    Prima_core.Prima.ingest_rules prima (userless_rules ());
+    match Prima_core.Prima.refine prima with
+    | Ok report -> List.map compact report.Ref.patterns
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list string)) "no distinct users under the default condition" []
+    (refine Ref.default_config);
+  let no_condition =
+    { Ref.default_config with
+      Ref.backend = EP.Sql { DA.default_config with DA.condition = None }
+    }
+  in
+  Alcotest.(check (list string)) "the pattern without the condition"
+    [ "referral:registration:nurse" ] (refine no_condition);
+  let p_al = P.make (userless_rules ()) in
+  let report = Ref.run_epoch ~vocab ~p_ps:(S.policy_store ()) ~p_al () in
+  check_int "run_epoch finds no pattern" 0 (List.length report.Ref.patterns);
+  check_int "analyse finds no pattern" 0 (List.length (DA.analyse (F.run p_al)))
+
+(* --- the coded epoch against its reference --- *)
+
+(* [Ref.run_trail_epoch] over a coded trail must equal [Ref.run_epoch]
+   over the same trail's rules, field by field, with patterns and
+   uncovered listings compared as ordered lists.  Fused-path inputs are
+   random audit trails under every Algorithm 5 setting the fused pass
+   accepts; fallback inputs break exactly one of its conditions. *)
+
+(* Small pools, one composite value among them, so groups repeat. *)
+let datas = [ "referral"; "prescription"; "routine" ]
+let purposes = [ "treatment"; "registration" ]
+let roles = [ "nurse"; "clerk" ]
+
+let gen_entries ~min : E.entry list QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let entry =
+    let* op = frequencyl [ (4, E.Allow); (1, E.Disallow) ]
+    and* status = frequencyl [ (3, E.Exception_based); (1, E.Regular) ]
+    and* user =
+      frequency
+        [ (3, oneofl [ "mark"; "tim"; "bob" ]);
+          (1, map (fun i -> "solo-" ^ string_of_int i) (int_bound 10_000));
+        ]
+    and* data = oneofl datas
+    and* purpose = oneofl purposes
+    and* authorized = oneofl roles in
+    return (fun time -> E.entry ~time ~op ~user ~data ~purpose ~authorized ~status)
+  in
+  map (List.mapi (fun time make -> make time)) (list_size (int_range min 100) entry)
+
+(* How the trail is coded: from entries as System codes them, or from
+   rules as [Prima.ingest_rules] does, in chunks of [chunk], reading
+   [Trail.policy] after every chunk when [peek]. *)
+type coding = {
+  from_entries : bool;
+  chunk : int;
+  peek : bool;
+}
+
+let gen_coding =
+  let open QCheck2.Gen in
+  let* from_entries = bool and* chunk = int_range 1 40 and* peek = bool in
+  return { from_entries; chunk; peek }
+
+let rec chunks n = function
+  | [] -> []
+  | l -> List.filteri (fun i _ -> i < n) l :: chunks n (List.filteri (fun i _ -> i >= n) l)
+
+let code_rules coding rules =
+  let trail = T.create () in
+  List.iter
+    (fun chunk ->
+      T.append_rules trail chunk;
+      if coding.peek then ignore (T.policy trail))
+    (chunks coding.chunk rules);
+  trail
+
+let code_entries coding entries =
+  let trail = T.create () and memo = To_policy.patterns () in
+  List.iter
+    (fun chunk ->
+      T.append trail
+        ~rules:(lazy (List.map To_policy.rule_of_entry chunk))
+        (To_policy.trail_entry memo) chunk;
+      if coding.peek then ignore (T.policy trail))
+    (chunks coding.chunk entries);
+  trail
+
+let rules_equal = List.equal R.equal
+
+let stats_equal (a : C.stats) (b : C.stats) =
+  a.C.overlap = b.C.overlap
+  && a.C.denominator = b.C.denominator
+  && Float.equal a.C.coverage b.C.coverage
+  && rules_equal a.C.uncovered b.C.uncovered
+
+let epoch_equal (a : Ref.epoch_report) (b : Ref.epoch_report) =
+  a.Ref.practice_size = b.Ref.practice_size
+  && rules_equal a.Ref.patterns b.Ref.patterns
+  && rules_equal a.Ref.useful b.Ref.useful
+  && rules_equal a.Ref.accepted b.Ref.accepted
+  && rules_equal (P.rules a.Ref.p_ps') (P.rules b.Ref.p_ps')
+  && stats_equal a.Ref.coverage_before b.Ref.coverage_before
+  && stats_equal a.Ref.coverage_after b.Ref.coverage_after
+  && a.Ref.qualifier = b.Ref.qualifier
+  && a.Ref.degraded = b.Ref.degraded
+  && a.Ref.budget_stats = b.Ref.budget_stats
+
+(* cases run on each path, and governed ones that degraded to partial *)
+let fused_cases = ref 0
+let reference_cases = ref 0
+let degraded_cases = ref 0
+
+(* The coded epoch and coverage readings against the references over the
+   trail's rules, which must be [rules] in order. *)
+let agrees ~fused config trail rules =
+  let p_ps = S.policy_store () in
+  let p_al = T.policy trail in
+  let coded = Ref.run_trail_epoch ~config ~vocab ~p_ps trail in
+  let reference = Ref.run_epoch ~config ~vocab ~p_ps ~p_al () in
+  let aligned bag =
+    C.aligned ~bag vocab ~attrs:Vocabulary.Audit_attrs.pattern ~p_x:p_ps ~p_y:p_al
+  in
+  let p_x = P.project p_ps ~attrs:Vocabulary.Audit_attrs.pattern in
+  incr (if fused then fused_cases else reference_cases);
+  if coded.Ref.degraded then incr degraded_cases;
+  if Ref.fuses config trail <> fused then
+    QCheck2.Test.fail_reportf "expected the %s path" (if fused then "fused" else "reference");
+  rules_equal (P.rules p_al) rules
+  && epoch_equal coded reference
+  && stats_equal (T.coverage vocab trail ~p_x) (aligned false)
+  && stats_equal (T.coverage_bag vocab trail ~p_x) (aligned true)
+
+let gen_fused_config =
+  let open QCheck2.Gen in
+  let* min_frequency = int_range 1 8
+  and* strict = bool
+  and* with_condition = bool
+  and* reversed = bool
+  and* keep_prohibitions = bool
+  and* reject = bool in
+  let pattern = Vocabulary.Audit_attrs.pattern in
+  let attributes = if reversed then List.rev pattern else pattern in
+  let condition = if with_condition then DA.default_config.DA.condition else None in
+  let comparator = if strict then DA.More_than else DA.At_least in
+  return
+    { Ref.default_config with
+      Ref.backend = EP.Sql { DA.attributes; min_frequency; comparator; condition };
+      keep_prohibitions;
+      acceptance = (if reject then Ref.Reject_all else Ref.Accept_all);
+    }
+
+let describe_config (config : Ref.config) =
+  let backend =
+    match config.Ref.backend with
+    | EP.Sql c ->
+      Printf.sprintf "sql [%s] f=%d %s %s" (String.concat "," c.DA.attributes)
+        c.DA.min_frequency
+        (match c.DA.comparator with DA.At_least -> ">=" | DA.More_than -> ">")
+        (Option.value c.DA.condition ~default:"-")
+    | EP.Mining m -> Printf.sprintf "mining support=%d" m.EP.min_support
+  in
+  Printf.sprintf "%s keep_prohibitions=%b limits=%b" backend config.Ref.keep_prohibitions
+    (config.Ref.limits <> None)
+
+let print_entries entries = String.concat "; " (List.map (Fmt.str "%a" E.pp) entries)
+
+let prop_fused_epoch_matches_reference =
+  QCheck2.Test.make ~name:"fused coded epoch = run_epoch over audit_policy" ~count:400
+    ~print:(fun (entries, config, coding) ->
+      Printf.sprintf "%s | entries=%b chunk=%d peek=%b | %s" (describe_config config)
+        coding.from_entries coding.chunk coding.peek (print_entries entries))
+    QCheck2.Gen.(triple (gen_entries ~min:0) gen_fused_config gen_coding)
+    (fun (entries, config, coding) ->
+      let rules = List.map To_policy.rule_of_entry entries in
+      let trail =
+        if coding.from_entries then code_entries coding entries else code_rules coding rules
+      in
+      agrees ~fused:true config trail rules)
+
+(* One way out of the fused pass each. *)
+type twist =
+  | No_user
+  | No_pattern_attr of string
+  | Duplicate_term
+  | Condition of string
+  | Governed of int  (** a tuple budget: small ones degrade to partial *)
+  | Mining of bool * [ `Apriori | `Fp_growth ]
+
+let twist_to_string = function
+  | No_user -> "no user"
+  | No_pattern_attr a -> "no " ^ a
+  | Duplicate_term -> "duplicated data term"
+  | Condition c -> c
+  | Governed tuples -> Printf.sprintf "governed, %d tuples" tuples
+  | Mining (users, _) -> Printf.sprintf "mining, distinct users %b" users
+
+let gen_twist =
+  let open QCheck2.Gen in
+  oneof
+    [ return No_user;
+      map (fun a -> No_pattern_attr a) (oneofl Vocabulary.Audit_attrs.pattern);
+      return Duplicate_term;
+      return (Condition "COUNT(DISTINCT user) > 2");
+      map (fun n -> Governed n) (int_range 1 60);
+      map2 (fun u a -> Mining (u, a)) bool (oneofl [ `Apriori; `Fp_growth ]);
+    ]
+
+(* Rules [i] with [i mod every = 0] lose a term or gain a second data term. *)
+let twist_rules twist ~every rules =
+  let edit rule =
+    let terms = R.terms rule in
+    let without attr =
+      R.make (List.filter (fun t -> Prima_core.Rule_term.attr t <> attr) terms)
+    in
+    match twist with
+    | No_user -> without "user"
+    | No_pattern_attr a -> without a
+    | Duplicate_term ->
+      let other = List.find (fun d -> Some d <> R.find_attr rule "data") datas in
+      R.make (Prima_core.Rule_term.make ~attr:"data" ~value:other :: terms)
+    | Condition _ | Governed _ | Mining _ -> rule
+  in
+  List.mapi (fun i rule -> if i mod every = 0 then edit rule else rule) rules
+
+let twist_config twist (config : Ref.config) =
+  let sql_config =
+    match config.Ref.backend with EP.Sql c -> c | EP.Mining _ -> DA.default_config
+  in
+  match twist with
+  | No_user | No_pattern_attr _ | Duplicate_term -> config
+  | Condition c -> { config with Ref.backend = EP.Sql { sql_config with DA.condition = Some c } }
+  | Governed tuples ->
+    { config with Ref.limits = Some (Relational.Budget.limits ~tuples ()) }
+  | Mining (distinct_users, algorithm) ->
+    { config with
+      Ref.backend =
+        EP.Mining
+          { EP.default_mining with
+            EP.min_support = sql_config.DA.min_frequency;
+            distinct_users;
+            algorithm;
+          }
+    }
+
+let prop_fallback_epoch_matches_reference =
+  QCheck2.Test.make ~name:"fallback coded epoch = run_epoch over audit_policy" ~count:300
+    ~print:(fun (((entries, config), coding), (twist, every)) ->
+      Printf.sprintf "%s every %d | %s | entries=%b chunk=%d peek=%b | %s"
+        (twist_to_string twist) every (describe_config config) coding.from_entries
+        coding.chunk coding.peek (print_entries entries))
+    QCheck2.Gen.(
+      pair
+        (pair (pair (gen_entries ~min:1) gen_fused_config) gen_coding)
+        (pair gen_twist (int_range 1 5)))
+    (fun (((entries, config), coding), (twist, every)) ->
+      let config = twist_config twist config in
+      let rules = twist_rules twist ~every (List.map To_policy.rule_of_entry entries) in
+      let trail =
+        match twist with
+        | (Condition _ | Governed _ | Mining _) when coding.from_entries ->
+          code_entries coding entries
+        | _ -> code_rules coding rules
+      in
+      agrees ~fused:false config trail rules)
+
+let test_both_paths_exercised () =
+  check_int "cases on the fused pass" 400 !fused_cases;
+  check_int "cases on the reference path" 300 !reference_cases;
+  check_bool "some governed cases degraded to partial" true (!degraded_cases > 0)
+
 let () =
   Alcotest.run "refinement"
     [ ( "filter",
@@ -291,5 +579,11 @@ let () =
       ( "prima",
         [ Alcotest.test_case "training period" `Quick test_prima_training_period;
           Alcotest.test_case "history & growth" `Quick test_prima_history_and_store_growth;
+          Alcotest.test_case "rules without a user term" `Quick test_userless_rules_refine;
         ] );
+      ( "coded-epoch",
+        List.map
+          (QCheck_alcotest.to_alcotest ~long:false)
+          [ prop_fused_epoch_matches_reference; prop_fallback_epoch_matches_reference ]
+        @ [ Alcotest.test_case "both paths exercised" `Quick test_both_paths_exercised ] );
     ]

@@ -1,15 +1,15 @@
 (* Incremental audit sync against its from-scratch oracle.
 
-   [System.sync_audit] converts only what a fresh consolidation appends to
-   the previous one, and Prima keeps P_AL's pattern projection beside P_AL.
-   The oracle is the path both replace: a twin System that receives the
-   same operations but has [Prima.reset_audit] called before each of its
-   requests, which forces a full rebuild every time.  Random schedules mix
-   appends (late entries with earlier timestamps among them), outages and
-   heals with an archive attached, corrupted fetches, crash-reseated sites,
-   vocabulary edits and outside resets; after every request the twins must
-   agree on P_AL as a sequence, on both coverage readings (uncovered lists
-   included) and on the epoch reports. *)
+   [System.sync_audit] codes only what a fresh consolidation appends to
+   the previous one into Prima's coded P_AL, and builds P_AL's rules only
+   when asked.  The oracle is the path both replace: a twin System that
+   receives the same operations but has [Prima.reset_audit] called before
+   each of its requests, which forces a full rebuild every time.  Random
+   schedules mix appends (late entries with earlier timestamps among
+   them), outages and heals with an archive attached, corrupted fetches,
+   crash-reseated sites, vocabulary edits and outside resets; after every
+   request the twins must agree on P_AL as a sequence, on both coverage
+   readings (uncovered lists included) and on the epoch reports. *)
 
 module Sys_ = Prima_system.System
 module Prima = Prima_core.Prima
@@ -247,7 +247,7 @@ let prop_incremental_sync_matches_rebuild =
       | Ok () -> true
       | Error why -> QCheck2.Test.fail_report why)
 
-(* --- Prima's kept projection --- *)
+(* --- Prima's coverage over P_AL's codes --- *)
 
 type prima_op =
   | Ingest of R.t list
@@ -256,9 +256,14 @@ type prima_op =
 let gen_audit_rule : R.t QCheck2.Gen.t =
   let open QCheck2.Gen in
   let* d = oneofa datas and* p = oneofa purposes and* a = oneofa roles
-  and* time = int_bound 50 and* keep = list_repeat 3 bool in
+  and* time = int_bound 50 and* keep = list_repeat 3 bool
+  and* op = oneofl [ Vocabulary.Audit_attrs.op_allow; Vocabulary.Audit_attrs.op_disallow ]
+  and* status =
+    oneofl [ Vocabulary.Audit_attrs.status_regular; Vocabulary.Audit_attrs.status_exception ]
+  and* user = oneofa users in
   (* [keep] drops pattern attributes at random, sometimes all three, so
-     some rules leave no trace in the projection *)
+     some rules leave no trace in the projection; the small pools repeat
+     users and pattern groups, and op and status set both flag bits *)
   let pattern =
     List.filteri
       (fun i _ -> List.nth keep i)
@@ -267,7 +272,13 @@ let gen_audit_rule : R.t QCheck2.Gen.t =
         (Vocabulary.Audit_attrs.authorized, a);
       ]
   in
-  return (R.of_assoc ((Vocabulary.Audit_attrs.time, string_of_int time) :: pattern))
+  return
+    (R.of_assoc
+       ((Vocabulary.Audit_attrs.time, string_of_int time)
+       :: (Vocabulary.Audit_attrs.op, op)
+       :: (Vocabulary.Audit_attrs.status, status)
+       :: (Vocabulary.Audit_attrs.user, user)
+       :: pattern))
 
 let gen_prima_ops =
   let open QCheck2.Gen in
@@ -329,6 +340,23 @@ let test_append_reuses_prefix () =
   check_bool "an outside reset rebuilds P_AL" false (first () == before);
   Alcotest.(check int) "rebuilt in full" 15 (List.length (audit_rules tw))
 
+(* Rules ingested from outside between two requests leave the installed
+   trail at another length: the next sync rebuilds P_AL from the merge,
+   dropping them. *)
+let test_outside_ingest_rebuilds () =
+  let tw = make_twin () in
+  apply tw (Append { site = 0; count = 6; seed = 5; sync = true; uniform = false });
+  ignore (Sys_.coverage_qualified tw.sys);
+  let first () = List.hd (audit_rules tw) in
+  let before = first () in
+  let outside = R.of_assoc [ (Vocabulary.Audit_attrs.data, datas.(0)) ] in
+  Prima.ingest_rules (Sys_.prima tw.sys) [ outside ];
+  Alcotest.(check int) "the outside rule is in P_AL" 7 (List.length (audit_rules tw));
+  ignore (Sys_.coverage_qualified tw.sys);
+  check_bool "an outside ingest rebuilds P_AL" false (first () == before);
+  Alcotest.(check int) "rebuilt from the merge alone" 6 (List.length (audit_rules tw));
+  check_bool "the outside rule is gone" false (List.exists (R.equal outside) (audit_rules tw))
+
 (* --- bounded intern table --- *)
 
 (* One term per distinct timestamp, past the bound: the table never holds
@@ -359,7 +387,10 @@ let () =
           [ prop_incremental_sync_matches_rebuild; prop_prima_coverage_is_aligned ] );
       ( "fast-path",
         [ Alcotest.test_case "append reuses the converted prefix" `Quick
-            test_append_reuses_prefix ] );
+            test_append_reuses_prefix;
+          Alcotest.test_case "an outside ingest rebuilds P_AL" `Quick
+            test_outside_ingest_rebuilds;
+        ] );
       ( "intern",
         [ Alcotest.test_case "intern table bounded" `Quick test_intern_table_bounded ] );
     ]
