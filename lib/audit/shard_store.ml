@@ -45,6 +45,9 @@ type shard = {
   mutable records : int;
   mutable stranded : int; (* records catalogued but unservable (tampered) *)
   mutable status : status;
+  (* manifest bounds, kept on append: first time, newest time (0 empty) *)
+  mutable lo : int;
+  mutable hi : int;
 }
 
 type t = {
@@ -53,6 +56,9 @@ type t = {
   manifest_device : Durable.Device.t;
   mutable shards : shard list; (* site-major, buckets ascending per site *)
   mutable next_shard_seed : int;
+  (* where the last append went: a site's fetch is time-sorted, so the
+     next entry almost always goes there too; cleared with [shards] *)
+  mutable last : shard option;
 }
 
 type shard_report = {
@@ -93,6 +99,7 @@ let create ?(bucket_ms = default_bucket_ms) ?(seed = 0) () =
     manifest_device = Durable.Device.create ~seed:(seed * 7 + 1) ();
     shards = [];
     next_shard_seed = seed * 7 + 2;
+    last = None;
   }
 
 let bucket_ms t = t.bucket_ms
@@ -148,12 +155,8 @@ let shard_count t = List.length t.shards
 (* The newest archived timestamp for [site]; -1 with nothing archived. *)
 let site_high_water t ~site =
   List.fold_left
-    (fun acc s ->
-      match shard_entries s with
-      | [] -> acc
-      | es -> max acc (List.fold_left (fun m e -> max m e.Hdb.Audit_schema.time) acc es))
-    (-1)
-    (site_shards t ~site)
+    (fun acc s -> if s.records = 0 then acc else max acc s.hi)
+    (-1) (site_shards t ~site)
 
 let fresh_shard t ~site ~bucket =
   let seed = t.next_shard_seed in
@@ -166,6 +169,8 @@ let fresh_shard t ~site ~bucket =
     records = 0;
     stranded = 0;
     status = Healthy;
+    lo = 0;
+    hi = 0;
   }
 
 (* Keep [t.shards] site-major with buckets ascending within a site: a new
@@ -192,21 +197,32 @@ let find_shard t ~site ~bucket =
   List.find_opt (fun s -> String.equal s.site site && s.bucket = bucket) t.shards
 
 let shard_for t ~site ~bucket =
-  match find_shard t ~site ~bucket with
-  | Some s -> s
-  | None ->
-    let s = fresh_shard t ~site ~bucket in
-    insert_shard t s;
+  match t.last with
+  | Some s when s.bucket = bucket && String.equal s.site site -> s
+  | _ ->
+    let s =
+      match find_shard t ~site ~bucket with
+      | Some s -> s
+      | None ->
+        let s = fresh_shard t ~site ~bucket in
+        insert_shard t s;
+        s
+    in
+    t.last <- Some s;
     s
 
 let append_entry t ~site entry =
-  let s = shard_for t ~site ~bucket:(bucket_of t entry.Hdb.Audit_schema.time) in
+  let time = entry.Hdb.Audit_schema.time in
+  let s = shard_for t ~site ~bucket:(bucket_of t time) in
   ignore (Durable.Log.append s.log (Hdb.Audit_schema.to_wire entry));
   s.tail <- entry :: s.tail;
+  if s.records = 0 then s.lo <- time;
+  if s.records = 0 || time > s.hi then s.hi <- time;
   s.records <- s.records + 1
 
 let drop_site_shards t ~site =
-  t.shards <- List.filter (fun s -> not (String.equal s.site site)) t.shards
+  t.shards <- List.filter (fun s -> not (String.equal s.site site)) t.shards;
+  t.last <- None
 
 type archive_summary = {
   appended : int; (* fresh records archived this call *)
@@ -257,14 +273,9 @@ let manifest_of t =
   { Durable.Manifest.shards =
       List.map
         (fun s ->
-          let es = shard_entries s in
-          let lo = match es with [] -> 0 | e :: _ -> e.Hdb.Audit_schema.time in
-          let hi =
-            List.fold_left (fun m e -> max m e.Hdb.Audit_schema.time) lo es
-          in
           { Durable.Manifest.name = shard_name ~site:s.site ~bucket:s.bucket;
-            lo;
-            hi;
+            lo = s.lo;
+            hi = s.hi;
             records = s.records;
             chain = Durable.Log.chain_head s.log;
           })
@@ -316,8 +327,10 @@ let recover_shard ~name ~site ~bucket ~log ~expected =
           (Torn { lost = !undecodable }, 0)
         else (Healthy, 0))
   in
+  let lo = match entries with [] -> 0 | e :: _ -> e.Hdb.Audit_schema.time in
+  let hi = List.fold_left (fun m e -> max m e.Hdb.Audit_schema.time) lo entries in
   let shard =
-    { site; bucket; log; entries; tail = []; records = recovered; stranded; status }
+    { site; bucket; log; entries; tail = []; records = recovered; stranded; status; lo; hi }
   in
   { r_name = name; r_site = site; r_status = status; r_records = recovered }, shard
 
@@ -338,6 +351,7 @@ let reopen ?(bucket_ms = default_bucket_ms) ?(seed = 0) ~manifest ~shards () =
       manifest_device = manifest;
       shards = [];
       next_shard_seed = (seed * 7) + 2 + List.length shards;
+      last = None;
     }
   in
   let adopted = ref 0 in

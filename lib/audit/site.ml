@@ -53,54 +53,6 @@ type t = {
    A checkpoint image re-encodes live state as 'E' + 'P' + 'Q' + 'N' ops,
    so replay needs only this one decoder. *)
 
-let add_str buffer s =
-  Durable.Frame.put_u32 buffer (String.length s);
-  Buffer.add_string buffer s
-
-let encode_entry entry =
-  let buffer = Buffer.create 64 in
-  Buffer.add_char buffer 'E';
-  add_str buffer (Hdb.Audit_schema.to_wire entry);
-  Buffer.contents buffer
-
-let encode_seq_entry ~seq entry =
-  let buffer = Buffer.create 64 in
-  Buffer.add_char buffer 'S';
-  Durable.Frame.put_u64 buffer seq;
-  add_str buffer (Hdb.Audit_schema.to_wire entry);
-  Buffer.contents buffer
-
-let encode_processed ~seq =
-  let buffer = Buffer.create 16 in
-  Buffer.add_char buffer 'P';
-  Durable.Frame.put_u64 buffer seq;
-  Buffer.contents buffer
-
-let encode_quarantined ~seq ~raw ~reason =
-  let buffer = Buffer.create 64 in
-  Buffer.add_char buffer 'Q';
-  Durable.Frame.put_u64 buffer seq;
-  add_str buffer reason;
-  Durable.Frame.put_u32 buffer (List.length raw);
-  List.iter
-    (fun (k, v) ->
-      add_str buffer k;
-      add_str buffer v)
-    raw;
-  Buffer.contents buffer
-
-let encode_unquarantined ~seq =
-  let buffer = Buffer.create 16 in
-  Buffer.add_char buffer 'R';
-  Durable.Frame.put_u64 buffer seq;
-  Buffer.contents buffer
-
-let encode_next ~next =
-  let buffer = Buffer.create 16 in
-  Buffer.add_char buffer 'N';
-  Durable.Frame.put_u64 buffer next;
-  Buffer.contents buffer
-
 type op =
   | Op_entry of Hdb.Audit_schema.entry
   | Op_seq_entry of int * Hdb.Audit_schema.entry
@@ -108,6 +60,46 @@ type op =
   | Op_quarantined of int * string * (string * string) list (* seq, reason, raw *)
   | Op_unquarantined of int
   | Op_next of int
+
+let add_str buffer s =
+  Durable.Frame.put_u32 buffer (String.length s);
+  Buffer.add_string buffer s
+
+(* 'E' and 'S' ops share one allocation with their entry's wire form:
+   opcode, seq ('S' only), the u32 wire length, the wire. *)
+let entry_op ~header entry =
+  let b = Hdb.Audit_schema.wire_bytes ~room:(header + 4) entry in
+  Bytes.set_int32_le b header (Int32.of_int (Bytes.length b - header - 4));
+  b
+
+let encode_op op =
+  (* a seq as [Frame.put_u64] writes it: low 63 bits, bit 63 clear *)
+  let with_seq code seq b =
+    Bytes.set b 0 code;
+    Bytes.set_int64_le b 1 (Int64.logand (Int64.of_int seq) Int64.max_int);
+    Bytes.unsafe_to_string b
+  in
+  match op with
+  | Op_entry entry ->
+    let b = entry_op ~header:1 entry in
+    Bytes.set b 0 'E';
+    Bytes.unsafe_to_string b
+  | Op_seq_entry (seq, entry) -> with_seq 'S' seq (entry_op ~header:9 entry)
+  | Op_processed seq -> with_seq 'P' seq (Bytes.create 9)
+  | Op_unquarantined seq -> with_seq 'R' seq (Bytes.create 9)
+  | Op_next next -> with_seq 'N' next (Bytes.create 9)
+  | Op_quarantined (seq, reason, raw) ->
+    let buffer = Buffer.create 64 in
+    Buffer.add_char buffer 'Q';
+    Durable.Frame.put_u64 buffer seq;
+    add_str buffer reason;
+    Durable.Frame.put_u32 buffer (List.length raw);
+    List.iter
+      (fun (k, v) ->
+        add_str buffer k;
+        add_str buffer v)
+      raw;
+    Buffer.contents buffer
 
 let decode_op s =
   let n = String.length s in
@@ -232,9 +224,11 @@ let length t = Hdb.Audit_store.length t.store
 
 let next_seq t = t.next_seq
 
-let log_op t payload =
+(* Encoded only when a WAL is attached; a WAL-less site's store refuses
+   what the codec cannot encode just as the encoder would. *)
+let log_op t op =
   match t.wal with
-  | Some log -> ignore (Durable.Log.append log payload)
+  | Some log -> ignore (Durable.Log.append log (encode_op op))
   | None -> ()
 
 (* State updates alone — shared by the public mutators (which log first)
@@ -248,7 +242,7 @@ let apply_mark t seq = Hashtbl.replace t.processed seq ()
 let witness_seq t seq = if seq >= t.next_seq then t.next_seq <- seq + 1
 
 let ingest_entry t entry =
-  log_op t (encode_entry entry);
+  log_op t (Op_entry entry);
   apply_entry t entry
 
 let ingest_entries t entries = List.iter (ingest_entry t) entries
@@ -277,12 +271,12 @@ let ingest_raw_seq t ~seq raw summary =
   else
     match Mapping.apply t.mapping raw with
     | entry ->
-      log_op t (encode_seq_entry ~seq entry);
+      log_op t (Op_seq_entry (seq, entry));
       apply_entry t entry;
       apply_mark t seq;
       { summary with ingested = summary.ingested + 1 }
     | exception Mapping.Unmappable reason ->
-      log_op t (encode_quarantined ~seq ~raw ~reason);
+      log_op t (Op_quarantined (seq, reason, raw));
       Quarantine.add t.quarantine ~site:t.name ~seq ~raw ~reason;
       { summary with quarantined = summary.quarantined + 1 }
 
@@ -293,7 +287,7 @@ let ingest_raw_batch ?first_seq t raws =
   let first = Option.value first_seq ~default:t.next_seq in
   let next = max t.next_seq (first + List.length raws) in
   if next > t.next_seq then begin
-    log_op t (encode_next ~next);
+    log_op t (Op_next next);
     t.next_seq <- next
   end;
   let summary, _ =
@@ -350,7 +344,7 @@ let reprocess_quarantined t =
   let stuck = Quarantine.site_items t.quarantine ~site:t.name in
   List.fold_left
     (fun summary (item : Quarantine.item) ->
-      log_op t (encode_unquarantined ~seq:item.Quarantine.seq);
+      log_op t (Op_unquarantined item.Quarantine.seq);
       Quarantine.remove t.quarantine ~site:t.name ~seq:item.Quarantine.seq;
       ingest_raw_seq t ~seq:item.Quarantine.seq item.Quarantine.raw summary)
     empty_summary stuck
@@ -373,17 +367,19 @@ let sync_wal t = Option.iter Durable.Log.sync t.wal
    quarantine, and the sequence floor.  Replay order is immaterial across
    the groups — they touch disjoint state. *)
 let checkpoint_image t =
-  let entry_ops = List.rev_map encode_entry (List.rev (entries t)) in
+  let entry_ops = List.rev_map (fun e -> encode_op (Op_entry e)) (List.rev (entries t)) in
   let seqs = Hashtbl.fold (fun seq () acc -> seq :: acc) t.processed [] in
-  let mark_ops = List.map (fun seq -> encode_processed ~seq) (List.sort Int.compare seqs) in
+  let mark_ops =
+    List.map (fun seq -> encode_op (Op_processed seq)) (List.sort Int.compare seqs)
+  in
   let quarantine_ops =
     List.map
       (fun (item : Quarantine.item) ->
-        encode_quarantined ~seq:item.Quarantine.seq ~raw:item.Quarantine.raw
-          ~reason:item.Quarantine.reason)
+        encode_op
+          (Op_quarantined (item.Quarantine.seq, item.Quarantine.reason, item.Quarantine.raw)))
       (Quarantine.site_items t.quarantine ~site:t.name)
   in
-  entry_ops @ mark_ops @ quarantine_ops @ [ encode_next ~next:t.next_seq ]
+  entry_ops @ mark_ops @ quarantine_ops @ [ encode_op (Op_next t.next_seq) ]
 
 (* Compact the op history into a snapshot of the live state and truncate
    the WAL. *)

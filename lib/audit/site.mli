@@ -104,6 +104,25 @@ val entries : t -> Hdb.Audit_schema.entry list
     its own WAL owns its quarantine's durability — do not also attach a
     {!Quarantine.attach_log} log to the same quarantine. *)
 
+(** The op records of a site WAL, one per mutation (a checkpoint image
+    re-encodes live state as ['E'], ['P'], ['Q'] and ['N'] ops). *)
+type op =
+  | Op_entry of Hdb.Audit_schema.entry  (** ['E']: entry accepted outside the ledger *)
+  | Op_seq_entry of int * Hdb.Audit_schema.entry  (** ['S']: entry accepted at a seq *)
+  | Op_processed of int  (** ['P']: ledger mark alone *)
+  | Op_quarantined of int * string * (string * string) list
+      (** ['Q']: record quarantined at a seq, with its reason and raw form *)
+  | Op_unquarantined of int  (** ['R']: record left quarantine *)
+  | Op_next of int  (** ['N']: sequence floor advanced *)
+
+val encode_op : op -> string
+(** The WAL payload of one op.  An entry op is built in one allocation
+    with its entry's wire form.
+    @raise Invalid_argument when the entry's wire form would. *)
+
+val decode_op : string -> op option
+(** Inverse of {!encode_op}; [None] on anything else. *)
+
 val attach_wal : t -> Durable.Log.t -> unit
 (** Future mutations are write-ahead logged.  State already held is
     {e not} retro-logged — attach at creation or via {!restore}. *)

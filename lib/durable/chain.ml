@@ -17,7 +17,9 @@
 
 let mask = (1 lsl 62) - 1
 
-(* FNV-1a 64-bit offset basis (pre-masked to 62 bits) and prime. *)
+(* FNV-1a 64-bit offset basis (pre-masked to 62 bits) and prime.  The
+   fused CRC + chain kernel (Crc.update_chained) repeats [mix] inline; the
+   test suite checks it against [step]. *)
 let basis = 0x0bf29ce484222325
 let prime = 0x100000001b3
 

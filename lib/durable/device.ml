@@ -77,9 +77,11 @@ let crashes t = t.crashes
 
 let contents t = Bytes.sub_string t.durable 0 t.dlen
 
-let append t s =
+let write_buffer t =
   t.marks <- Buffer.length t.volatile :: t.marks;
-  Buffer.add_string t.volatile s
+  t.volatile
+
+let append t s = Buffer.add_string (write_buffer t) s
 
 let ensure_capacity t extra =
   let needed = t.dlen + extra in
@@ -96,7 +98,10 @@ let commit_bytes t s =
   t.dlen <- t.dlen + String.length s
 
 let sync t =
-  commit_bytes t (Buffer.contents t.volatile);
+  let n = Buffer.length t.volatile in
+  ensure_capacity t n;
+  Buffer.blit t.volatile 0 t.durable t.dlen n;
+  t.dlen <- t.dlen + n;
   Buffer.clear t.volatile;
   t.marks <- [];
   t.syncs <- t.syncs + 1

@@ -39,6 +39,12 @@ val append : t -> string -> unit
 (** Write into the page cache.  Each call is one write boundary, which
     [Partial_header] uses to cut inside a record header specifically. *)
 
+val write_buffer : t -> Buffer.t
+(** Open one write boundary and return the page cache to write it into:
+    the bytes added before the next write (or sync, or crash) are one
+    write, exactly as if they had been passed to {!append} together.
+    Lets a caller frame a record straight into the cache. *)
+
 val sync : t -> unit
 (** fsync: move the volatile tail onto stable media. *)
 

@@ -23,19 +23,14 @@ let header_size = 4 + 4 + 1 + 8
    scanner to allocate gigabytes. *)
 let max_payload = 1 lsl 28
 
-let put_u32 buffer n =
-  for shift = 0 to 3 do
-    Buffer.add_char buffer (Char.chr ((n lsr (8 * shift)) land 0xFF))
-  done
+let put_u32 buffer n = Buffer.add_int32_le buffer (Int32.of_int n)
 
 let get_u32 s pos =
   let byte i = Char.code s.[pos + i] in
   byte 0 lor (byte 1 lsl 8) lor (byte 2 lsl 16) lor (byte 3 lsl 24)
 
-let put_u64 buffer n =
-  for shift = 0 to 7 do
-    Buffer.add_char buffer (Char.chr ((n lsr (8 * shift)) land 0xFF))
-  done
+(* The low 63 bits, bit 63 clear: what [get_u64] reads back. *)
+let put_u64 buffer n = Buffer.add_int64_le buffer (Int64.logand (Int64.of_int n) Int64.max_int)
 
 let get_u64 s pos =
   let n = ref 0 in
@@ -50,25 +45,18 @@ type kind =
 
 let kind_byte = function Data -> 0 | Seal -> 1
 
-let length_bytes n =
-  let buffer = Buffer.create 4 in
-  put_u32 buffer n;
-  Buffer.contents buffer
-
-let trailer_bytes kind chain =
-  let buffer = Buffer.create 9 in
-  Buffer.add_char buffer (Char.chr (kind_byte kind));
-  put_u64 buffer chain;
-  Buffer.contents buffer
+let check_size payload =
+  if String.length payload > max_payload then invalid_arg "Frame.add: payload too large"
 
 let add buffer ?(kind = Data) ~chain payload =
+  check_size payload;
   let len = String.length payload in
-  if len > max_payload then invalid_arg "Frame.add: payload too large";
-  let len_bytes = length_bytes len in
-  let trailer = trailer_bytes kind chain in
-  Buffer.add_string buffer len_bytes;
-  put_u32 buffer (Crc.strings [ len_bytes; trailer; payload ]);
-  Buffer.add_string buffer trailer;
+  let kind = kind_byte kind in
+  let crc = Crc.update_u64 (Crc.update_u8 (Crc.update_u32 0 len) kind) chain in
+  put_u32 buffer len;
+  put_u32 buffer (Crc.update crc payload ~pos:0 ~len);
+  Buffer.add_char buffer (Char.chr kind);
+  put_u64 buffer chain;
   Buffer.add_string buffer payload
 
 let encode ?(kind = Data) ~chain payload =
@@ -81,7 +69,11 @@ type scan_result =
   | End (* exactly at the end of the image: a clean boundary *)
   | Bad of string (* the remaining tail cannot be verified *)
 
-let scan image ~pos =
+(* [chained]: a data record's chain is recomputed from [prev] in the same
+   pass as its CRC ({!Crc.update_chained}) and must equal the stored one.
+   The header is fed to the CRC from the image bytes, not from the decoded
+   ints: [get_u64] drops bit 63, which must still fail the CRC. *)
+let scan_from ~chained ~prev image ~pos =
   let n = String.length image in
   if pos = n then End
   else if pos + header_size > n then Bad "truncated record header"
@@ -91,28 +83,32 @@ let scan image ~pos =
     else if pos + header_size + len > n then Bad "record extends past end of log"
     else begin
       let stored = get_u32 image (pos + 4) in
-      let computed =
-        Crc.update
-          (Crc.update (Crc.update 0 image ~pos ~len:4) image ~pos:(pos + 8) ~len:9)
-          image ~pos:(pos + header_size) ~len
+      let chain = get_u64 image (pos + 9) in
+      let crc = Crc.update (Crc.update 0 image ~pos ~len:4) image ~pos:(pos + 8) ~len:9 in
+      let payload_pos = pos + header_size in
+      let crc =
+        if chained && image.[pos + 8] = '\000' then
+          Crc.update_chained crc ~prev ~chain image ~pos:payload_pos ~len
+        else Crc.update crc image ~pos:payload_pos ~len
       in
-      if stored <> computed then Bad "record checksum mismatch"
+      if stored <> crc land 0xFFFFFFFF then Bad "record checksum mismatch"
       else begin
         let kind =
-          match Char.code image.[pos + 8] with
-          | 0 -> Some Data
-          | 1 -> Some Seal
+          match image.[pos + 8] with
+          | '\000' -> Some Data
+          | '\001' -> Some Seal
           | _ -> None
         in
         match kind with
         | None -> Bad "unknown record kind"
+        | Some _ when crc <> stored -> Bad "record breaks the hash chain"
         | Some kind ->
-          Record
-            { payload = String.sub image (pos + header_size) len;
-              kind;
-              chain = get_u64 image (pos + 9);
-              next = pos + header_size + len;
-            }
+          let payload = String.sub image payload_pos len in
+          Record { payload; kind; chain; next = payload_pos + len }
       end
     end
   end
+
+let scan image ~pos = scan_from ~chained:false ~prev:0 image ~pos
+
+let scan_chained image ~pos ~prev = scan_from ~chained:true ~prev image ~pos

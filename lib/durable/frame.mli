@@ -15,7 +15,13 @@ type kind =
   | Seal  (** a sync marker carrying the chain head; advances neither *)
 
 val add : Buffer.t -> ?kind:kind -> chain:int -> string -> unit
-(** Append one framed record ([kind] defaults to [Data]).
+(** Append one framed record ([kind] defaults to [Data]): the header and
+    the payload, with nothing allocated on the way.
+    @raise Invalid_argument when the payload exceeds {!max_payload}. *)
+
+val check_size : string -> unit
+(** The check {!add} starts with, for callers that must fail before
+    opening a device write.
     @raise Invalid_argument when the payload exceeds {!max_payload}. *)
 
 val encode : ?kind:kind -> chain:int -> string -> string
@@ -26,7 +32,13 @@ type scan_result =
   | Bad of string  (** the remaining tail cannot be verified *)
 
 val scan : string -> pos:int -> scan_result
-(** Verify the record starting at [pos] of a stable image. *)
+(** Verify the record starting at [pos] of a stable image (CRC only). *)
+
+val scan_chained : string -> pos:int -> prev:int -> scan_result
+(** {!scan}, and a data record's chain must also equal [Chain.step prev
+    payload] ([Bad "record breaks the hash chain"] otherwise), recomputed
+    in the same pass over the payload as its CRC.  Seal records are
+    checked as by {!scan}. *)
 
 (** Little-endian integer plumbing, shared with the WAL/snapshot headers
     and the wire codecs of the stores built on top. *)

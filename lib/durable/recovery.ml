@@ -107,12 +107,13 @@ let valid_seal_after image ~pos =
 
 (* One WAL image, scanned and chain-verified.  [s_divergence] is the
    offset where verification stopped early (the first-divergence offset a
-   tamper verdict reports). *)
+   tamper verdict reports).  [s_anchor_chain] is the chain head once the
+   records below the anchor LSN are read — what a snapshot at that LSN
+   must have sealed — if the scan got that far. *)
 type scan = {
   s_base_lsn : int;
-  s_base_chain : int;
   s_records : string list; (* data payloads, in order *)
-  s_chains : int array; (* chain head after each data record *)
+  s_anchor_chain : int option;
   s_verified : int;
   s_tail_error : string option;
   s_divergence : int option;
@@ -120,15 +121,15 @@ type scan = {
   s_chain_head : int;
 }
 
-let scan_wal ?(verify_chain = true) image =
+let scan_wal ~verify_chain ~anchor_lsn image =
   match Wal.read_header image with
   | Error why -> Error why
   | Ok (base_lsn, base_chain) ->
-    let finish payloads chains head pos ~ends_sealed ~error ~divergence =
+    let anchor = anchor_lsn - base_lsn in
+    let finish payloads anchor_chain head pos ~ends_sealed ~error ~divergence =
       { s_base_lsn = base_lsn;
-        s_base_chain = base_chain;
         s_records = List.rev payloads;
-        s_chains = Array.of_list (List.rev chains);
+        s_anchor_chain = anchor_chain;
         s_verified = pos;
         s_tail_error = error;
         s_divergence = divergence;
@@ -136,20 +137,24 @@ let scan_wal ?(verify_chain = true) image =
         s_chain_head = head;
       }
     in
-    let rec go payloads chains head count pos ends_sealed =
+    let rec go payloads anchor_chain head count pos ends_sealed =
       let stop why =
-        finish payloads chains head pos ~ends_sealed ~error:(Some why)
+        finish payloads anchor_chain head pos ~ends_sealed ~error:(Some why)
           ~divergence:(Some pos)
       in
-      match Frame.scan image ~pos with
-      | Frame.End -> finish payloads chains head pos ~ends_sealed ~error:None ~divergence:None
+      let frame =
+        if verify_chain then Frame.scan_chained image ~pos ~prev:head
+        else Frame.scan image ~pos
+      in
+      match frame with
+      | Frame.End ->
+        finish payloads anchor_chain head pos ~ends_sealed ~error:None ~divergence:None
       | Frame.Bad why -> stop why
       | Frame.Record { payload; kind = Frame.Data; chain; next } ->
-        let expected = if verify_chain then Chain.step head payload else chain in
-        if chain <> expected then stop "record breaks the hash chain"
-        else go (payload :: payloads) (expected :: chains) expected (count + 1) next false
+        let anchor_chain = if count + 1 = anchor then Some chain else anchor_chain in
+        go (payload :: payloads) anchor_chain chain (count + 1) next false
       | Frame.Record { payload; kind = Frame.Seal; chain; next } ->
-        if not verify_chain then go payloads chains head count next true
+        if not verify_chain then go payloads anchor_chain head count next true
         else begin
           match Wal.read_seal_payload payload with
           | None -> stop "malformed seal frame"
@@ -158,10 +163,11 @@ let scan_wal ?(verify_chain = true) image =
               stop "seal disagrees with the chain head"
             else if sealed_lsn <> base_lsn + count then
               stop "seal disagrees with the log position"
-            else go payloads chains head count next true
+            else go payloads anchor_chain head count next true
         end
     in
-    Ok (go [] [] base_chain 0 Wal.header_size true)
+    let anchor_chain = if anchor = 0 then Some base_chain else None in
+    Ok (go [] anchor_chain base_chain 0 Wal.header_size true)
 
 let rec drop n = function
   | rest when n <= 0 -> rest
@@ -203,7 +209,7 @@ let run ?(verify_chain = true) ~wal ~snapshot () =
     }
   else
   let image = Device.contents wal in
-  match scan_wal ~verify_chain image with
+  match scan_wal ~verify_chain ~anchor_lsn:snap_lsn image with
   | Error why ->
     (* No readable header: nothing in this file is trustworthy.  A valid
        seal anywhere in the image still proves the file once verified —
@@ -275,12 +281,7 @@ let run ?(verify_chain = true) ~wal ~snapshot () =
              must reproduce the sealed head the snapshot carries.  A
              mismatch means one side's history was rewritten. *)
           let anchor_tamper =
-            verify_chain && snap <> None
-            &&
-            let chain_at_overlap =
-              if overlap = 0 then s.s_base_chain else s.s_chains.(overlap - 1)
-            in
-            chain_at_overlap <> snap_chain
+            verify_chain && snap <> None && s.s_anchor_chain <> Some snap_chain
           in
           ( snap_entries @ fresh,
             List.length fresh,

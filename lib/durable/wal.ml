@@ -110,6 +110,10 @@ let format device ~base_lsn ?(base_chain = Chain.zero) () =
     pending_records = 0;
   }
 
+let add_seal t =
+  Frame.add (Device.write_buffer t.device) ~kind:Frame.Seal ~chain:t.chain
+    (seal_payload ~chain:t.chain ~lsn:t.next_lsn)
+
 (* Adopt a device whose image recovery has already verified: the stable
    image is cut back to the verified prefix ([verified_bytes]) so the
    unverifiable tail can never resurface, and appends continue at the next
@@ -132,9 +136,7 @@ let reopen device ~base_lsn ~entries ~verified_bytes ~chain ~ends_sealed =
     }
   in
   if t.unsealed then begin
-    Device.append device
-      (Frame.encode ~kind:Frame.Seal ~chain:t.chain
-         (seal_payload ~chain:t.chain ~lsn:t.next_lsn));
+    add_seal t;
     Device.sync device;
     t.unsealed <- false
   end;
@@ -147,7 +149,7 @@ let chain_head t = t.chain
 
 let flush_pending t =
   if Buffer.length t.pending > 0 then begin
-    Device.append t.device (Buffer.contents t.pending);
+    Buffer.add_buffer (Device.write_buffer t.device) t.pending;
     Buffer.clear t.pending;
     t.pending_records <- 0
   end
@@ -159,14 +161,21 @@ let set_group_commit t on =
 let group_commit t = t.group_commit
 let pending_records t = t.pending_records
 
+(* One record, one write boundary, framed straight into the page cache
+   (or the pending batch).  The chain is folded before the CRC pass: the
+   CRC covers the header's chain field, which precedes the payload. *)
 let append t payload =
+  Frame.check_size payload;
   let lsn = t.next_lsn in
   let chain = Chain.step t.chain payload in
-  (if t.group_commit then begin
-     Buffer.add_string t.pending (Frame.encode ~chain payload);
-     t.pending_records <- t.pending_records + 1
-   end
-   else Device.append t.device (Frame.encode ~chain payload));
+  let buffer =
+    if t.group_commit then begin
+      t.pending_records <- t.pending_records + 1;
+      t.pending
+    end
+    else Device.write_buffer t.device
+  in
+  Frame.add buffer ~chain payload;
   t.chain <- chain;
   t.unsealed <- true;
   t.next_lsn <- lsn + 1;
@@ -175,9 +184,7 @@ let append t payload =
 let sync t =
   flush_pending t;
   if t.unsealed then begin
-    Device.append t.device
-      (Frame.encode ~kind:Frame.Seal ~chain:t.chain
-         (seal_payload ~chain:t.chain ~lsn:t.next_lsn));
+    add_seal t;
     t.unsealed <- false
   end;
   Device.sync t.device

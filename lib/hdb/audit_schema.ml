@@ -138,9 +138,15 @@ let to_assoc e =
      [op : 1] [status : 1] ([len : u16 LE] [bytes]) x5
                             for time (decimal), user, data, purpose, authorized *)
 
+let max_field = 0xFFFF
+
+let check_field s =
+  if String.length s > max_field then
+    invalid_arg "Audit_schema.to_wire: field longer than 65535 bytes"
+
 let add_field buffer s =
+  check_field s;
   let len = String.length s in
-  if len > 0xFFFF then invalid_arg "Audit_schema.to_wire: field longer than 65535 bytes";
   Buffer.add_char buffer (Char.chr (len land 0xFF));
   Buffer.add_char buffer (Char.chr (len lsr 8));
   Buffer.add_string buffer s
@@ -193,16 +199,66 @@ let with_provenance ~session ~request ?parent ?(changed = []) e =
   let e = { e with provenance = Some p } in
   { e with provenance = Some { p with integrity = integrity_hash e } }
 
-let to_wire e =
-  let buffer = Buffer.create 64 in
+let provenance_wire e p =
+  let buffer = Buffer.create 96 in
   add_core buffer e;
-  (match e.provenance with
-  | None -> ()
-  | Some p ->
-    Buffer.add_char buffer provenance_marker;
-    add_provenance_fields buffer p;
-    add_field buffer (Durable.Chain.to_hex p.integrity));
+  Buffer.add_char buffer provenance_marker;
+  add_provenance_fields buffer p;
+  add_field buffer (Durable.Chain.to_hex p.integrity);
   Buffer.contents buffer
+
+(* [string_of_int n] without the string: digits are taken on the
+   non-positive side, so [min_int] needs no negation. *)
+let decimal_length n =
+  let rec go m acc = if m > -10 then acc else go (m / 10) (acc + 1) in
+  go (if n < 0 then n else -n) (if n < 0 then 2 else 1)
+
+let put_decimal b pos ~len n =
+  let m = ref (if n < 0 then n else -n) in
+  for i = pos + len - 1 downto pos do
+    Bytes.unsafe_set b i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  if n < 0 then Bytes.unsafe_set b pos '-'
+
+let put_field b pos s =
+  Bytes.set_uint16_le b pos (String.length s);
+  Bytes.unsafe_blit_string s 0 b (pos + 2) (String.length s);
+  pos + 2 + String.length s
+
+let check_core e =
+  check_field e.user; check_field e.data; check_field e.purpose; check_field e.authorized
+
+(* The core wire form, exact-size, written straight into one [Bytes]
+   behind [room] bytes the caller fills (an op header); entries with
+   provenance take the [Buffer] path and one more copy. *)
+let wire_bytes ~room e =
+  match e.provenance with
+  | Some p ->
+    let wire = provenance_wire e p in
+    let b = Bytes.create (room + String.length wire) in
+    Bytes.blit_string wire 0 b room (String.length wire);
+    b
+  | None ->
+    check_core e;
+    let tlen = decimal_length e.time in
+    let b =
+      Bytes.create
+        (room + 12 + tlen + String.length e.user + String.length e.data
+       + String.length e.purpose + String.length e.authorized)
+    in
+    Bytes.set b room (Char.chr (op_to_int e.op));
+    Bytes.set b (room + 1) (Char.chr (status_to_int e.status));
+    Bytes.set_uint16_le b (room + 2) tlen;
+    put_decimal b (room + 4) ~len:tlen e.time;
+    let pos = put_field b (room + 4 + tlen) e.user in
+    ignore (put_field b (put_field b (put_field b pos e.data) e.purpose) e.authorized);
+    b
+
+let to_wire e = Bytes.unsafe_to_string (wire_bytes ~room:0 e)
+
+let check_wire e =
+  match e.provenance with None -> check_core e | Some p -> ignore (provenance_wire e p)
 
 (* Total parser: a WAL payload has already passed its CRC, so a [None]
    here means a codec mismatch, not bit rot — the caller decides whether

@@ -101,6 +101,19 @@ val to_wire : entry -> string
     core.
     @raise Invalid_argument on a field longer than 65535 bytes. *)
 
+val wire_bytes : room:int -> entry -> Bytes.t
+(** [to_wire e] at offset [room] of a fresh [Bytes] of exactly
+    [room + String.length (to_wire e)] bytes, the first [room] left for
+    the caller (an op header): an entry and its header in one allocation.
+    @raise Invalid_argument as {!to_wire}. *)
+
+val max_field : int
+(** 65535: the longest field the wire codec can length-prefix. *)
+
+val check_wire : entry -> unit
+(** @raise Invalid_argument exactly when {!to_wire} would, without
+    encoding (for entries without provenance). *)
+
 val of_wire : string -> entry option
 (** Total inverse of {!to_wire}.  [None] is a codec mismatch: the payload
     already passed its checksum when it reached this parser. *)

@@ -6,16 +6,18 @@
    endlessly); op and status are bit-packed.  [naive_bytes]/[encoded_bytes]
    feed the storage-efficiency experiment (E6). *)
 
+module Ids = Hashtbl.Make (String)
+
 type dict = {
-  ids : (string, int) Hashtbl.t;
+  ids : int Ids.t;
   mutable strings : string array;
   mutable count : int;
 }
 
-let dict_create () = { ids = Hashtbl.create 64; strings = [||]; count = 0 }
+let dict_create () = { ids = Ids.create 64; strings = [||]; count = 0 }
 
 let dict_intern d s =
-  match Hashtbl.find_opt d.ids s with
+  match Ids.find_opt d.ids s with
   | Some id -> id
   | None ->
     let id = d.count in
@@ -27,7 +29,7 @@ let dict_intern d s =
     end;
     d.strings.(id) <- s;
     d.count <- d.count + 1;
-    Hashtbl.add d.ids s id;
+    Ids.add d.ids s id;
     id
 
 let dict_get d id = d.strings.(id)
@@ -141,10 +143,13 @@ let append_mem t (e : Audit_schema.entry) =
   bitvec_push t.statuses (e.status = Audit_schema.Regular);
   prov_push t.provenances e.provenance
 
+(* An entry the wire codec cannot encode is refused before any state
+   changes, with or without a log: a store never holds what its WAL,
+   snapshot or a downstream archive could not write. *)
 let append t (e : Audit_schema.entry) =
   (match t.log with
   | Some log -> ignore (Durable.Log.append log (Audit_schema.to_wire e))
-  | None -> ());
+  | None -> Audit_schema.check_wire e);
   append_mem t e
 
 let get t i : Audit_schema.entry =

@@ -11,6 +11,9 @@ type t
 val create : unit -> t
 val length : t -> int
 val append : t -> Audit_schema.entry -> unit
+(** Log (when a log is attached), then add to the columns.
+    @raise Invalid_argument, before any state changes and with or without
+    a log, on an entry {!Audit_schema.to_wire} cannot encode. *)
 
 val get : t -> int -> Audit_schema.entry
 (** @raise Invalid_argument when out of bounds. *)

@@ -56,15 +56,20 @@ let set_query_limits t limits = t.query_limits <- limits
    a user query over quota fails with the typed [Budget_exceeded] instead
    of silently returning a prefix of the rows — truncation is only a legal
    degradation for analysis queries, never for enforcement answers.  An
-   explicit [budget] overrides the configured limits. *)
+   explicit [budget] overrides the configured limits.  A context the audit
+   codec cannot encode is refused before the query runs: a query that
+   cannot be audited discloses nothing. *)
 let query ?break_glass ?budget t ~user ~role ~purpose sql =
-  let budget =
-    match budget, t.query_limits with
-    | Some _, _ -> budget
-    | None, Some limits -> Some (Relational.Budget.create limits)
-    | None, None -> None
-  in
-  Enforcement.run_query ?break_glass ?budget t.enforcement
-    { Enforcement.user; role; purpose } sql
+  if List.exists (fun v -> String.length v > Audit_schema.max_field) [ user; role; purpose ]
+  then Error (Enforcement.Unsupported "user, role or purpose too long to audit")
+  else
+    let budget =
+      match budget, t.query_limits with
+      | Some _, _ -> budget
+      | None, Some limits -> Some (Relational.Budget.create limits)
+      | None, None -> None
+    in
+    Enforcement.run_query ?break_glass ?budget t.enforcement
+      { Enforcement.user; role; purpose } sql
 
 let audit_entries t = Audit_logger.entries t.logger

@@ -42,6 +42,8 @@ val query :
     configured (and no explicit [budget]), the query runs under a fresh
     {e strict} budget built from those limits: over quota it raises the
     typed {!Relational.Errors.Budget_exceeded} rather than returning
-    silently truncated rows. *)
+    silently truncated rows.  A [user], [role] or [purpose] longer than
+    {!Audit_schema.max_field} bytes cannot be audited: the query is
+    refused with [Unsupported] before it runs, and nothing is logged. *)
 
 val audit_entries : t -> Audit_schema.entry list

@@ -15,6 +15,9 @@ module L = Durable.Log
 module R = Durable.Recovery
 module Snap = Durable.Snapshot
 module W = Durable.Wal
+module Schema = Hdb.Audit_schema
+module Site = Audit_mgmt.Site
+module Shards = Audit_mgmt.Shard_store
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -941,6 +944,402 @@ let manifest_matrix name f =
       Alcotest.test_case (Printf.sprintf "%s, seed %d" name seed) `Quick (f seed))
     matrix_seeds
 
+(* --- CRC-32 and the fused CRC + chain kernel ---
+
+   The reference is the byte-at-a-time table loop the slicing-by-8 code
+   replaced, kept here as the oracle.  Payloads cover every tail length
+   0-7 behind whole words, unaligned offsets inside a larger string, and
+   bytes with the top bit set (a chain word's bit 63 comes from one). *)
+
+let reference_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+      done;
+      !c)
+
+let reference_crc crc s ~pos ~len =
+  let crc = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    crc := reference_table.((!crc lxor Char.code s.[i]) land 0xFF) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF
+
+module Crc = Durable.Crc
+
+let test_crc_known_answers () =
+  check_int "123456789" 0xCBF43926 (Crc.string "123456789");
+  check_int "empty" 0 (Crc.string "");
+  check_int "a" 0xE8B7BE43 (Crc.string "a")
+
+let test_crc_rejects_bad_ranges () =
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  let s = "0123456789" in
+  raises "negative pos" (fun () -> Crc.update 0 s ~pos:(-1) ~len:2);
+  raises "negative len" (fun () -> Crc.update 0 s ~pos:0 ~len:(-1));
+  raises "past the end" (fun () -> Crc.update 0 s ~pos:8 ~len:3);
+  raises "huge len" (fun () -> Crc.update 0 s ~pos:1 ~len:max_int);
+  raises "huge pos" (fun () -> Crc.update 0 s ~pos:max_int ~len:1);
+  raises "fused past the end" (fun () -> Crc.update_chained 0 ~prev:0 ~chain:0 s ~pos:9 ~len:2);
+  raises "fused negative pos" (fun () ->
+      Crc.update_chained 0 ~prev:0 ~chain:0 s ~pos:(-1) ~len:1)
+
+(* (prefix, body, suffix, split, prev): the body is checksummed in place,
+   at offset [String.length prefix] of the concatenation. *)
+let gen_crc_case =
+  let open QCheck2.Gen in
+  let bytes n = string_size ~gen:(map Char.chr (int_range 0 255)) n in
+  let* prefix = bytes (int_range 0 15) in
+  let* body = bytes (int_range 0 300) in
+  let* suffix = bytes (int_range 0 15) in
+  let* split = int_range 0 (String.length body) in
+  let* prev = map (fun n -> n land ((1 lsl 62) - 1)) int in
+  return (prefix, body, suffix, split, prev)
+
+let print_crc_case (prefix, body, suffix, split, prev) =
+  Printf.sprintf "prefix=%S body=%S suffix=%S split=%d prev=%d" prefix body suffix split prev
+
+(* Every tail length: each case is checked on the body and on the seven
+   bodies one to seven bytes shorter. *)
+let prop_crc_matches_reference =
+  QCheck2.Test.make ~name:"slicing-by-8 CRC = byte-at-a-time CRC" ~count:300
+    ~print:print_crc_case gen_crc_case (fun (prefix, body, suffix, split, _) ->
+      let image = prefix ^ body ^ suffix in
+      let pos = String.length prefix in
+      List.for_all
+        (fun cut ->
+          let len = String.length body - cut in
+          len < 0
+          ||
+          let split = min split len in
+          let whole = Crc.update 0 image ~pos ~len in
+          whole = reference_crc 0 image ~pos ~len
+          && Crc.update (Crc.update 0 image ~pos ~len:split) image ~pos:(pos + split)
+               ~len:(len - split)
+             = whole
+          && Crc.string (String.sub image pos len) = whole)
+        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+(* The frame header's ints, fed without a string: [prev] doubles as a
+   random u64 and its low bits as the u32 and the u8. *)
+let prop_int_feeders =
+  QCheck2.Test.make ~name:"update_u8/u32/u64 = CRC of the LE bytes" ~count:300
+    ~print:print_crc_case gen_crc_case (fun (prefix, _, _, _, n) ->
+      let running = Crc.string prefix in
+      let le width =
+        String.init width (fun i -> Char.chr ((n lsr (8 * i)) land 0xFF))
+      in
+      let reference width = reference_crc running (le width) ~pos:0 ~len:width in
+      Crc.update_u8 running (n land 0xFF) = reference 1
+      && Crc.update_u32 running (n land 0xFFFF_FFFF) = reference 4
+      && Crc.update_u64 running n = reference 8)
+
+let prop_fused_kernel =
+  QCheck2.Test.make ~name:"fused kernel = reference CRC, flagged on a wrong chain" ~count:300
+    ~print:print_crc_case gen_crc_case (fun (prefix, body, suffix, _, prev) ->
+      let image = prefix ^ body ^ suffix in
+      let pos = String.length prefix in
+      List.for_all
+        (fun cut ->
+          let len = String.length body - cut in
+          len < 0
+          ||
+          let running = Crc.string prefix in
+          let crc = reference_crc running image ~pos ~len in
+          let chain = C.step prev (String.sub image pos len) in
+          Crc.update_chained running ~prev ~chain image ~pos ~len = crc
+          && Crc.update_chained running ~prev ~chain:(chain lxor 1) image ~pos ~len
+             = crc lor (1 lsl 32))
+        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+
+(* --- the wire codecs: exact-size encoders vs the Buffer encoders ---
+
+   [Audit_schema.to_wire] and [Site.encode_op] write each entry (and an
+   entry op's header) into one exact-size allocation.  The references are
+   the Buffer encoders they replaced, kept here as the oracle, with the
+   u32/u64 byte loops they used. *)
+
+let ref_put_u32 buffer n =
+  for shift = 0 to 3 do
+    Buffer.add_char buffer (Char.chr ((n lsr (8 * shift)) land 0xFF))
+  done
+
+let ref_put_u64 buffer n =
+  for shift = 0 to 7 do
+    Buffer.add_char buffer (Char.chr ((n lsr (8 * shift)) land 0xFF))
+  done
+
+let ref_add_field buffer s =
+  let len = String.length s in
+  if len > 0xFFFF then invalid_arg "Audit_schema.to_wire: field longer than 65535 bytes";
+  Buffer.add_char buffer (Char.chr (len land 0xFF));
+  Buffer.add_char buffer (Char.chr (len lsr 8));
+  Buffer.add_string buffer s
+
+let ref_to_wire (e : Schema.entry) =
+  let buffer = Buffer.create 64 in
+  Buffer.add_char buffer (Char.chr (Schema.op_to_int e.op));
+  Buffer.add_char buffer (Char.chr (Schema.status_to_int e.status));
+  ref_add_field buffer (string_of_int e.time);
+  List.iter (ref_add_field buffer) [ e.user; e.data; e.purpose; e.authorized ];
+  (match e.provenance with
+  | None -> ()
+  | Some p ->
+    Buffer.add_char buffer 'P';
+    ref_add_field buffer p.session;
+    ref_add_field buffer p.request;
+    ref_add_field buffer (match p.parent with Some l -> string_of_int l | None -> "");
+    let changed = List.length p.changed in
+    Buffer.add_char buffer (Char.chr (changed land 0xFF));
+    Buffer.add_char buffer (Char.chr (changed lsr 8));
+    List.iter (ref_add_field buffer) p.changed;
+    ref_add_field buffer (C.to_hex p.integrity));
+  Buffer.contents buffer
+
+let ref_add_str buffer s =
+  ref_put_u32 buffer (String.length s);
+  Buffer.add_string buffer s
+
+let ref_encode_op op =
+  let buffer = Buffer.create 64 in
+  (match op with
+  | Site.Op_entry e ->
+    Buffer.add_char buffer 'E';
+    ref_add_str buffer (ref_to_wire e)
+  | Site.Op_seq_entry (seq, e) ->
+    Buffer.add_char buffer 'S';
+    ref_put_u64 buffer seq;
+    ref_add_str buffer (ref_to_wire e)
+  | Site.Op_processed seq ->
+    Buffer.add_char buffer 'P';
+    ref_put_u64 buffer seq
+  | Site.Op_quarantined (seq, reason, raw) ->
+    Buffer.add_char buffer 'Q';
+    ref_put_u64 buffer seq;
+    ref_add_str buffer reason;
+    ref_put_u32 buffer (List.length raw);
+    List.iter
+      (fun (k, v) ->
+        ref_add_str buffer k;
+        ref_add_str buffer v)
+      raw
+  | Site.Op_unquarantined seq ->
+    Buffer.add_char buffer 'R';
+    ref_put_u64 buffer seq
+  | Site.Op_next next ->
+    Buffer.add_char buffer 'N';
+    ref_put_u64 buffer next);
+  Buffer.contents buffer
+
+(* Fields: usually short, sometimes empty, sometimes exactly the 65,535
+   bytes the u16 length prefix can carry. *)
+let gen_field =
+  let open QCheck2.Gen in
+  frequency
+    [ (6, string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 24));
+      (2, return "");
+      (1, return (String.make 0xFFFF 'f'));
+    ]
+
+let gen_int =
+  QCheck2.Gen.(oneof [ int; return 0; return max_int; return min_int; int_range (-9) 9 ])
+
+let gen_entry =
+  let open QCheck2.Gen in
+  let* time = gen_int in
+  let* op = oneofl [ Schema.Allow; Schema.Disallow ] in
+  let* status = oneofl [ Schema.Regular; Schema.Exception_based ] in
+  let* user = gen_field and* data = gen_field and* purpose = gen_field in
+  let* authorized = gen_field in
+  let e = Schema.entry ~time ~op ~user ~data ~purpose ~authorized ~status in
+  let* provenance = bool in
+  if not provenance then return e
+  else
+    let* session = gen_field and* request = gen_field in
+    let* parent = opt gen_int in
+    let* changed = list_size (int_range 0 3) gen_field in
+    return (Schema.with_provenance ~session ~request ?parent ~changed e)
+
+let gen_op =
+  let open QCheck2.Gen in
+  let* seq = gen_int in
+  let* e = gen_entry in
+  let* reason = gen_field in
+  let* raw = list_size (int_range 0 3) (pair gen_field gen_field) in
+  oneofl
+    [ Site.Op_entry e;
+      Site.Op_seq_entry (seq, e);
+      Site.Op_processed seq;
+      Site.Op_quarantined (seq, reason, raw);
+      Site.Op_unquarantined seq;
+      Site.Op_next seq;
+    ]
+
+let print_op op = String.escaped (ref_encode_op op)
+
+let prop_encoders_match_buffer_encoders =
+  QCheck2.Test.make ~name:"to_wire and encode_op = the Buffer encoders" ~count:300
+    ~print:print_op gen_op (fun op ->
+      let wire_ok =
+        match op with
+        | Site.Op_entry e | Site.Op_seq_entry (_, e) ->
+          Schema.to_wire e = ref_to_wire e
+          && Bytes.sub_string (Schema.wire_bytes ~room:3 e) 3 (String.length (ref_to_wire e))
+             = ref_to_wire e
+        | _ -> true
+      in
+      wire_ok && Site.encode_op op = ref_encode_op op)
+
+let test_oversized_field_raises () =
+  let long = String.make 0x10000 'x' in
+  let base =
+    Schema.entry ~time:1 ~op:Schema.Allow ~user:"u" ~data:"referral" ~purpose:"treatment"
+      ~authorized:"nurse" ~status:Schema.Regular
+  in
+  let expected = Invalid_argument "Audit_schema.to_wire: field longer than 65535 bytes" in
+  let raises name f = Alcotest.check_raises name expected (fun () -> ignore (f ())) in
+  List.iter
+    (fun (name, e) ->
+      raises (name ^ ": to_wire") (fun () -> Schema.to_wire e);
+      raises (name ^ ": check_wire") (fun () -> Schema.check_wire e);
+      raises (name ^ ": 'E' op") (fun () -> Site.encode_op (Site.Op_entry e));
+      raises (name ^ ": 'S' op") (fun () -> Site.encode_op (Site.Op_seq_entry (3, e)));
+      raises (name ^ ": reference") (fun () -> ref_to_wire e))
+    [ ("user", { base with Schema.user = long });
+      ("data", { base with Schema.data = long });
+      ("purpose", { base with Schema.purpose = long });
+      ("authorized", { base with Schema.authorized = long });
+      ( "session",
+        { base with
+          Schema.provenance =
+            Some
+              { Schema.session = long; request = "r"; parent = None; changed = []; integrity = 0 };
+        } );
+    ]
+
+(* --- golden device images ---
+
+   A fixed script writes every kind of durable image this code base
+   produces, and each device's stable bytes must hash to the digests
+   below.  The site WAL carries all six op kinds ('P' in its checkpoint
+   image), an entry with provenance, three seals and a second WAL
+   generation, then a [Partial_header] crash whose survivor is cut at a
+   write boundary, so the image also pins one device write per record.
+   The shard store has two sites over six buckets, snapshot images from a
+   checkpoint, one site rebuilt wholesale after a damaged shard, and a
+   manifest sync.  Any change to the framing, the CRC, the chain, the
+   wire codecs or the write boundaries shows up here. *)
+
+let golden_entry ?(user = "u1") ?(op = Schema.Allow) ?(status = Schema.Regular) time =
+  Schema.entry ~time ~op ~user ~data:"referral" ~purpose:"treatment" ~authorized:"nurse"
+    ~status
+
+let golden_raw ~time ~role =
+  [ ("time", string_of_int time); ("op", "allow"); ("user", Printf.sprintf "r%d" time);
+    ("data", "referral"); ("purpose", "treatment"); (role, "nurse"); ("status", "btg") ]
+
+let image_digest d = Digest.to_hex (Digest.string (D.contents d))
+
+let golden_images () =
+  let log = L.create ~seed:4242 () in
+  let site = Site.create ~name:"golden" () in
+  Site.attach_wal site log;
+  Site.ingest_entries site
+    [ golden_entry 1;
+      golden_entry ~user:"u2" ~status:Schema.Exception_based 2;
+      golden_entry ~op:Schema.Disallow 3;
+    ];
+  Site.ingest_entry site
+    (Schema.with_provenance ~session:"s1" ~request:"r1" ~parent:2 ~changed:[ "purpose" ]
+       (golden_entry 4));
+  ignore
+    (Site.ingest_raw_all site
+       [ golden_raw ~time:5 ~role:"authorized";
+         golden_raw ~time:6 ~role:"rolle";
+         golden_raw ~time:7 ~role:"authorized";
+       ]);
+  Site.sync_wal site;
+  Site.set_mapping site
+    (Audit_mgmt.Mapping.create ~column_aliases:[ ("rolle", "authorized") ] ());
+  ignore (Site.reprocess_quarantined site);
+  ignore (Site.ingest_raw_all site [ golden_raw ~time:8 ~role:"ruolo" ]);
+  Site.sync_wal site;
+  Site.checkpoint_wal site;
+  Site.ingest_entries site [ golden_entry 9; golden_entry ~user:"u3" 10 ];
+  ignore (Site.ingest_raw_all site [ golden_raw ~time:11 ~role:"authorized" ]);
+  Site.sync_wal site;
+  Site.ingest_entries site [ golden_entry 12; golden_entry 13; golden_entry ~user:"u4" 14 ];
+  let wal = L.wal_device log and snapshot = L.snapshot_device log in
+  D.crash wal ~point:D.Partial_header;
+  let site, _, _ = Site.open_durable ~name:"golden" (L.of_devices ~wal ~snapshot) in
+  Site.ingest_entry site (golden_entry 15);
+  Site.sync_wal site;
+  let store = Shards.create ~bucket_ms:100 ~seed:31 () in
+  let stream site n =
+    List.init n (fun i -> golden_entry ~user:(Printf.sprintf "%s%d" site i) (i * 30))
+  in
+  ignore (Shards.archive_site store ~site:"a" (stream "a" 12));
+  ignore (Shards.archive_site store ~site:"b" (stream "b" 12));
+  Shards.checkpoint store;
+  ignore (Shards.archive_site store ~site:"a" (stream "a" 16));
+  ignore (Shards.archive_site store ~site:"b" (stream "b" 16));
+  Shards.sync store;
+  let _, b_wal, _ = List.find (fun (name, _, _) -> name = "b#4") (Shards.devices store) in
+  D.corrupt_stable b_wal ~pos:(D.durable_size b_wal / 2) ~bit:3;
+  let store, _ =
+    Shards.reopen ~bucket_ms:100 ~seed:31 ~manifest:(Shards.manifest_device store)
+      ~shards:(Shards.devices store) ()
+  in
+  ignore (Shards.archive_site store ~site:"a" (stream "a" 18));
+  let b = Shards.archive_site store ~site:"b" (stream "b" 18) in
+  check_bool "site b rebuilt after its damaged shard" true b.Shards.rebuilt;
+  Shards.sync store;
+  [ ("site.wal", image_digest wal); ("site.snapshot", image_digest snapshot);
+    ("manifest", image_digest (Shards.manifest_device store)) ]
+  @ List.concat_map
+      (fun (name, w, s) ->
+        [ (name ^ ".wal", image_digest w); (name ^ ".snapshot", image_digest s) ])
+      (Shards.devices store)
+
+let golden_digests =
+  [ ("site.wal", "d5c78cd081ce5791f34919db66da186a");
+    ("site.snapshot", "ae38405c1f3139aed52eed422e6d4c45");
+    ("manifest", "760ff62735348cb4f65363ea86a91375");
+    ("a#0.wal", "5a449a1990ea1126fda859c910a25abb");
+    ("a#0.snapshot", "8dc85a8dffb3e116c985527f00b20496");
+    ("a#1.wal", "1a89945fbddfdd88218973900dc497c7");
+    ("a#1.snapshot", "0453cb292b199e6023c334ecff7a82c8");
+    ("a#2.wal", "98159408dfd76a5787896675ed856f90");
+    ("a#2.snapshot", "6dc829978087db9d21a8057766db3e8d");
+    ("a#3.wal", "7f95044239a5f41d4e71642cff5b56a6");
+    ("a#3.snapshot", "476afbbbecad4e3f42ac2cb1cce50d19");
+    ("a#4.wal", "11bb43083fb93195e52321ae4aae2b4d");
+    ("a#4.snapshot", "d41d8cd98f00b204e9800998ecf8427e");
+    ("a#5.wal", "8f3752241b9f7cc1c9df7dc178655203");
+    ("a#5.snapshot", "d41d8cd98f00b204e9800998ecf8427e");
+    ("b#0.wal", "32b87e33b08b30036747411d609a0401");
+    ("b#0.snapshot", "d41d8cd98f00b204e9800998ecf8427e");
+    ("b#1.wal", "efc96eb40cd56388cd2a13be35edf39b");
+    ("b#1.snapshot", "d41d8cd98f00b204e9800998ecf8427e");
+    ("b#2.wal", "bee9414f49bb55c2da49b34083906292");
+    ("b#2.snapshot", "d41d8cd98f00b204e9800998ecf8427e");
+    ("b#3.wal", "f4556ecad2bf53507708ef0bd2a932fd");
+    ("b#3.snapshot", "d41d8cd98f00b204e9800998ecf8427e");
+    ("b#4.wal", "55441df0e23ee60e69226acc9b1e9f38");
+    ("b#4.snapshot", "d41d8cd98f00b204e9800998ecf8427e");
+    ("b#5.wal", "8b359f4f3ccfed56d0abaf22277e5e6d");
+    ("b#5.snapshot", "d41d8cd98f00b204e9800998ecf8427e");
+  ]
+
+let test_golden_images () =
+  Alcotest.(check (list (pair string string)))
+    "device image digests" golden_digests (golden_images ())
+
 let () =
   Alcotest.run "durable"
     [ ("crash-matrix", matrix "prefix" test_crash_matrix);
@@ -999,6 +1398,20 @@ let () =
          :: manifest_matrix "write/read/replace" test_manifest_write_read)
         @ manifest_matrix "every truncation unreadable" test_manifest_truncation
         @ manifest_matrix "every bit flip unreadable" test_manifest_bitflip );
+      ( "crc",
+        [ Alcotest.test_case "known answers" `Quick test_crc_known_answers;
+          Alcotest.test_case "bad ranges raise" `Quick test_crc_rejects_bad_ranges;
+          QCheck_alcotest.to_alcotest ~long:false prop_crc_matches_reference;
+          QCheck_alcotest.to_alcotest ~long:false prop_int_feeders;
+          QCheck_alcotest.to_alcotest ~long:false prop_fused_kernel;
+        ] );
+      ( "codec",
+        [ QCheck_alcotest.to_alcotest ~long:false prop_encoders_match_buffer_encoders;
+          Alcotest.test_case "65,536-byte field raises" `Quick test_oversized_field_raises;
+        ] );
+      ( "golden",
+        [ Alcotest.test_case "device images match the committed digests" `Quick
+            test_golden_images ] );
       ( "system",
         [ Alcotest.test_case "dropped tail -> lower bound" `Quick
             test_system_recovery_and_lower_bound;

@@ -314,6 +314,109 @@ let test_archive_lost_shard_placeholder () =
   check_bool "whole again" false (Shard_store.site_degraded b ~site:"icu");
   check_int "both records servable" 2 (Shard_store.site_records b ~site:"icu")
 
+(* --- shard bounds kept as entries arrive ---
+
+   [site_high_water] and the manifest's per-shard [lo]/[hi] are kept per
+   shard on append and set at recovery; the oracle is the fold over the
+   archived entries they replace.  Schedules grow two sites' time-sorted
+   streams, force wholesale rebuilds (a late entry below the high-water
+   mark disagrees with the held prefix) and reopen from the devices; each
+   site's archive must also hold exactly its fetched stream. *)
+
+type shard_op =
+  | Grow of int * int list (* site, time increments of the new entries *)
+  | Late of int (* a late entry at the site's first time: rebuild *)
+  | Reopen
+
+let gen_shard_ops =
+  let open QCheck2.Gen in
+  list_size (int_range 1 14)
+    (frequency
+       [ (6, map2 (fun s steps -> Grow (s, steps)) (int_range 0 1)
+                 (list_size (int_range 0 8) (int_range 0 7)));
+         (1, map (fun s -> Late s) (int_range 0 1));
+         (2, return Reopen);
+       ])
+
+let print_shard_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Grow (s, steps) ->
+           Printf.sprintf "Grow(%d,[%s])" s (String.concat "," (List.map string_of_int steps))
+         | Late s -> Printf.sprintf "Late %d" s
+         | Reopen -> "Reopen")
+       ops)
+
+let bounds_match_fold store =
+  let sites = [ "a"; "b" ] in
+  let fold_hwm site =
+    List.fold_left (fun m e -> max m e.Hdb.Audit_schema.time) (-1)
+      (Shard_store.merged_site store ~site)
+  in
+  List.for_all (fun site -> Shard_store.site_high_water store ~site = fold_hwm site) sites
+  &&
+  (Shard_store.sync store;
+   match Durable.Manifest.read (Shard_store.manifest_device store) with
+   | Ok (Some m) ->
+     List.for_all
+       (fun (d : Durable.Manifest.shard) ->
+         let i = String.rindex d.name '#' in
+         let site = String.sub d.name 0 i in
+         let bucket = int_of_string (String.sub d.name (i + 1) (String.length d.name - i - 1)) in
+         let held =
+           List.filter
+             (fun e -> Shard_store.bucket_of store e.Hdb.Audit_schema.time = bucket)
+             (Shard_store.merged_site store ~site)
+         in
+         let lo = match held with [] -> 0 | e :: _ -> e.Hdb.Audit_schema.time in
+         let hi = List.fold_left (fun m e -> max m e.Hdb.Audit_schema.time) lo held in
+         d.lo = lo && d.hi = hi)
+       m.Durable.Manifest.shards
+   | _ -> false)
+
+let prop_shard_bounds_match_fold =
+  QCheck2.Test.make ~name:"shard high-water and manifest bounds = fold over entries" ~count:200
+    ~print:print_shard_ops gen_shard_ops (fun ops ->
+      let bucket_ms = 10 in
+      let store = ref (Shard_store.create ~bucket_ms ~seed:3 ()) in
+      let streams = [| []; [] |] (* reversed *) in
+      let name i = if i = 0 then "a" else "b" in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Grow (i, steps) ->
+            List.iter
+              (fun step ->
+                let last = match streams.(i) with e :: _ -> e.Hdb.Audit_schema.time | [] -> 0 in
+                let n = List.length streams.(i) in
+                let user = Printf.sprintf "%s%d" (name i) n in
+                streams.(i) <- entry ~time:(last + step) ~user () :: streams.(i))
+              steps;
+            ignore (Shard_store.archive_site !store ~site:(name i) (List.rev streams.(i)))
+          | Late i ->
+            (match List.rev streams.(i) with
+            | [] -> ()
+            | first :: _ as stream ->
+              streams.(i) <- List.rev ({ first with Hdb.Audit_schema.user = "late" } :: stream);
+              ignore (Shard_store.archive_site !store ~site:(name i) (List.rev streams.(i))))
+          | Reopen ->
+            Shard_store.sync !store;
+            store :=
+              fst
+                (Shard_store.reopen ~bucket_ms ~seed:3
+                   ~manifest:(Shard_store.manifest_device !store)
+                   ~shards:(Shard_store.devices !store) ()));
+          (* every fetch is archived whole, by append or by rebuild *)
+          List.for_all
+            (fun i ->
+              List.equal Hdb.Audit_schema.equal
+                (Shard_store.merged_site !store ~site:(name i))
+                (List.rev streams.(i)))
+            [ 0; 1 ]
+          && bounds_match_fold !store)
+        ops)
+
 (* --- the fault matrix --- *)
 
 let matrix_config =
@@ -515,6 +618,7 @@ let () =
             test_archive_tampered_shard_quarantined;
           Alcotest.test_case "lost shard placeholder until refetch" `Quick
             test_archive_lost_shard_placeholder;
+          QCheck_alcotest.to_alcotest ~long:false prop_shard_bounds_match_fold;
         ] );
       ("fault-matrix", matrix_cases);
       ( "quarantine-convergence",

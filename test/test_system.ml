@@ -226,6 +226,61 @@ let test_synthetic_hospital_epochs () =
     (last.Prima_core.Refinement.coverage_after.Prima_core.Coverage.coverage
     >= last.Prima_core.Refinement.coverage_before.Prima_core.Coverage.coverage)
 
+(* --- an audit field the wire codec cannot encode ---
+
+   A typed-in purpose longer than the codec's 65,535-byte field limit.
+   The query must be refused with a typed error before it runs, nothing
+   may be audited, and a System with an archive attached must keep
+   consolidating.  Without a WAL the entry used to be stored, and every
+   later consolidation raised from the archive's encoder; with one, the
+   query raised an untyped [Invalid_argument]. *)
+
+let test_oversized_audit_field ~durable () =
+  let storage =
+    if durable then
+      Some
+        { Sys_.audit_log = Durable.Log.create ~seed:61 ();
+          quarantine_log = Durable.Log.create ~seed:62 ();
+        }
+    else None
+  in
+  let system =
+    Sys_.create ?storage ~vocab:(vocab ()) ~p_ps:(Workload.Scenario.policy_store ()) ()
+  in
+  setup_clinical (Sys_.control system);
+  let archive = Audit_mgmt.Shard_store.create () in
+  Sys_.attach_archive system archive;
+  List.iter (btg_registration system) [ "mark"; "tim" ];
+  ignore (Sys_.coverage_qualified system);
+  let store = Hdb.Control_center.audit_store (Sys_.control system) in
+  let before = Hdb.Audit_store.length store in
+  let purpose = String.make 70_000 'x' in
+  (match
+     query ~break_glass:true system ~user:"eve" ~role:"nurse" ~purpose
+       "SELECT referral FROM records"
+   with
+  | Error (Hdb.Enforcement.Unsupported _) -> ()
+  | Ok _ -> Alcotest.fail "a query that cannot be audited disclosed rows"
+  | Error e -> Alcotest.failf "wrong error: %s" (Hdb.Enforcement.error_to_string e)
+  | exception Invalid_argument m -> Alcotest.failf "untyped exception: %s" m);
+  check_int "nothing audited" before (Hdb.Audit_store.length store);
+  (* the store refuses such an entry itself, before any state changes *)
+  (match
+     Hdb.Audit_store.append store
+       (Hdb.Audit_schema.entry ~time:99 ~op:Hdb.Audit_schema.Allow ~user:"eve"
+          ~data:"referral" ~purpose ~authorized:"nurse"
+          ~status:Hdb.Audit_schema.Exception_based)
+   with
+  | () -> Alcotest.fail "the store accepted an entry its codec cannot encode"
+  | exception Invalid_argument _ -> ());
+  check_int "store unchanged" before (Hdb.Audit_store.length store);
+  (match Sys_.refine system with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "refine failed: %s" e);
+  ignore (Sys_.coverage_qualified system);
+  check_int "the archive holds every stored entry" before
+    (Audit_mgmt.Shard_store.total_records archive)
+
 let () =
   Alcotest.run "system"
     [ ( "prima-system",
@@ -243,6 +298,10 @@ let () =
             test_completeness_threshold_blocks_auto_acceptance;
           Alcotest.test_case "lowered threshold labels lower bound" `Quick
             test_lowered_threshold_labels_lower_bound;
+        ] );
+      ( "oversized-audit-field",
+        [ Alcotest.test_case "no storage" `Quick (test_oversized_audit_field ~durable:false);
+          Alcotest.test_case "with storage" `Quick (test_oversized_audit_field ~durable:true);
         ] );
       ( "synthetic-hospital",
         [ Alcotest.test_case "oracle-guided epochs" `Slow test_synthetic_hospital_epochs ] );
