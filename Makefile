@@ -1,7 +1,13 @@
-.PHONY: build test faults crash fuzz chaos shrink tamper federation overload pipebench pipebench-trace bench bench-quick bench-coverage bench-wal bench-governor
+.PHONY: build test loc faults crash fuzz chaos shrink tamper federation overload pipebench pipebench-trace bench bench-quick bench-coverage bench-wal bench-governor
 
 build:
 	dune build
+
+# Line counts of lib/'s .ml and .mli files, the figures CHANGES.md
+# entries report for each change.
+loc:
+	@printf 'lib .ml  %s\n' "$$(find lib -name '*.ml' -exec cat {} + | wc -l)"
+	@printf 'lib .mli %s\n' "$$(find lib -name '*.mli' -exec cat {} + | wc -l)"
 
 test:
 	dune build && dune runtest

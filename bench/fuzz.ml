@@ -22,19 +22,19 @@ let () =
   Fmt.pr "fuzzing: %d seeds x %d statements@." seeds queries;
   let failed = ref false in
   for seed = 1 to seeds do
-    let report = Relational.Sql_fuzz.run ~queries ~seed () in
-    Fmt.pr "%a@." Relational.Sql_fuzz.pp report;
-    if not (Relational.Sql_fuzz.passed report) then failed := true
+    let report = Test_support.Sql_fuzz.run ~queries ~seed () in
+    Fmt.pr "%a@." Test_support.Sql_fuzz.pp report;
+    if not (Test_support.Sql_fuzz.passed report) then failed := true
   done;
   Fmt.pr "@.DML round-trips vs model table: %d seeds x %d ops@." seeds (queries / 4);
   for seed = 1 to seeds do
-    let report = Relational.Sql_fuzz.run_dml ~ops:(queries / 4) ~seed () in
-    Fmt.pr "%a@." Relational.Sql_fuzz.pp report;
-    if not (Relational.Sql_fuzz.passed report) then begin
+    let report = Test_support.Sql_fuzz.run_dml ~ops:(queries / 4) ~seed () in
+    Fmt.pr "%a@." Test_support.Sql_fuzz.pp report;
+    if not (Test_support.Sql_fuzz.passed report) then begin
       failed := true;
       List.iter
-        (fun (f : Relational.Sql_fuzz.failure) -> Fmt.pr "  %s :: %s@." f.reason f.sql)
-        (report.Relational.Sql_fuzz.untyped @ report.Relational.Sql_fuzz.mismatches)
+        (fun (f : Test_support.Sql_fuzz.failure) -> Fmt.pr "  %s :: %s@." f.reason f.sql)
+        (report.Test_support.Sql_fuzz.untyped @ report.Test_support.Sql_fuzz.mismatches)
     end
   done;
   if !failed then begin

@@ -490,10 +490,10 @@ let e10 () =
 (* ------------------------------------------------------------------ *)
 
 (* Algorithm 1 on the preserved seed implementation
-   (Prima_core.Range_reference): materialise both ranges as balanced sets
+   (Test_support.Range_reference): materialise both ranges as balanced sets
    with memo-free grounding, intersect, count. *)
 let set_coverage vocab ~p_x ~p_y =
-  let module RR = Prima_core.Range_reference in
+  let module RR = Test_support.Range_reference in
   let range_x = RR.of_policy vocab p_x in
   let range_y = RR.of_policy vocab p_y in
   (RR.cardinality (RR.inter range_x range_y), RR.cardinality range_y)

@@ -15,8 +15,9 @@
                      holds over a full seeds x 400-step sweep with
                      Overload_storm in the action alphabet;
    - brownout:       every refinement epoch run under a brownout grant
-                     reports Coverage.Lower_bound — a deliberately
-                     truncated run never claims exactness.
+                     reports Coverage.Lower_bound carrying the Brownout
+                     reason — a deliberately truncated run never claims
+                     exactness, and says why.
 
    Results land in BENCH_overload.json:
 
@@ -142,8 +143,8 @@ let shed_run ~seed =
 
 (* A refinement caller whose class can only half-afford the declared cost
    browns out: the epoch runs under the tightened grant and must label its
-   coverage Lower_bound.  A generously classed control epoch over the same
-   complete trail stays Exact. *)
+   coverage Lower_bound with a Brownout reason.  A generously classed
+   control epoch over the same complete trail stays Exact. *)
 let brownout_run () =
   let vocab = Vocabulary.Samples.figure1 () in
   let p_ps = Workload.Scenario.policy_store () in
@@ -162,7 +163,7 @@ let brownout_run () =
   let throttled = Adm.principal ~tenant:"throttled-analyst" () in
   let gold = Adm.principal ~tenant:"gold-analyst" () in
   let rounds = 5 in
-  let ok = ref 0 and lower = ref 0 and errors = ref 0 in
+  let ok = ref 0 and lower = ref 0 and with_brownout = ref 0 and errors = ref 0 in
   for _ = 1 to rounds do
     Prima_system.System.advance_clock system epoch_ms;
     match Prima_system.System.refine_admitted system ~principal:throttled with
@@ -170,7 +171,10 @@ let brownout_run () =
     | Ok report ->
       incr ok;
       (match report.Prima_core.Refinement.qualifier with
-      | Prima_core.Coverage.Lower_bound _ -> incr lower
+      | Prima_core.Coverage.Lower_bound e ->
+        incr lower;
+        if List.mem Prima_core.Coverage.Brownout e.Prima_core.Coverage.reasons then
+          incr with_brownout
       | Prima_core.Coverage.Exact -> ())
   done;
   Prima_system.System.advance_clock system epoch_ms;
@@ -180,7 +184,7 @@ let brownout_run () =
     | Error _ -> false
   in
   let gov = Prima_system.System.governance system in
-  (!ok, !lower, !errors, gov.Prima_system.System.brownout_epochs, control_exact)
+  (!ok, !lower, !with_brownout, !errors, gov.Prima_system.System.brownout_epochs, control_exact)
 
 (* --- sweep ----------------------------------------------------------- *)
 
@@ -265,16 +269,18 @@ let () =
     !violations !storms !storm_admitted !storm_shed;
 
   (* D: brownout epochs *)
-  let br_ok, br_lower, br_errors, br_counted, control_exact = brownout_run () in
-  Fmt.pr "@.brownout: %d/%d throttled epochs labelled Lower_bound (%d errors, governance \
-          counted %d); generous control epoch exact: %b@."
-    br_lower br_ok br_errors br_counted control_exact;
+  let br_ok, br_lower, br_brownout, br_errors, br_counted, control_exact = brownout_run () in
+  Fmt.pr "@.brownout: %d/%d throttled epochs labelled Lower_bound, %d carrying Brownout (%d \
+          errors, governance counted %d); generous control epoch exact: %b@."
+    br_lower br_ok br_brownout br_errors br_counted control_exact;
 
   (* gates + JSON *)
   let fair_ok = min_ratio >= 0.8 in
   let shed_ok = !partials = 0 && !hintless = 0 && !total_sheds > 0 in
   let chaos_ok = !violations = 0 && !storms > 0 in
-  let brownout_ok = br_errors = 0 && br_ok > 0 && br_lower = br_ok && control_exact in
+  let brownout_ok =
+    br_errors = 0 && br_ok > 0 && br_lower = br_ok && br_brownout = br_ok && control_exact
+  in
   let no_mutation_brownout = !mutation_brownouts = 0 in
   let oc = open_out "BENCH_overload.json" in
   let p fmt = Printf.fprintf oc fmt in

@@ -101,11 +101,6 @@ let run_refine vocab_name policy_path audit_path min_frequency use_mining max_ro
   in
   let report = Prima_core.Refinement.run_epoch ~config ~vocab ~p_ps ~p_al () in
   Prima_core.Report.pp_epoch Fmt.stdout report;
-  if report.Prima_core.Refinement.degraded then
-    Fmt.pr
-      "@.note: the analysis query exceeded its budget and was retried in partial mode; \
-       treat the pattern set as a LOWER BOUND and re-run with a larger budget before \
-       adopting its absence of patterns as evidence@.";
   0
 
 (* --- mine --- *)

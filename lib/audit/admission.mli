@@ -176,4 +176,3 @@ val stats : t -> class_stats list
 (** Per-class counters, in class registration order. *)
 
 val stats_of_class : t -> string -> class_stats option
-val reset_counters : t -> unit

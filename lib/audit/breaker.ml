@@ -103,7 +103,3 @@ let pp_state ppf = function
   | Closed -> Fmt.string ppf "closed"
   | Open -> Fmt.string ppf "open"
   | Half_open -> Fmt.string ppf "half-open"
-
-let pp ppf t =
-  Fmt.pf ppf "%a (failures %d, successes %d, trips %d)" pp_state t.state t.failures
-    t.successes t.trips

@@ -36,4 +36,3 @@ val allow : t -> now:int -> bool
 val record_success : t -> unit
 val record_failure : t -> now:int -> unit
 val pp_state : Format.formatter -> state -> unit
-val pp : Format.formatter -> t -> unit

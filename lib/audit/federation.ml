@@ -25,7 +25,7 @@ type member = {
 type t = {
   mutable members : member list;
   clock : int ref; (* simulated ms; advanced by retries and fetch latency *)
-  mutable retry : Retry.policy;
+  retry : Retry.policy;
   prng : Splitmix.t; (* jitter stream for retry backoff *)
   transit : Quarantine.t; (* records corrupted in transit, latest fetch *)
   (* The durable consolidated archive (optional): successful fetches are
@@ -150,10 +150,6 @@ let clock t = !(t.clock)
 
 let advance_clock t ms = t.clock := !(t.clock) + ms
 
-let retry_policy t = t.retry
-
-let set_retry_policy t policy = t.retry <- policy
-
 let transit_quarantine t = t.transit
 
 let total_entries t =
@@ -215,10 +211,10 @@ type result_t = {
    site's shards, and a site whose live fetch fails (or whose breaker is
    open) is served {e stale} from its servable shards: the archived
    records count as delivered, the lag as stranded, so completeness still
-   measures exactly what the merge contains.  Per-site durability state —
-   shard health, a pending site-WAL replay — rides on each health entry
-   so downstream coverage stays a lower bound while anything durable is
-   damaged. *)
+   measures exactly what the merge contains.  Durability state — a
+   pending site-WAL replay, the archive's shard tally — rides on the
+   health report so downstream coverage stays a lower bound while
+   anything durable is damaged. *)
 let consolidated_result t : result_t =
   (* Consolidation observes the freshest overload signals, so the
      admission bar tracks the federation's actual health. *)
@@ -229,25 +225,8 @@ let consolidated_result t : result_t =
         let name = Site.name m.msite in
         let store_len = Site.length m.msite in
         let ingest_q = Site.quarantined_count m.msite in
-        let site_degraded = Site.durably_degraded m.msite in
-        let shards, shards_degraded =
-          match t.archive with
-          | None -> (0, 0)
-          | Some a ->
-            let mine =
-              List.filter
-                (fun (i : Shard_store.shard_info) -> String.equal i.Shard_store.site name)
-                (Shard_store.shard_infos a)
-            in
-            ( List.length mine,
-              List.length
-                (List.filter
-                   (fun (i : Shard_store.shard_info) ->
-                     i.Shard_store.status <> Shard_store.Healthy)
-                   mine) )
-        in
         let health ~status ~entries ~quarantined ~skipped_entries =
-          Health.make ~shards ~shards_degraded ~site_degraded ~site:name ~status
+          Health.make ~site_degraded:(Site.durably_degraded m.msite) ~site:name ~status
             ~entries ~quarantined ~skipped_entries
             ~breaker:(Breaker.state m.breaker) ~trips:(Breaker.trips m.breaker) ()
         in
@@ -300,8 +279,12 @@ let consolidated_result t : result_t =
             degrade ~skip_status:(Health.Skipped (Health.Fetch_failed why)))
       ([], []) t.members
   in
+  (* The shard tally is read once every archive step has run: a clean
+     fetch rebuilds a damaged site's shards, and the report must describe
+     the archive as this consolidation left it. *)
+  let shards = match t.archive with Some a -> Shard_store.tally a | None -> [] in
   { entries = merge_streams (List.rev streams_rev);
-    health = Health.of_sites ~classes:(class_health_rows t) (List.rev healths_rev);
+    health = Health.of_sites ~classes:(class_health_rows t) ~shards (List.rev healths_rev);
   }
 
 (* The consolidated view as P_AL. *)

@@ -74,8 +74,6 @@ val clock : t -> int
 (** The simulated millisecond clock retries and breaker cooldowns run on. *)
 
 val advance_clock : t -> int -> unit
-val retry_policy : t -> Retry.policy
-val set_retry_policy : t -> Retry.policy -> unit
 
 val transit_quarantine : t -> Quarantine.t
 (** Records corrupted in transit during the latest fetch of each site; a
@@ -99,8 +97,9 @@ val consolidated_result : t -> result_t
     records quarantined.  Never raises — failures degrade the health report
     instead: delivered + quarantined + stranded = 100% of known input.
     With an archive attached, failed sites degrade to stale archive reads
-    (see {!attach_archive}) and each health entry carries the site's
-    durable state (shard health, pending WAL replay). *)
+    (see {!attach_archive}), and the health report carries the durable
+    state: each site's pending WAL replay, and the archive's shard tally
+    as this consolidation's archive steps left it. *)
 
 val to_policy : t -> Prima_core.Policy.t
 (** The consolidated view as P_AL. *)

@@ -2,17 +2,17 @@
    merged entries.  Accounting invariant: every input record known to the
    federation is exactly one of delivered, quarantined, or at a skipped
    site — delivered + quarantined + skipped_entries = total — and the
-   completeness fraction is delivered / total.  Downstream, coverage over a
-   partial trail is labelled a lower bound carrying this fraction.
+   completeness fraction is delivered / total.
 
    A site served from the durable archive while its live fetch failed is
    [Stale]: its archived records count as delivered, the lag (records the
    live store holds beyond the archive) as stranded — so completeness
-   still measures exactly what the merge contains.  Per-site durability
-   (shard health, site-WAL recovery) rides along so consolidation can
-   keep coverage at a lower bound while any site is durably degraded even
-   when the record accounting looks complete — a degraded site's own
-   totals are not trustworthy. *)
+   still measures exactly what the merge contains.  Durability state (a
+   site's pending WAL replay, the archive's shard tally as the
+   consolidation's archive steps left it) rides along, so the report is
+   the one source of the federation's lower-bound reasons ([evidence]): a
+   degraded site's own totals are not trustworthy even when the
+   accounting looks complete. *)
 
 type skip_reason =
   | Breaker_open
@@ -31,24 +31,12 @@ type site_health = {
   skipped_entries : int; (* entries stranded when the site was skipped *)
   breaker : Breaker.state;
   trips : int; (* lifetime breaker trips for this site *)
-  shards : int; (* archive shards held for this site *)
-  shards_degraded : int; (* of which torn or tampered *)
   site_degraded : bool; (* site WAL recovery lossy/tampered, replay pending *)
 }
 
-let make ?(shards = 0) ?(shards_degraded = 0) ?(site_degraded = false) ~site ~status
-    ~entries ~quarantined ~skipped_entries ~breaker ~trips () =
-  { site;
-    status;
-    entries;
-    quarantined;
-    skipped_entries;
-    breaker;
-    trips;
-    shards;
-    shards_degraded;
-    site_degraded;
-  }
+let make ?(site_degraded = false) ~site ~status ~entries ~quarantined ~skipped_entries
+    ~breaker ~trips () =
+  { site; status; entries; quarantined; skipped_entries; breaker; trips; site_degraded }
 
 (* Admission accounting for one budget class: how many requests the
    class had strictly admitted, browned out to Partial execution, or
@@ -69,16 +57,11 @@ type t = {
   skipped_entries : int;
   total : int;
   completeness : float; (* delivered / total; 1.0 on an empty federation *)
-  degraded_sites : int; (* sites whose durable state is not trustworthy *)
-  degraded_shards : int; (* torn or tampered archive shards, all sites *)
+  shards : (string * (int * int)) list; (* per archived site: shards, of which degraded *)
 }
 
 let site_ok s =
   match s.status with Delivered _ | Stale _ -> true | Skipped _ -> false
-
-(* A site whose durable substrate is damaged: its own record counts are
-   not a trustworthy total, whatever its fetch status. *)
-let site_durably_degraded s = s.site_degraded || s.shards_degraded > 0
 
 (* A site that expects nothing is vacuously complete: guard the division
    so an empty site reports 1.0 instead of NaN. *)
@@ -86,7 +69,7 @@ let site_completeness (s : site_health) =
   let expected = s.entries + s.quarantined + s.skipped_entries in
   if expected = 0 then 1.0 else float_of_int s.entries /. float_of_int expected
 
-let of_sites ?(classes = []) (sites : site_health list) =
+let of_sites ?(classes = []) ~shards (sites : site_health list) =
   let sum f = List.fold_left (fun acc (s : site_health) -> acc + f s) 0 sites in
   let delivered = sum (fun s -> s.entries) in
   let quarantined = sum (fun s -> s.quarantined) in
@@ -99,16 +82,31 @@ let of_sites ?(classes = []) (sites : site_health list) =
     skipped_entries;
     total;
     completeness = (if total = 0 then 1.0 else float_of_int delivered /. float_of_int total);
-    degraded_sites =
-      List.length (List.filter site_durably_degraded sites);
-    degraded_shards = sum (fun s -> s.shards_degraded);
+    shards;
   }
 
 let complete t = t.completeness >= 1.0
 
-let durably_degraded t = t.degraded_sites > 0
-
-let skipped_sites t = List.filter (fun s -> not (site_ok s)) t.sites
+(* The window's lower-bound reasons.  Stranded entries and quarantine are
+   exactly what pulls completeness below 1.0, so a [Site_dark] or
+   [Quarantined] reason is present exactly when it is; a skipped site
+   with nothing stored strands nothing and adds no reason. *)
+let evidence t =
+  let module C = Prima_core.Coverage in
+  let site_reasons (s : site_health) =
+    (if s.skipped_entries > 0 then [ C.Site_dark { site = s.site; lag = s.skipped_entries } ]
+     else [])
+    @ if s.site_degraded then [ C.Wal_tail_lost s.site ] else []
+  in
+  { C.completeness = t.completeness;
+    reasons =
+      List.concat_map site_reasons t.sites
+      @ (if t.quarantined > 0 then [ C.Quarantined t.quarantined ] else [])
+      @ List.filter_map
+          (fun (site, (_, bad)) ->
+            if bad > 0 then Some (C.Shard_degraded { site; shards = bad }) else None)
+          t.shards;
+  }
 
 let skip_reason_to_string = function
   | Breaker_open -> "breaker open"
@@ -120,14 +118,13 @@ let pp_status ppf = function
   | Stale { archived; lag } -> Fmt.pf ppf "stale (%d archived, %d behind)" archived lag
   | Skipped reason -> Fmt.string ppf (skip_reason_to_string reason)
 
-let pp_site ppf s =
+let pp_site t ppf s =
+  let shards, bad = Option.value (List.assoc_opt s.site t.shards) ~default:(0, 0) in
   Fmt.pf ppf
     "%-16s %-24s entries=%d quarantined=%d stranded=%d shards=%d/%d%s breaker=%a trips=%d"
     s.site
     (Fmt.str "%a" pp_status s.status)
-    s.entries s.quarantined s.skipped_entries
-    (s.shards - s.shards_degraded)
-    s.shards
+    s.entries s.quarantined s.skipped_entries (shards - bad) shards
     (if s.site_degraded then " DEGRADED" else "")
     Breaker.pp_state s.breaker s.trips
 
@@ -140,10 +137,11 @@ let pp ppf t =
     t.delivered t.total (100. *. t.completeness);
   Fmt.pf ppf "  delivered=%d quarantined=%d stranded-at-skipped-sites=%d@." t.delivered
     t.quarantined t.skipped_entries;
-  if t.degraded_sites > 0 || t.degraded_shards > 0 then
-    Fmt.pf ppf "  durably degraded: %d site(s), %d shard(s)@." t.degraded_sites
-      t.degraded_shards;
-  List.iter (fun s -> Fmt.pf ppf "  %a@." pp_site s) t.sites;
+  let e = evidence t in
+  if e.Prima_core.Coverage.reasons <> [] then
+    Fmt.pf ppf "  coverage is a %a@." Prima_core.Coverage.pp_qualifier
+      (Prima_core.Coverage.Lower_bound e);
+  List.iter (fun s -> Fmt.pf ppf "  %a@." (pp_site t) s) t.sites;
   if t.classes <> [] then begin
     Fmt.pf ppf "  budget classes:@.";
     List.iter (fun c -> Fmt.pf ppf "    %a@." pp_class c) t.classes

@@ -4,15 +4,16 @@
     Accounting invariant: every input record known to the federation is
     exactly one of delivered, quarantined, or stranded at a skipped site —
     [delivered + quarantined + skipped_entries = total] — and
-    [completeness = delivered / total].  Coverage computed over a partial
-    trail must be labelled a lower bound carrying this fraction.
+    [completeness = delivered / total].
 
     A [Stale] site was served from the durable archive while its live
     fetch failed: archived records count as delivered, the lag as
-    stranded.  Per-site durability state (archive shard health, site-WAL
-    recovery) rides along: while any site is {!site_durably_degraded},
-    its own totals are not trustworthy, so coverage must stay a lower
-    bound even when record accounting looks complete. *)
+    stranded.  Durability state rides along: each site's pending WAL
+    replay, and the archive's shard tally as the consolidation's archive
+    steps left it.  The report is the one source of the federation's
+    lower-bound reasons ({!evidence}): a durably degraded site's own
+    totals are not trustworthy, so coverage stays a lower bound even when
+    the record accounting looks complete. *)
 
 type skip_reason =
   | Breaker_open
@@ -32,14 +33,10 @@ type site_health = {
   skipped_entries : int;
   breaker : Breaker.state;
   trips : int;  (** lifetime breaker trips for this site *)
-  shards : int;  (** archive shards held for this site *)
-  shards_degraded : int;  (** of which torn or tampered *)
   site_degraded : bool;  (** site-WAL recovery lossy/tampered, replay pending *)
 }
 
 val make :
-  ?shards:int ->
-  ?shards_degraded:int ->
   ?site_degraded:bool ->
   site:string ->
   status:site_status ->
@@ -50,7 +47,7 @@ val make :
   trips:int ->
   unit ->
   site_health
-(** Durability fields default to healthy (0 shards, not degraded). *)
+(** [site_degraded] defaults to [false]. *)
 
 type class_health = {
   cls : string;
@@ -71,26 +68,34 @@ type t = {
   skipped_entries : int;
   total : int;
   completeness : float;
-  degraded_sites : int;  (** sites whose durable state is not trustworthy *)
-  degraded_shards : int;  (** torn or tampered archive shards, all sites *)
+  shards : (string * (int * int)) list;
+      (** the archive's shards per archived site, member or not, and how
+          many of them are torn or tampered ({!Shard_store.tally}) *)
 }
 
-val of_sites : ?classes:class_health list -> site_health list -> t
+val of_sites :
+  ?classes:class_health list -> shards:(string * (int * int)) list -> site_health list -> t
+
 val complete : t -> bool
+
+val evidence : t -> Prima_core.Coverage.evidence
+(** The window's completeness and the federation's lower-bound reasons:
+    {!Prima_core.Coverage.Site_dark} for each site that strands entries
+    (skipped, or stale with a lag; a skipped site with nothing stored adds
+    none), {!Prima_core.Coverage.Wal_tail_lost} for a site whose WAL
+    replay is pending, {!Prima_core.Coverage.Shard_degraded} for an
+    archived site with torn or tampered shards, and one
+    {!Prima_core.Coverage.Quarantined} with the report's total.  The
+    completeness is below 1.0 exactly when a [Site_dark] or [Quarantined]
+    reason is present. *)
 
 val site_completeness : site_health -> float
 (** [entries / (entries + quarantined + skipped_entries)] for one site;
     a site with zero expected entries is vacuously complete (1.0), never
     NaN. *)
 
-val durably_degraded : t -> bool
-(** Any site durably degraded — coverage must stay a lower bound. *)
-
 val site_ok : site_health -> bool
-val site_durably_degraded : site_health -> bool
-val skipped_sites : t -> site_health list
 val skip_reason_to_string : skip_reason -> string
 val pp_status : Format.formatter -> site_status -> unit
-val pp_site : Format.formatter -> site_health -> unit
 val pp_class : Format.formatter -> class_health -> unit
 val pp : Format.formatter -> t -> unit

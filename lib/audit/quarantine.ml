@@ -188,8 +188,6 @@ let clear t =
 
 let log t = t.log
 
-let attach_log t log = t.log <- Some log
-
 let sync t = Option.iter Durable.Log.sync t.log
 
 (* Replay a recovered op log into [t] (assumed fresh), then attach it so

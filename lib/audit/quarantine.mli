@@ -46,10 +46,6 @@ val clear : t -> unit
     {!sync}ed; {!checkpoint} compacts the op history into a snapshot of
     the live items. *)
 
-val attach_log : t -> Durable.Log.t -> unit
-(** Future mutations are write-ahead logged.  Items already held are
-    {e not} retro-logged — attach at creation or via {!restore}. *)
-
 val log : t -> Durable.Log.t option
 
 val sync : t -> unit

@@ -60,4 +60,3 @@ let run ?(policy = default) ~prng ~clock f =
   in
   go 1
 
-let pp_stats ppf s = Fmt.pf ppf "%d attempt(s), %d ms backoff" s.attempts s.elapsed

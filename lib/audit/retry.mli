@@ -37,5 +37,3 @@ val run :
   ('a, 'e) result * stats
 (** Run until [Ok], attempts are exhausted, or the deadline is blown.  The
     callback receives the 1-based attempt number; the last error wins. *)
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -120,12 +120,6 @@ let devices t =
 
 let site_shards t ~site = List.filter (fun s -> String.equal s.site site) t.shards
 
-let sites t =
-  List.rev
-    (List.fold_left
-       (fun acc s -> if List.mem s.site acc then acc else s.site :: acc)
-       [] t.shards)
-
 (* Fold the append tail into the committed list on read (amortised). *)
 let shard_entries s =
   if s.tail <> [] then begin
@@ -147,6 +141,13 @@ let site_degraded t ~site =
   List.exists (fun s -> s.status <> Healthy) (site_shards t ~site)
 
 let shards_degraded t = List.length (List.filter (fun s -> s.status <> Healthy) t.shards)
+
+let tally t =
+  List.map
+    (fun site ->
+      let mine = site_shards t ~site in
+      (site, (List.length mine, List.length (List.filter (fun s -> s.status <> Healthy) mine))))
+    (List.sort_uniq String.compare (List.map (fun s -> s.site) t.shards))
 
 let total_records t = List.fold_left (fun acc s -> acc + servable s) 0 t.shards
 

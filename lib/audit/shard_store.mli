@@ -32,10 +32,13 @@ val devices : t -> (string * Durable.Device.t * Durable.Device.t) list
 (** The surviving media, for crash simulation / reopen: per shard its
     name and (wal, snapshot) devices — the simulated directory listing. *)
 
-val sites : t -> string list
 val shard_count : t -> int
 val total_records : t -> int
 val shards_degraded : t -> int
+
+val tally : t -> (string * (int * int)) list
+(** Per archived site, sorted: its shard count and how many of those are
+    torn or tampered. *)
 
 val site_records : t -> site:string -> int
 (** Records servable for [site] (tampered shards serve none). *)

@@ -330,11 +330,6 @@ let ingest_entries_admitted t ~now ~principal entries =
       ingest_entries t entries;
       Ok (List.length entries)
 
-let ingest_raw_batch_admitted ?first_seq t ~now ~principal raws =
-  match admission_gate t ~now ~principal ~batch_rows:(List.length raws) with
-  | Error _ as e -> e
-  | Ok () -> Ok (ingest_raw_batch ?first_seq t raws)
-
 (* Push the site's quarantined records back through the (possibly fixed)
    mapping; records that still fail return to quarantine.  Original seqs are
    kept, so reprocessing composes with batch retries without double

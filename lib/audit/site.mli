@@ -79,13 +79,6 @@ val ingest_entries_admitted :
 (** All-or-nothing: [Ok n] ingested the whole batch of [n] entries;
     [Error r] shed it whole. *)
 
-val ingest_raw_batch_admitted :
-  ?first_seq:int -> t -> now:int -> principal:Admission.principal ->
-  (string * string) list list ->
-  (ingest_summary, Admission.rejection) result
-(** {!ingest_raw_batch} behind the gate; the whole batch (including
-    records that would quarantine or dedupe) is costed as rows. *)
-
 val reprocess_quarantined : t -> ingest_summary
 (** Push quarantined records back through the (possibly fixed) mapping;
     records that still fail return to quarantine.  Original seqs are kept,
@@ -101,8 +94,8 @@ val entries : t -> Hdb.Audit_schema.entry list
     before} the in-memory state changes, so the store, the exactly-once
     ledger and the in-flight quarantine survive a site-local crash and
     replay locally instead of re-ingesting from the source.  A site with
-    its own WAL owns its quarantine's durability — do not also attach a
-    {!Quarantine.attach_log} log to the same quarantine. *)
+    its own WAL owns its quarantine's durability — do not also
+    {!Quarantine.restore} a log onto the same quarantine. *)
 
 (** The op records of a site WAL, one per mutation (a checkpoint image
     re-encodes live state as ['E'], ['P'], ['Q'] and ['N'] ops). *)

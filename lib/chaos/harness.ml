@@ -18,8 +18,9 @@
                            crash recovers exactly the synced item set.
    3. coverage-bound     — the system's coverage numerator and denominator
                            never exceed the model's exact readings (set and
-                           bag), and any reading computed from a partial or
-                           unverified window carries the [Lower_bound] label.
+                           bag), and a reading's reasons are exactly the
+                           faults the harness injected: [Exact] for none,
+                           else a [Lower_bound] naming each of them.
    4. recovery-idempotent — recovering the same devices twice yields
                            identical state, and the second pass drops
                            nothing new.
@@ -32,8 +33,9 @@
                            [Tamper_detected] at the exact frame offset by the
                            next recovery, verifying twice gives the same
                            verdict, the mutated record is never read back as
-                           accepted data, the rebuilt system is durably
-                           degraded with [Lower_bound] coverage — and no
+                           accepted data, the rebuilt system carries a
+                           [Tampered] reason at that offset and
+                           [Lower_bound] coverage — and no
                            ordinary crash, however ugly, is ever classified
                            as tampering (zero false positives).
    7. site-local-recovery — a remote whose own WAL is power-cut recovers
@@ -42,7 +44,8 @@
                            (again excepting [Truncated_sync]), the crash is
                            never classified as tampering, recovery is
                            idempotent, a lossy recovery forces [Lower_bound]
-                           coverage until the feed replays the lost suffix —
+                           coverage carrying [Wal_tail_lost] for that site
+                           until the feed replays the lost suffix —
                            and after the replay the system re-converges to
                            [Exact].
    8. cache-coherence    — after a mid-run vocabulary edit (a taxonomy that
@@ -98,6 +101,7 @@ module H = Audit_mgmt.Health
 module Q = Audit_mgmt.Quarantine
 module Site = Audit_mgmt.Site
 module Adm = Audit_mgmt.Admission
+module C = Prima_core.Coverage
 
 type violation = {
   step : int;  (** 1-based schedule position; 0 = setup, steps+1 = epilogue *)
@@ -587,6 +591,55 @@ let run_set_mapping h i correct =
 
 (* ---------- invariant checks ---------- *)
 
+(* The reasons a reading must carry, from the harness's own sources rather
+   than from System: the health accounting (stranding sites, the
+   quarantine total), the central recovery reports, each member site's
+   replay state, the archive's shard catalogue, and the budget oracle's
+   stats when a governed extraction degrades ([truncated]).  No chaos
+   action changes a codec, so no CRC-valid record ever stops decoding; no
+   chaos epoch is admitted, so none browns out. *)
+let expected_reasons h ?truncated (health : H.t) =
+  let central log (r : Durable.Recovery.t) =
+    match r.Durable.Recovery.verdict with
+    | Durable.Recovery.Tamper_detected { offset } -> [ C.Tampered { log; offset } ]
+    | _ when Durable.Recovery.dropped_tail r -> [ C.Wal_tail_lost log ]
+    | _ -> []
+  in
+  List.filter_map
+    (fun (s : H.site_health) ->
+      if s.H.skipped_entries = 0 then None
+      else Some (C.Site_dark { site = s.H.site; lag = s.H.skipped_entries }))
+    health.H.sites
+  @ (if health.H.quarantined > 0 then [ C.Quarantined health.H.quarantined ] else [])
+  @ (match Sys_.recovery h.sys with
+    | None -> []
+    | Some r -> central "audit" r.Sys_.audit @ central "quarantine" r.Sys_.quarantine)
+  @ List.filter_map
+      (fun s -> if Site.durably_degraded s then Some (C.Wal_tail_lost (Site.name s)) else None)
+      (Audit_mgmt.Federation.sites (Sys_.federation h.sys))
+  @ List.filter_map
+      (fun (site, (_, bad)) ->
+        if bad = 0 then None else Some (C.Shard_degraded { site; shards = bad }))
+      (Audit_mgmt.Shard_store.tally h.archive)
+  @ Option.to_list (Option.map (fun stats -> C.Budget_truncated stats) truncated)
+
+(* One qualifier against that expectation: [Exact] exactly when nothing
+   is expected, otherwise a lower bound naming exactly the expected
+   reasons — never none. *)
+let check_evidence h invariant ?truncated health what qualifier =
+  let sorted = List.sort compare in
+  let expected = expected_reasons h ?truncated health in
+  let got = C.reasons qualifier in
+  if (qualifier = C.Exact) <> (expected = []) || sorted got <> sorted expected then
+    let show = Fmt.str "%a" Fmt.(list ~sep:(any "; ") C.pp_reason) in
+    violate invariant "%s reads %s [%s], but the injected faults give [%s]" what
+      (if qualifier = C.Exact then "Exact" else "Lower_bound")
+      (show got) (show expected)
+
+let check_readings h invariant (qc : Sys_.qualified_coverage) =
+  check_evidence h invariant qc.Sys_.health "set coverage" qc.Sys_.set_semantics.C.qualifier;
+  check_evidence h invariant qc.Sys_.health "bag coverage" qc.Sys_.bag_semantics.C.qualifier
+
 (* Consolidation-time checks: accounting, exactly-once, coverage bounds,
    the lower-bound labelling discipline (invariants 1-3), and cache
    coherence against a from-scratch vocabulary (invariant 8). *)
@@ -624,27 +677,10 @@ let check_consolidate h =
   in
   check_sem "set" qc.Sys_.set_semantics mset;
   check_sem "bag" qc.Sys_.bag_semantics mbag;
-  let expect_exact = health.H.completeness >= 1.0 && Sys_.fully_verified h.sys in
-  let label_ok (q : Prima_core.Coverage.qualified) =
-    match (q.Prima_core.Coverage.qualifier, expect_exact) with
-    | Prima_core.Coverage.Exact, true -> true
-    | Prima_core.Coverage.Lower_bound _, false -> true
-    | _ -> false
-  in
-  if not (label_ok qc.Sys_.set_semantics && label_ok qc.Sys_.bag_semantics) then
-    violate "lower-bound-label"
-      "coverage over a %s window (completeness %.3f, fully_verified %b) mislabelled"
-      (if expect_exact then "complete" else "partial")
-      health.H.completeness (Sys_.fully_verified h.sys);
+  check_readings h "lower-bound-label" qc;
   (* invariant 8: the live readings (vocab caches warmed across edits and
      crashes) against a from-scratch recompute over the same window *)
   check_cache_coherence h;
-  (* the health report's degraded tallies must agree with the members *)
-  if Sys_.federation_degraded h.sys
-     && health.H.degraded_sites = 0 && health.H.degraded_shards = 0
-  then
-    violate "site-local-recovery"
-      "federation durably degraded but the health report shows no degraded site or shard";
   (* consolidation mutated the quarantine: make its state the synced floor *)
   sync_q_floor h;
   health
@@ -653,6 +689,7 @@ let check_consolidate h =
    possibly budget-degraded window must be a subset of what the fault-free
    ungoverned model epoch accepts; the model then mirrors the install. *)
 let check_refine h =
+  let limits = Sys_.query_limits h.sys in
   match Sys_.refine h.sys with
   | Error reason ->
     h.refines_rejected <- h.refines_rejected + 1;
@@ -660,8 +697,22 @@ let check_refine h =
     Printf.sprintf "rejected (%s)" reason
   | Ok report ->
     h.refines_ok <- h.refines_ok + 1;
-    if report.Prima_core.Refinement.degraded then
-      h.degraded_epochs <- h.degraded_epochs + 1;
+    (* the budget oracle: the same governed extraction, re-run over the
+       window the epoch saw *)
+    let truncated =
+      Option.bind limits (fun limits ->
+          let prima = Sys_.prima h.sys in
+          let { Prima_core.Refinement.backend; keep_prohibitions; _ } =
+            Prima_core.Prima.refinement_config prima
+          in
+          let g =
+            Prima_core.Extract_patterns.run_governed ~backend ~limits
+              (Prima_core.Filter.run ~keep_prohibitions (Prima_core.Prima.audit_policy prima))
+          in
+          if g.Prima_core.Data_analysis.degraded then Some g.Prima_core.Data_analysis.stats
+          else None)
+    in
+    if truncated <> None then h.degraded_epochs <- h.degraded_epochs + 1;
     let model_epoch = Model.epoch h.model in
     let accepted = report.Prima_core.Refinement.accepted in
     if
@@ -672,25 +723,15 @@ let check_refine h =
       violate "coverage-bound"
         "refine accepted %d pattern(s) the fault-free model epoch would not"
         (List.length accepted);
-    let c = Sys_.completeness h.sys in
-    let expect_exact =
-      c >= 1.0
-      && Sys_.fully_verified h.sys
-      && not report.Prima_core.Refinement.degraded
-    in
-    (match (report.Prima_core.Refinement.qualifier, expect_exact) with
-    | Prima_core.Coverage.Exact, true | Prima_core.Coverage.Lower_bound _, false -> ()
-    | q, _ ->
-      violate "lower-bound-label"
-        "epoch qualifier %s but completeness %.3f, degraded %b"
-        (match q with
-        | Prima_core.Coverage.Exact -> "Exact"
-        | Prima_core.Coverage.Lower_bound _ -> "Lower_bound")
-        c report.Prima_core.Refinement.degraded);
+    Option.iter
+      (fun health ->
+        check_evidence h "lower-bound-label" ?truncated health "epoch"
+          report.Prima_core.Refinement.qualifier)
+      (Sys_.last_health h.sys);
     Model.install h.model accepted;
     sync_q_floor h;
     Printf.sprintf "accepted %d pattern(s)%s" (List.length accepted)
-      (if report.Prima_core.Refinement.degraded then " [degraded extraction]" else "")
+      (if truncated <> None then " [degraded extraction]" else "")
 
 (* ---------- crash + recovery (invariants 1, 2, 4) ---------- *)
 
@@ -734,13 +775,16 @@ let crash_and_recover h point =
   let sys_a = rebuild () in
   (* invariant 6 (zero false positives): crash damage, however ugly, lands
      in the unsynced tail — it must read as a torn tail, never tampering *)
-  if Sys_.tampered sys_a then
+  let tampered sys =
+    List.exists (function C.Tampered _ -> true | _ -> false) (Sys_.standing_reasons sys)
+  in
+  if tampered sys_a then
     violate "tamper-evidence" "crash point %s misclassified as tampering"
       (Durable.Device.crash_point_to_string point);
   let entries_a = store_entries sys_a in
   let qitems_a = q_items sys_a in
   let sys_b = rebuild () in
-  if Sys_.tampered sys_b then
+  if tampered sys_b then
     violate "tamper-evidence" "second recovery after crash point %s reports tampering"
       (Durable.Device.crash_point_to_string point);
   let entries_b = store_entries sys_b in
@@ -872,20 +916,10 @@ let site_crash_and_recover h i point =
   Sys_.reseat_site h.sys name site';
   let lost = List.filteri (fun j _ -> j >= k) model_all in
   (* a lossy recovery leaves the site durably degraded: until the feed
-     replays, every coverage reading must carry the Lower_bound label *)
+     replays, every coverage reading must be a Lower_bound carrying
+     [Wal_tail_lost] for this site *)
   if Site.durably_degraded site' then begin
-    if not (Sys_.federation_degraded h.sys) then
-      violate "site-local-recovery"
-        "site %s degraded after a lossy recovery but the system does not see it" name;
-    let qc = Sys_.coverage_qualified h.sys in
-    let lower (q : Prima_core.Coverage.qualified) =
-      match q.Prima_core.Coverage.qualifier with
-      | Prima_core.Coverage.Lower_bound _ -> true
-      | Prima_core.Coverage.Exact -> false
-    in
-    if not (lower qc.Sys_.set_semantics && lower qc.Sys_.bag_semantics) then
-      violate "site-local-recovery"
-        "coverage after site %s's lossy recovery not labelled Lower_bound" name;
+    check_readings h "site-local-recovery" (Sys_.coverage_qualified h.sys);
     sync_q_floor h
   end;
   (* the feed replays the lost suffix (at-least-once) and declares the
@@ -997,10 +1031,8 @@ let tamper_and_verify h pick bit_pick =
       }
     in
     let sys' = Sys_.create ~storage ~vocab:h.vocab ~p_ps () in
-    if not (Sys_.tampered sys') then
-      violate "tamper-evidence" "rebuilt system does not report the tampering";
-    if not (Sys_.durably_degraded sys') then
-      violate "tamper-evidence" "tampered recovery not flagged durably degraded";
+    if not (List.mem (C.Tampered { log = "audit"; offset = off }) (Sys_.standing_reasons sys'))
+    then violate "tamper-evidence" "rebuilt system does not report the tampering at %d" off;
     (* invariant 1 still holds: the amputated store is a (shorter) prefix *)
     let entries = store_entries sys' in
     let k = List.length entries in
@@ -1011,21 +1043,15 @@ let tamper_and_verify h pick bit_pick =
     let prefix = List.filteri (fun i _ -> i < k) model_all in
     if not (List.for_all2 Hdb.Audit_schema.equal entries prefix) then
       violate "no-loss" "post-tamper recovered store is not a prefix of the appended entries";
-    (* resume on the rebuilt system; the next coverage reading must carry
-       the Lower_bound label even over a nominally complete window *)
+    (* resume on the rebuilt system; the next coverage reading must be a
+       Lower_bound naming the tamper even over a nominally complete
+       window *)
     Array.iter (fun f -> Sys_.add_faulty_site sys' f) h.faults;
     Sys_.attach_archive sys' h.archive;
     reapply_config h sys';
     setup_enforcement sys';
     h.sys <- sys';
-    let qc = Sys_.coverage_qualified h.sys in
-    let lower (q : Prima_core.Coverage.qualified) =
-      match q.Prima_core.Coverage.qualifier with
-      | Prima_core.Coverage.Lower_bound _ -> true
-      | Prima_core.Coverage.Exact -> false
-    in
-    if not (lower qc.Sys_.set_semantics && lower qc.Sys_.bag_semantics) then
-      violate "tamper-evidence" "coverage after a tampered recovery not labelled Lower_bound";
+    check_readings h "tamper-evidence" (Sys_.coverage_qualified h.sys);
     sync_q_floor h;
     (* the client replays everything the amputation cost (at-least-once) *)
     let lost = List.filteri (fun i _ -> i >= k) model_all in
@@ -1416,15 +1442,7 @@ let epilogue h =
     in
     if not (same qc.Sys_.set_semantics mset && same qc.Sys_.bag_semantics mbag) then
       violate "convergence" "coverage over the healed trail differs from the model";
-    let expect_exact = Sys_.fully_verified h.sys in
-    let label_ok (q : Prima_core.Coverage.qualified) =
-      match (q.Prima_core.Coverage.qualifier, expect_exact) with
-      | Prima_core.Coverage.Exact, true -> true
-      | Prima_core.Coverage.Lower_bound _, false -> true
-      | _ -> false
-    in
-    if not (label_ok qc.Sys_.set_semantics && label_ok qc.Sys_.bag_semantics) then
-      violate "convergence" "healed-trail coverage carries the wrong qualifier"
+    check_readings h "convergence" qc
   in
   check_parity ();
   (* final refinement parity: the system must accept exactly the fault-free

@@ -90,9 +90,6 @@ let consolidated t =
       compare a.time b.time)
     (List.concat streams)
 
-let total_entries t =
-  t.clinical_len + Array.fold_left (fun n l -> n + List.length l) 0 t.remote_rev
-
 let trail_policy t = Audit_mgmt.To_policy.policy_of_entries (consolidated t)
 
 (* Both coverage readings over the full trail, same projection the system

@@ -51,8 +51,6 @@ val consolidated : t -> Hdb.Audit_schema.entry list
 (** The fault-free consolidated trail: stable time sort across the
     clinical and remote streams in federation site order. *)
 
-val total_entries : t -> int
-
 val trail_policy : t -> Prima_core.Policy.t
 (** P_AL over the full fault-free trail. *)
 

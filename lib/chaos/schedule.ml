@@ -107,8 +107,6 @@ let to_string = function
   | Set_budget_class (tenant, preset) ->
     Printf.sprintf "set-budget-class tenant-%d preset-%d" tenant preset
 
-let pp ppf a = Format.pp_print_string ppf (to_string a)
-
 (* Parsing helpers for the exact shapes to_string emits. *)
 let site_of s =
   if String.starts_with ~prefix:"site-" s then

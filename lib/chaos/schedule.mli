@@ -133,7 +133,6 @@ val generate :
 (** {1 Serialization} *)
 
 val to_string : action -> string
-val pp : Format.formatter -> action -> unit
 
 val of_string : string -> action option
 (** Total inverse of {!to_string}: [of_string (to_string a) = Some a] for

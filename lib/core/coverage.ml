@@ -86,38 +86,61 @@ let complete vocab ~p_x ~p_y =
 let pp_stats ppf s =
   Fmt.pf ppf "coverage = %d/%d = %.0f%%" s.overlap s.denominator (100. *. s.coverage)
 
-(* Degraded-mode qualifier.  A measurement over a complete P_AL is [Exact];
-   one computed from a partial trail (sites skipped, records quarantined)
-   is only a statement about the entries that arrived, so it is labelled
-   [Lower_bound] with the completeness fraction of the window it was
-   computed from.  A lower bound must never drive pruning decisions: a
-   pattern can look "already covered" only because its counter-evidence is
-   missing. *)
+(* Degraded-mode qualifier.  A reading over a complete, verified P_AL is
+   [Exact]; anything else only bounds coverage from below, and its
+   evidence names the reasons, each emitted by the layer that lost or
+   truncated part of the trail.  A lower bound must never drive pruning
+   decisions: a pattern can look "already covered" only because its
+   counter-evidence is missing. *)
+type reason =
+  | Site_dark of { site : string; lag : int }
+  | Quarantined of int
+  | Wal_tail_lost of string
+  | Tampered of { log : string; offset : int }
+  | Shard_degraded of { site : string; shards : int }
+  | Budget_truncated of Relational.Errors.budget_stats
+  | Brownout
+
+type evidence = {
+  completeness : float;
+  reasons : reason list;
+}
+
+let exact = { completeness = 1.0; reasons = [] }
+
+let join a b =
+  { completeness = Float.min a.completeness b.completeness; reasons = a.reasons @ b.reasons }
+
 type qualifier =
   | Exact
-  | Lower_bound of float (* completeness of the audit window, in [0, 1) *)
+  | Lower_bound of evidence
 
 type qualified = {
   stats : stats;
   qualifier : qualifier;
 }
 
-(* [verified:false] means the trail itself is suspect — typically a crash
-   recovery dropped an unverifiable WAL tail — so even a nominally complete
-   window only bounds coverage from below. *)
-let qualify ?(verified = true) ~completeness stats =
-  if verified && completeness >= 1.0 then { stats; qualifier = Exact }
-  else { stats; qualifier = Lower_bound (Float.min completeness 1.0) }
+(* [Exact] means exactly "no reason". *)
+let qualify evidence stats =
+  { stats; qualifier = (if evidence.reasons = [] then Exact else Lower_bound evidence) }
 
 let is_exact = function { qualifier = Exact; _ } -> true | _ -> false
 
+let reasons = function Exact -> [] | Lower_bound e -> e.reasons
+
+let pp_reason ppf = function
+  | Site_dark { site; lag } -> Fmt.pf ppf "%s dark, %d entries missing" site lag
+  | Quarantined n -> Fmt.pf ppf "%d entries quarantined" n
+  | Wal_tail_lost log -> Fmt.pf ppf "%s WAL recovered a verified prefix only" log
+  | Tampered { log; offset } -> Fmt.pf ppf "%s WAL tampered at offset %d" log offset
+  | Shard_degraded { site; shards } -> Fmt.pf ppf "%s has %d degraded archive shard(s)" site shards
+  | Budget_truncated stats ->
+    Fmt.pf ppf "extraction hit its resource budget (%s)" (Relational.Errors.stats_to_string stats)
+  | Brownout -> Fmt.string ppf "brownout grant"
+
 let pp_qualifier ppf = function
   | Exact -> Fmt.string ppf "exact"
-  | Lower_bound c -> Fmt.pf ppf "lower bound (completeness %.1f%%)" (100. *. c)
-
-let pp_qualified ppf q =
-  match q.qualifier with
-  | Exact -> pp_stats ppf q.stats
-  | Lower_bound c ->
-    Fmt.pf ppf "coverage >= %d/%d = %.0f%% (partial trail, completeness %.1f%%)"
-      q.stats.overlap q.stats.denominator (100. *. q.stats.coverage) (100. *. c)
+  | Lower_bound { completeness; reasons } ->
+    Fmt.pf ppf "lower bound (completeness %.1f%%): %a" (100. *. completeness)
+      Fmt.(list ~sep:(any "; ") pp_reason)
+      reasons

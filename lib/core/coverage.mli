@@ -51,31 +51,68 @@ val complete : Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Policy.t -> bool
 val pp_stats : Format.formatter -> stats -> unit
 (** e.g. ["coverage = 3/10 = 30%"]. *)
 
+(** {1 Qualified readings}
+
+    A reading over a complete, verified P_AL is [Exact].  Anything else
+    only bounds coverage from below, and carries the evidence why: each
+    layer that can lose or truncate part of the trail emits its own
+    reasons, and only {!qualify} turns them into a qualifier. *)
+
+type reason =
+  | Site_dark of { site : string; lag : int }
+      (** the site was skipped, or served stale, with [lag > 0] entries
+          missing from the window *)
+  | Quarantined of int  (** ingest plus transit quarantine, [> 0] *)
+  | Wal_tail_lost of string
+      (** that log recovered only a verified prefix: a tail was dropped, or
+          CRC-valid records no longer decode *)
+  | Tampered of { log : string; offset : int }
+      (** that log's recovery found tampering at [offset] *)
+  | Shard_degraded of { site : string; shards : int }
+      (** [shards] of the site's archive shards are torn or tampered *)
+  | Budget_truncated of Relational.Errors.budget_stats
+      (** pattern extraction hit its resource budget and ran over a prefix
+          of the practice table *)
+  | Brownout  (** the epoch ran under a brownout admission grant *)
+
+type evidence = {
+  completeness : float;
+      (** the fraction of the audit window that arrived, in [0, 1]: below
+          1.0 exactly when a [Site_dark] or [Quarantined] reason is
+          present *)
+  reasons : reason list;
+}
+
+val exact : evidence
+(** Completeness 1.0, no reason: the unit of {!join}. *)
+
+val join : evidence -> evidence -> evidence
+(** The minimum completeness and the reasons of both, in order. *)
+
 type qualifier =
   | Exact
-  | Lower_bound of float
-      (** the completeness fraction of the audit window, in [0, 1) *)
+  | Lower_bound of evidence  (** with a non-empty [reasons] list *)
 
 type qualified = {
   stats : stats;
   qualifier : qualifier;
 }
-(** A coverage measurement together with how much of the audit trail it was
-    computed from.  A measurement over a partial P_AL (sites skipped,
-    records quarantined) is only a statement about the entries that
-    arrived: it is a lower bound, and must never drive pruning decisions —
-    a pattern can look "already covered" only because its counter-evidence
-    is missing. *)
+(** A coverage measurement together with the evidence it was computed
+    from.  A measurement over a partial or unverified P_AL is only a
+    statement about the entries that arrived: it is a lower bound, and
+    must never drive pruning decisions — a pattern can look "already
+    covered" only because its counter-evidence is missing. *)
 
-val qualify : ?verified:bool -> completeness:float -> stats -> qualified
-(** [Exact] when [completeness >= 1.0] and the trail is [verified]
-    (default); [Lower_bound completeness] otherwise.  Pass
-    [~verified:false] when the trail itself is suspect — e.g. crash
-    recovery dropped an unverifiable WAL tail — to force the lower-bound
-    label even over a nominally complete window. *)
+val qualify : evidence -> stats -> qualified
+(** [Exact] when the evidence has no reason, [Lower_bound evidence]
+    otherwise. *)
 
 val is_exact : qualified -> bool
-val pp_qualifier : Format.formatter -> qualifier -> unit
 
-val pp_qualified : Format.formatter -> qualified -> unit
-(** e.g. ["coverage >= 3/10 = 30% (partial trail, completeness 83.3%)"]. *)
+val reasons : qualifier -> reason list
+(** [[]] for [Exact], the evidence's reasons otherwise. *)
+
+val pp_reason : Format.formatter -> reason -> unit
+
+val pp_qualifier : Format.formatter -> qualifier -> unit
+(** e.g. ["lower bound (completeness 83.3%): site-1 dark, 5 entries missing"]. *)

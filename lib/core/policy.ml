@@ -25,8 +25,6 @@ let rules t = t.rules
 (* #P of Definition 7. *)
 let cardinality t = List.length t.rules
 
-let is_empty t = t.rules = []
-
 let is_ground vocab t = List.for_all (Rule.is_ground vocab) t.rules
 
 let add_rule t rule = { t with rules = t.rules @ [ rule ] }

@@ -21,7 +21,6 @@ val rules : t -> Rule.t list
 val cardinality : t -> int
 (** #P of Definition 7 (occurrences, not distinct rules). *)
 
-val is_empty : t -> bool
 val is_ground : Vocabulary.Vocab.t -> t -> bool
 val add_rule : t -> Rule.t -> t
 val add_rules : t -> Rule.t list -> t

@@ -44,8 +44,6 @@ let set_refinement_config t config = t.refinement_config <- config
 (* Append to P_AL; an empty batch leaves it (and its identity) untouched. *)
 let ingest_rules t rules = Trail.append_rules t.trail rules
 
-let add_store_rule t rule = t.p_ps <- Policy.add_rule t.p_ps rule
-
 (* Both coverage readings of the paper at once. *)
 type coverage_report = {
   set_semantics : Coverage.stats; (* Definition 9 *)
@@ -63,18 +61,17 @@ let in_training t = Trail.length t.trail < t.training_minimum
 
 (* Run one refinement pass over everything collected so far; the accepted
    patterns extend the policy store in place.  [Error] while the training
-   period has not accumulated enough log.  [completeness] qualifies the
-   epoch's coverage readings when P_AL came from a partial consolidation. *)
-let refine ?(completeness = 1.0) ?(verified = true) t :
-    (Refinement.epoch_report, string) result =
+   period has not accumulated enough log.  [evidence] is what the caller
+   knows about P_AL (a partial or unverified consolidation, a brownout). *)
+let refine ?evidence t : (Refinement.epoch_report, string) result =
   if in_training t then
     Error
       (Printf.sprintf "training period: %d/%d audit entries collected"
          (Trail.length t.trail) t.training_minimum)
   else begin
     let report =
-      Refinement.run_trail_epoch ~config:t.refinement_config ~completeness ~verified
-        ~vocab:t.vocab ~p_ps:t.p_ps t.trail
+      Refinement.run_trail_epoch ~config:t.refinement_config ?evidence ~vocab:t.vocab
+        ~p_ps:t.p_ps t.trail
     in
     t.p_ps <- report.Refinement.p_ps';
     t.history <- report :: t.history;

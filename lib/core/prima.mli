@@ -49,9 +49,6 @@ val ingest_rules : t -> Rule.t list -> unit
 (** Append audit rules to P_AL, coding each ({!Trail.append_rules}).  An
     empty list leaves P_AL untouched (the same {!audit_policy} value). *)
 
-val add_store_rule : t -> Rule.t -> unit
-(** Stakeholder-driven extension of P_PS. *)
-
 type coverage_report = {
   set_semantics : Coverage.stats;  (** Definition 9 *)
   bag_semantics : Coverage.stats;  (** Section 5 accounting *)
@@ -66,13 +63,13 @@ val coverage : t -> coverage_report
 
 val in_training : t -> bool
 
-val refine :
-  ?completeness:float -> ?verified:bool -> t -> (Refinement.epoch_report, string) result
+val refine : ?evidence:Coverage.evidence -> t -> (Refinement.epoch_report, string) result
 (** One refinement pass over everything collected so far
-    ({!Refinement.run_trail_epoch} with the refinement config); accepted
-    patterns extend the store in place.  [Error] during the training
-    period.  [completeness] (default 1.0) qualifies the epoch's coverage
-    readings when P_AL came from a partial consolidation. *)
+    ({!Refinement.run_trail_epoch} with the refinement config and
+    [evidence]); accepted patterns extend the store in place.  [Error]
+    during the training period.  [evidence] (default {!Coverage.exact})
+    qualifies the epoch's readings when P_AL came from a partial or
+    unverified consolidation. *)
 
 val reset_audit : t -> unit
 (** Drop consumed audit entries (sliding-window refinement): P_AL becomes

@@ -9,8 +9,8 @@
    Ranges are observably immutable: every operation builds a fresh table
    and no function ever mutates an argument after it escapes, so values
    can be shared freely (the [empty] constant relies on this).
-   [Range_reference] preserves the seed implementation; the parity
-   property suite asserts both agree exactly. *)
+   The test-support [Range_reference] preserves the seed implementation;
+   the parity property suite asserts both agree exactly. *)
 
 module Rule_tbl = Hashtbl.Make (struct
   type t = Rule.t

@@ -7,8 +7,8 @@
     keyed by the rules' precomputed hashes.  Ranges are observably
     immutable: every operation returns a fresh value.
 
-    {!Range_reference} keeps the seed's [Set]-based implementation as the
-    differential-testing oracle. *)
+    The test-support [Range_reference] keeps the seed's [Set]-based
+    implementation as the differential-testing oracle. *)
 
 type t
 

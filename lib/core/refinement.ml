@@ -40,12 +40,6 @@ let extract config practice : Data_analysis.governed =
   | None -> Data_analysis.exact (Extract_patterns.run ~backend:config.backend practice)
   | Some limits -> Extract_patterns.run_governed ~backend:config.backend ~limits practice
 
-(* Algorithm 2 verbatim: the useful patterns, before human review. *)
-let useful_patterns ?(config = default_config) ~vocab ~p_ps ~p_al () : Rule.t list =
-  let practice = Filter.run ~keep_prohibitions:config.keep_prohibitions p_al in
-  let patterns = (extract config practice).Data_analysis.patterns in
-  Prune.run vocab ~patterns ~p_ps
-
 let accept acceptance patterns =
   match acceptance with
   | Accept_all -> patterns
@@ -60,25 +54,29 @@ type epoch_report = {
   p_ps' : Policy.t;
   coverage_before : Coverage.stats;
   coverage_after : Coverage.stats;
-  (* Exact when the epoch saw the whole consolidated trail; Lower_bound
-     with the window's completeness when sites were skipped or records
-     quarantined during consolidation — or when pattern extraction hit its
-     resource budget and degraded to a prefix of the practice table. *)
+  (* Exact when the epoch's evidence carries no reason: the caller's
+     (a partial or unverified trail, a brownout) plus [Budget_truncated]
+     when extraction degraded to a prefix of the practice table. *)
   qualifier : Coverage.qualifier;
-  degraded : bool; (* extraction exceeded its budget and was truncated *)
   budget_stats : Relational.Errors.budget_stats; (* resources extraction used *)
 }
 
 (* The tail both epoch runners share: Prune, the acceptance policy, the
    store extension, and the bag-coverage readings (Section 5) before and
    after, which [coverage] computes for a store over the epoch's trail. *)
-let conclude config ~completeness ~verified ~vocab ~p_ps ~practice_size ~coverage
+let conclude config ~evidence ~vocab ~p_ps ~practice_size ~coverage
     (extraction : Data_analysis.governed) : epoch_report =
   let patterns = extraction.Data_analysis.patterns in
-  if extraction.Data_analysis.degraded then
-    Log.warn (fun m ->
-        m "pattern extraction hit its resource budget (%s); patterns are a lower bound"
-          (Relational.Errors.stats_to_string extraction.Data_analysis.stats));
+  let stats = extraction.Data_analysis.stats in
+  let evidence =
+    if not extraction.Data_analysis.degraded then evidence
+    else begin
+      Log.warn (fun m ->
+          m "pattern extraction hit its resource budget (%s); patterns are a lower bound"
+            (Relational.Errors.stats_to_string stats));
+      Coverage.join evidence { Coverage.exact with reasons = [ Coverage.Budget_truncated stats ] }
+    end
+  in
   let useful = Prune.run vocab ~patterns ~p_ps in
   let accepted = accept config.acceptance useful in
   let p_ps' = Policy.add_rules p_ps accepted in
@@ -96,15 +94,8 @@ let conclude config ~completeness ~verified ~vocab ~p_ps ~practice_size ~coverag
     p_ps';
     coverage_before;
     coverage_after;
-    (* A degraded extraction saw only a prefix of the practice table, so
-       the epoch's readings cannot be certified exact. *)
-    qualifier =
-      (Coverage.qualify
-         ~verified:(verified && not extraction.Data_analysis.degraded)
-         ~completeness coverage_after)
-        .Coverage.qualifier;
-    degraded = extraction.Data_analysis.degraded;
-    budget_stats = extraction.Data_analysis.stats;
+    qualifier = (Coverage.qualify evidence coverage_after).Coverage.qualifier;
+    budget_stats = stats;
   }
 
 let pattern_attrs = Vocabulary.Audit_attrs.pattern
@@ -115,11 +106,10 @@ let pattern_attrs = Vocabulary.Audit_attrs.pattern
    rules as the first plus the accepted patterns, so it runs almost
    entirely out of the grounding memo.  This is the reference the coded
    epoch below must agree with. *)
-let run_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true) ~vocab
-    ~p_ps ~p_al () : epoch_report =
+let run_epoch ?(config = default_config) ~vocab ~p_ps ~p_al () : epoch_report =
   let practice = Filter.run ~keep_prohibitions:config.keep_prohibitions p_al in
   let p_al_proj = Policy.project p_al ~attrs:pattern_attrs in
-  conclude config ~completeness ~verified ~vocab ~p_ps
+  conclude config ~evidence:Coverage.exact ~vocab ~p_ps
     ~practice_size:(Policy.cardinality practice)
     ~coverage:(fun p_x ->
       Coverage.compute_bag vocab ~p_x:(Policy.project p_x ~attrs:pattern_attrs) ~p_y:p_al_proj)
@@ -145,8 +135,8 @@ let fuses config trail = Option.is_some (fusable config trail)
 (* The same epoch over a coded trail.  Where [fusable] holds, Filter and
    the GROUP BY run as one pass over the codes; otherwise the trail's
    rules take the reference path.  Coverage reads the codes either way. *)
-let run_trail_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified = true)
-    ~vocab ~p_ps trail : epoch_report =
+let run_trail_epoch ?(config = default_config) ?(evidence = Coverage.exact) ~vocab ~p_ps trail
+    : epoch_report =
   let keep_prohibitions = config.keep_prohibitions in
   let practice_size, extraction =
     match fusable config trail with
@@ -166,7 +156,7 @@ let run_trail_epoch ?(config = default_config) ?(completeness = 1.0) ?(verified 
       let practice = Filter.run ~keep_prohibitions (Trail.policy trail) in
       (Policy.cardinality practice, extract config practice)
   in
-  conclude config ~completeness ~verified ~vocab ~p_ps ~practice_size
+  conclude config ~evidence ~vocab ~p_ps ~practice_size
     ~coverage:(fun p_x ->
       Trail.coverage_bag vocab trail ~p_x:(Policy.project p_x ~attrs:pattern_attrs))
     extraction

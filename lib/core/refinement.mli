@@ -23,18 +23,13 @@ type config = {
   limits : Relational.Budget.limits option;
       (** resource budget for the pattern-extraction query; [None] (the
           default) runs ungoverned.  When the budget fires, extraction
-          degrades to a lower-bound pattern set and the epoch's coverage
-          readings are labelled {!Coverage.Lower_bound}. *)
+          degrades to a lower-bound pattern set and the epoch's qualifier
+          carries {!Coverage.Budget_truncated}. *)
 }
 
 val default_config : config
 (** SQL backend with the paper's defaults, prohibitions dropped,
     accept-all, no resource budget. *)
-
-val useful_patterns :
-  ?config:config -> vocab:Vocabulary.Vocab.t -> p_ps:Policy.t -> p_al:Policy.t -> unit ->
-  Rule.t list
-(** Algorithm 2 verbatim: the useful patterns, before human review. *)
 
 val accept : acceptance -> Rule.t list -> Rule.t list
 
@@ -47,20 +42,16 @@ type epoch_report = {
   coverage_before : Coverage.stats;  (** bag semantics, pattern attributes *)
   coverage_after : Coverage.stats;
   qualifier : Coverage.qualifier;
-      (** [Exact] when the epoch saw the whole consolidated trail;
-          [Lower_bound] with the window's completeness otherwise — also
-          forced when extraction degraded under its resource budget *)
-  degraded : bool;
-      (** pattern extraction exceeded its budget and retried in partial
-          mode: [patterns] covers a prefix of the practice table *)
+      (** [Exact] when the epoch's evidence carries no reason; otherwise
+          [Lower_bound] with the caller's reasons, plus
+          {!Coverage.Budget_truncated} when extraction exceeded its budget
+          and [patterns] covers only a prefix of the practice table *)
   budget_stats : Relational.Errors.budget_stats;
       (** resources the extraction query consumed (zeros when ungoverned) *)
 }
 
 val run_epoch :
   ?config:config ->
-  ?completeness:float ->
-  ?verified:bool ->
   vocab:Vocabulary.Vocab.t ->
   p_ps:Policy.t ->
   p_al:Policy.t ->
@@ -69,27 +60,25 @@ val run_epoch :
 (** One epoch over a policy: {!Filter.run}, {!Extract_patterns}, Prune,
     acceptance, and bag coverage before and after over P_AL's projection
     onto the pattern attributes.  This is the reference {!run_trail_epoch}
-    must agree with.
-    [completeness] (default 1.0) is the fraction of the audit window that
-    was actually consolidated; below 1.0 the report's coverage readings are
-    labelled {!Coverage.Lower_bound}.  [verified] (default [true]) states
-    whether the trail itself is trustworthy; [false] — e.g. crash recovery
-    dropped an unverifiable WAL tail — forces the lower-bound label even at
-    completeness 1.0. *)
+    must agree with.  P_AL is taken as complete: the qualifier is [Exact]
+    unless extraction hit its budget. *)
 
 val run_trail_epoch :
   ?config:config ->
-  ?completeness:float ->
-  ?verified:bool ->
+  ?evidence:Coverage.evidence ->
   vocab:Vocabulary.Vocab.t ->
   p_ps:Policy.t ->
   Trail.t ->
   epoch_report
 (** {!run_epoch} over a coded trail, equal to
     [run_epoch ~p_al:(Trail.policy trail)] field for field, ordered
-    [patterns] and [uncovered] lists included.  Filter and Algorithm 5
-    run as one pass over the codes ({!Trail.frequent_groups}) when all of
-    these hold: [config.limits] is [None]; the backend is [Sql c] with
+    [patterns] and [uncovered] lists included.  [evidence] (default
+    {!Coverage.exact}) is what the caller knows about the trail — a
+    partial or unverified window, a brownout; the epoch adds
+    {!Coverage.Budget_truncated} to it when extraction degrades.  Filter
+    and Algorithm 5 run as one pass over the codes
+    ({!Trail.frequent_groups}) when all of these hold: [config.limits] is
+    [None]; the backend is [Sql c] with
     [c.attributes] equal to the pattern attributes as a set; [c.condition]
     is [None] or {!Data_analysis.default_config}'s; and the trail is
     {!Trail.regular}.  Any other epoch — governed, another [HAVING]

@@ -22,11 +22,6 @@ let pp_epoch ppf (r : Refinement.epoch_report) =
   pp_patterns ppf r.Refinement.accepted;
   Fmt.pf ppf "coverage         : %a -> %a@." Coverage.pp_stats r.Refinement.coverage_before
     Coverage.pp_stats r.Refinement.coverage_after;
-  if r.Refinement.degraded then
-    Fmt.pf ppf
-      "degraded         : extraction hit its resource budget (%s); patterns are a lower \
-       bound@."
-      (Relational.Errors.stats_to_string r.Refinement.budget_stats);
   match r.Refinement.qualifier with
   | Coverage.Exact -> ()
   | Coverage.Lower_bound _ as q ->

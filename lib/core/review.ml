@@ -50,9 +50,6 @@ let pending t = List.filter (fun i -> i.state = Pending) (items t)
 
 let find t id = List.find_opt (fun i -> i.id = id) t.items
 
-let mem_pattern t pattern =
-  List.exists (fun i -> Rule.equal_syntactic i.pattern pattern) t.items
-
 (* Supporting evidence from the practice entries the pattern was mined
    from. *)
 let gather_evidence (practice : Policy.t) (pattern : Rule.t) : evidence =

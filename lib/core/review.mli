@@ -38,7 +38,6 @@ val items : t -> item list
 
 val pending : t -> item list
 val find : t -> int -> item option
-val mem_pattern : t -> Rule.t -> bool
 
 val gather_evidence : Policy.t -> Rule.t -> evidence
 (** Occurrences, distinct users, and the time span of the supporting

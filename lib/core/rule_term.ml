@@ -81,5 +81,3 @@ let equivalent vocab a b =
   && Vocabulary.Vocab.equivalent_values vocab ~attr:a.attr a.value b.value
 
 let pp ppf t = Fmt.pf ppf "(%s, %s)" t.attr t.value
-
-let to_string t = Fmt.str "%a" pp t

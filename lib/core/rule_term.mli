@@ -41,4 +41,3 @@ val equivalent : Vocabulary.Vocab.t -> t -> t -> bool
     attributes are never equivalent. *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

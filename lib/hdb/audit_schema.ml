@@ -68,9 +68,6 @@ let attr_status = Vocabulary.Audit_attrs.status
 let attributes =
   [ attr_time; attr_op; attr_user; attr_data; attr_purpose; attr_authorized; attr_status ]
 
-(* The A default of Algorithm 4: the projection the SQL analysis groups by. *)
-let pattern_attributes = [ attr_data; attr_purpose; attr_authorized ]
-
 let relational_columns =
   [ (attr_time, Relational.Value.T_int);
     (attr_op, Relational.Value.T_int);

@@ -79,9 +79,6 @@ val attr_status : string
 val attributes : string list
 (** Schema order as given in the paper. *)
 
-val pattern_attributes : string list
-(** The A default of Algorithm 4: (data, purpose, authorized). *)
-
 val relational_columns : (string * Relational.Value.ty) list
 val relational_schema : unit -> Relational.Schema.t
 val to_row : entry -> Relational.Row.t

@@ -187,8 +187,6 @@ let of_entries entries =
 
 let log t = t.log
 
-let attach_log t log = t.log <- Some log
-
 (* Base LSN of the attached log (0 without one): the store's first entry
    sits at this LSN, so entry [i] is LSN [base + i]. *)
 let base_lsn t =

@@ -32,10 +32,6 @@ val of_entries : Audit_schema.entry list -> t
     Appends are durable once {!sync}ed; {!checkpoint} compacts the log
     into a snapshot image. *)
 
-val attach_log : t -> Durable.Log.t -> unit
-(** Future appends are write-ahead logged.  Entries already in the store
-    are {e not} retro-logged — attach at creation or via {!restore}. *)
-
 val log : t -> Durable.Log.t option
 
 val lsn : t -> int

@@ -27,10 +27,3 @@ let is_mapped_table t ~table =
   || Hashtbl.fold
        (fun (tbl, _) _ acc -> acc || String.equal tbl (normalize table))
        t.categories false
-
-let categories_of_table t ~table =
-  Hashtbl.fold
-    (fun (tbl, column) category acc ->
-      if String.equal tbl (normalize table) then (column, category) :: acc else acc)
-    t.categories []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -12,6 +12,3 @@ val patient_column : t -> table:string -> string option
 
 val is_mapped_table : t -> table:string -> bool
 (** Whether the table is under enforcement at all. *)
-
-val categories_of_table : t -> table:string -> (string * string) list
-(** (column, category) pairs, sorted by column. *)

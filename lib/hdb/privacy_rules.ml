@@ -55,16 +55,6 @@ let decide t ~data ~purpose ~authorized =
 
 let permits t ~data ~purpose ~authorized = decide t ~data ~purpose ~authorized = Permit
 
-(* The triples of every permit rule, for exporting the rule base as the
-   policy store P_PS. *)
-let permit_triples t =
-  List.filter_map
-    (fun r ->
-      match r.effect with
-      | Permit -> Some (r.data, r.purpose, r.authorized)
-      | Forbid -> None)
-    (rules t)
-
 (* Conflicts: a permit and a forbid whose (data, purpose, authorized)
    subtrees intersect — some ground access both rules claim.  Deny wins at
    decision time, but surfacing the pairs lets the privacy officer repair
@@ -98,5 +88,3 @@ let pp_rule ppf r =
   Fmt.pf ppf "%s: data=%s purpose=%s authorized=%s"
     (match r.effect with Permit -> "permit" | Forbid -> "forbid")
     r.data r.purpose r.authorized
-
-let pp ppf t = Fmt.(list ~sep:(any "@.") pp_rule) ppf (rules t)

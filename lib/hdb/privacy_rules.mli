@@ -34,13 +34,9 @@ val count : t -> int
 val decide : t -> data:string -> purpose:string -> authorized:string -> effect
 val permits : t -> data:string -> purpose:string -> authorized:string -> bool
 
-val permit_triples : t -> (string * string * string) list
-(** The permit rules as triples — the rule base exported as P_PS. *)
-
 val conflicts : t -> (rule * rule) list
 (** (permit, forbid) pairs whose subtrees intersect: some ground access
     both rules claim.  Deny wins at decision time; surfacing the pairs lets
     the privacy officer repair the rule base. *)
 
 val pp_rule : Format.formatter -> rule -> unit
-val pp : Format.formatter -> t -> unit

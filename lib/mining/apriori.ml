@@ -99,6 +99,3 @@ let maximal (frequents : frequent list) : frequent list =
              && Itemset.subset f.itemset g.itemset)
            frequents))
     frequents
-
-(* Frequent itemsets of exactly size k. *)
-let of_size k frequents = List.filter (fun f -> Itemset.size f.itemset = k) frequents

@@ -21,5 +21,3 @@ val mine : ?max_size:int -> Transactions.t -> min_support:int -> frequent list
 
 val maximal : frequent list -> frequent list
 (** Only the maximal frequent itemsets (no frequent superset). *)
-
-val of_size : int -> frequent list -> frequent list

@@ -42,8 +42,6 @@ let universe_size t = t.count
 (* An itemset is a strictly increasing array of item ids. *)
 type t = int array
 
-let of_sorted_list ids : t = Array.of_list ids
-
 let of_list ids : t =
   let sorted = List.sort_uniq Int.compare ids in
   Array.of_list sorted

@@ -24,9 +24,6 @@ val universe_size : interner -> int
 type t = int array
 (** Invariant: strictly increasing ids. *)
 
-val of_sorted_list : int list -> t
-(** Trusts the caller's ordering. *)
-
 val of_list : int list -> t
 (** Sorts and deduplicates. *)
 

@@ -13,10 +13,11 @@
 
    The loop is degraded-mode aware: consolidation runs through the
    fault-tolerant federation path and carries a health report; a coverage
-   measurement from a partial trail is labelled a lower bound; and
-   refinement patterns mined from a window whose completeness falls below
-   the configured threshold are never auto-accepted — the evidence that
-   would have rejected them may simply not have arrived. *)
+   measurement from a partial or unverified trail is labelled a lower
+   bound that names its reasons; and refinement patterns mined from a
+   window whose completeness falls below the configured threshold are
+   never auto-accepted — the evidence that would have rejected them may
+   simply not have arrived. *)
 
 (* Durable backing for the two stateful components that must survive a
    crash: the clinical database's audit store and the federation's transit
@@ -29,7 +30,6 @@ type storage = {
 type recovery_report = {
   audit : Durable.Recovery.t;
   quarantine : Durable.Recovery.t;
-  undecodable : int; (* CRC-valid payloads that no longer decode *)
 }
 
 type t = {
@@ -39,6 +39,7 @@ type t = {
   mutable completeness_threshold : float;
   mutable last_health : Audit_mgmt.Health.t option;
   recovery : recovery_report option; (* Some iff created with ~storage *)
+  standing : Prima_core.Coverage.reason list; (* what that recovery lost *)
   mutable governed_epochs : int; (* refinement epochs run under a budget *)
   mutable degraded_epochs : int; (* of those, how many hit the budget *)
   mutable last_budget_stats : Relational.Errors.budget_stats option;
@@ -50,6 +51,16 @@ type t = {
   mutable synced : (Hdb.Audit_schema.entry list * Prima_core.Trail.t * int) option;
   patterns : Audit_mgmt.To_policy.patterns; (* shared pattern rules for coding *)
 }
+
+(* The reasons a lossy recovery of one central log leaves standing for the
+   system's lifetime: the log on disk is a verified prefix, not
+   necessarily the whole history. *)
+let recovery_reasons log (r : Durable.Recovery.t) ~undecodable =
+  match r.Durable.Recovery.verdict with
+  | Durable.Recovery.Tamper_detected { offset } -> [ Prima_core.Coverage.Tampered { log; offset } ]
+  | _ when Durable.Recovery.dropped_tail r || undecodable > 0 ->
+    [ Prima_core.Coverage.Wal_tail_lost log ]
+  | _ -> []
 
 let create ?(training_minimum = 0) ?(completeness_threshold = 0.9) ?config ?storage ~vocab
     ~p_ps () =
@@ -72,9 +83,9 @@ let create ?(training_minimum = 0) ?(completeness_threshold = 0.9) ?config ?stor
      the quarantine replays its op log into the federation's transit
      quarantine, and both logs stay attached so new writes are
      write-ahead. *)
-  let recovery =
+  let recovery, standing =
     match storage with
-    | None -> None
+    | None -> (None, [])
     | Some { audit_log; quarantine_log } ->
       let audit_recovery, audit_bad =
         Hdb.Audit_store.restore (Hdb.Control_center.audit_store control) audit_log
@@ -84,11 +95,9 @@ let create ?(training_minimum = 0) ?(completeness_threshold = 0.9) ?config ?stor
           (Audit_mgmt.Federation.transit_quarantine federation)
           quarantine_log
       in
-      Some
-        { audit = audit_recovery;
-          quarantine = quarantine_recovery;
-          undecodable = audit_bad + quarantine_bad;
-        }
+      ( Some { audit = audit_recovery; quarantine = quarantine_recovery },
+        recovery_reasons "audit" audit_recovery ~undecodable:audit_bad
+        @ recovery_reasons "quarantine" quarantine_recovery ~undecodable:quarantine_bad )
   in
   Audit_mgmt.Federation.add_site federation
     (Audit_mgmt.Site.of_store ~name:"clinical-db" (Hdb.Control_center.audit_store control));
@@ -99,6 +108,7 @@ let create ?(training_minimum = 0) ?(completeness_threshold = 0.9) ?config ?stor
     completeness_threshold;
     last_health = None;
     recovery;
+    standing;
     governed_epochs = 0;
     degraded_epochs = 0;
     last_budget_stats = None;
@@ -109,44 +119,14 @@ let create ?(training_minimum = 0) ?(completeness_threshold = 0.9) ?config ?stor
   }
 
 let recovery t = t.recovery
+let standing_reasons t = t.standing
 
-(* Did opening the durable state find tampering?  A [Tamper_detected]
-   verdict on either trail means bytes that were once durable and verified
-   were mutated in place — stronger than loss: the prefix before the
-   divergence is trustworthy, everything after it was discarded, and the
-   report says exactly where. *)
-let tampered t =
-  match t.recovery with
-  | None -> false
-  | Some r -> Durable.Recovery.tampered r.audit || Durable.Recovery.tampered r.quarantine
-
-(* Did opening the durable state lose anything?  A dropped WAL tail (or a
-   CRC-valid record that no longer decodes, or a tampered prefix) means
-   the trail on disk is a verified prefix, not necessarily the whole
-   history: every coverage statement over it is only a lower bound. *)
-let durably_degraded t =
-  match t.recovery with
-  | None -> false
-  | Some r ->
-    Durable.Recovery.dropped_tail r.audit
-    || Durable.Recovery.dropped_tail r.quarantine
-    || r.undecodable > 0
-    || tampered t
-
-(* Is any federation-side durable state damaged?  A member site whose WAL
-   recovery was lossy or tampered (and whose feed has not yet replayed
-   the lost suffix), or a torn/tampered archive shard: either way some
-   site's own record totals are not trustworthy, so coverage must stay a
-   lower bound even when the record accounting looks complete. *)
-let federation_degraded t =
-  List.exists Audit_mgmt.Site.durably_degraded (Audit_mgmt.Federation.sites t.federation)
-  || (match Audit_mgmt.Federation.archive t.federation with
-     | Some a -> Audit_mgmt.Shard_store.shards_degraded a > 0
-     | None -> false)
-
-(* Everything durable verified end-to-end: central logs, per-site WALs,
-   archive shards.  The [verified] input to coverage qualification. *)
-let fully_verified t = (not (durably_degraded t)) && not (federation_degraded t)
+(* The evidence of a reading over [health]'s window: the federation's
+   reasons, the central pair's standing ones, then the caller's. *)
+let evidence t health reasons =
+  Prima_core.Coverage.join
+    (Audit_mgmt.Health.evidence health)
+    { Prima_core.Coverage.exact with reasons = t.standing @ reasons }
 
 let sync_durable t =
   Hdb.Audit_store.sync (Hdb.Control_center.audit_store t.control);
@@ -329,17 +309,12 @@ let sync_audit t =
   t.synced <- Some (entries, trail, Prima_core.Trail.length trail);
   result.Audit_mgmt.Federation.health
 
-let completeness t =
-  match t.last_health with
-  | Some h -> h.Audit_mgmt.Health.completeness
-  | None -> 1.0
-
 let coverage t =
   ignore (sync_audit t);
   Prima_core.Prima.coverage t.prima
 
-(* Both coverage readings, each labelled with how much of the trail they
-   were computed from. *)
+(* Both coverage readings, each labelled with the evidence of the window
+   they were computed from. *)
 type qualified_coverage = {
   set_semantics : Prima_core.Coverage.qualified;
   bag_semantics : Prima_core.Coverage.qualified;
@@ -348,15 +323,10 @@ type qualified_coverage = {
 
 let coverage_qualified t : qualified_coverage =
   let health = sync_audit t in
-  let c = health.Audit_mgmt.Health.completeness in
-  let verified = fully_verified t in
+  let evidence = evidence t health [] in
   let report = Prima_core.Prima.coverage t.prima in
-  { set_semantics =
-      Prima_core.Coverage.qualify ~verified ~completeness:c
-        report.Prima_core.Prima.set_semantics;
-    bag_semantics =
-      Prima_core.Coverage.qualify ~verified ~completeness:c
-        report.Prima_core.Prima.bag_semantics;
+  { set_semantics = Prima_core.Coverage.qualify evidence report.Prima_core.Prima.set_semantics;
+    bag_semantics = Prima_core.Coverage.qualify evidence report.Prima_core.Prima.bag_semantics;
     health;
   }
 
@@ -383,14 +353,15 @@ let trend t ~window =
     ~window ()
 
 (* One full refinement cycle: consolidate logs, run Algorithm 2 with the
-   configured acceptance, embed accepted patterns into enforcement.
+   configured acceptance, embed accepted patterns into enforcement.  The
+   epoch's evidence is the window's plus the caller's [reasons].
 
    Refuses to run when the consolidation completeness is below the
    threshold: patterns mined from a partial window would be folded into
    P_PS and enforcement on evidence that may be contradicted by the
    missing records.  Recover the sites (or reprocess the quarantine) and
    retry, or lower the threshold deliberately. *)
-let refine t : (Prima_core.Refinement.epoch_report, string) result =
+let refine_with t reasons : (Prima_core.Refinement.epoch_report, string) result =
   let health = sync_audit t in
   let c = health.Audit_mgmt.Health.completeness in
   let floor = effective_threshold_for t ~window:health.Audit_mgmt.Health.total in
@@ -404,19 +375,22 @@ let refine t : (Prima_core.Refinement.epoch_report, string) result =
          (100. *. t.completeness_threshold)
          health.Audit_mgmt.Health.total)
   else
-    match
-      Prima_core.Prima.refine ~completeness:c ~verified:(fully_verified t) t.prima
-    with
+    match Prima_core.Prima.refine ~evidence:(evidence t health reasons) t.prima with
     | Error _ as e -> e
     | Ok report ->
       if query_limits t <> None then begin
         t.governed_epochs <- t.governed_epochs + 1;
         t.last_budget_stats <- Some report.Prima_core.Refinement.budget_stats
       end;
-      if report.Prima_core.Refinement.degraded then
-        t.degraded_epochs <- t.degraded_epochs + 1;
+      if
+        List.exists
+          (function Prima_core.Coverage.Budget_truncated _ -> true | _ -> false)
+          (Prima_core.Coverage.reasons report.Prima_core.Refinement.qualifier)
+      then t.degraded_epochs <- t.degraded_epochs + 1;
       List.iter (install_pattern t) report.Prima_core.Refinement.accepted;
       Ok report
+
+let refine t = refine_with t []
 
 (* --- multi-tenant admission: budget classes on both request paths --- *)
 
@@ -507,10 +481,9 @@ let enforce_admitted ?(cost = Admission.cost ~rows:64 ~ticks:4096 ()) ?break_gla
 
 (* One refinement cycle through the admission gate.  A shed returns the
    typed rejection message; a brownout composes the grant's limits over
-   the standing ones and forces the epoch to report
-   [Coverage.Lower_bound] — the run was deliberately truncated, so its
-   readings must not claim exactness even if the tightened budget never
-   fired. *)
+   the standing ones and hands the epoch a [Brownout] reason — the run
+   was deliberately truncated, so its readings must not claim exactness
+   even if the tightened budget never fired. *)
 let refine_admitted ?(cost = Admission.cost ~rows:256 ~ticks:65536 ()) t ~principal =
   match admission t with
   | None -> refine t
@@ -530,20 +503,12 @@ let refine_admitted ?(cost = Admission.cost ~rows:256 ~ticks:65536 ()) t ~princi
         | Some l -> Relational.Budget.limits_min l grant.Admission.g_limits
       in
       set_query_limits t (Some limits);
-      let result = refine t in
+      let result = refine_with t (if browned_out then [ Prima_core.Coverage.Brownout ] else []) in
       set_query_limits t saved;
-      (match result with
-      | Error _ as e -> e
-      | Ok report ->
-        Admission.settle adm ~now principal ~declared:cost
-          report.Prima_core.Refinement.budget_stats;
-        if browned_out then begin
-          t.brownout_epochs <- t.brownout_epochs + 1;
-          let c = completeness t in
-          Ok
-            { report with
-              Prima_core.Refinement.qualifier = Prima_core.Coverage.Lower_bound c;
-              degraded = true;
-            }
-        end
-        else Ok report))
+      Result.iter
+        (fun (report : Prima_core.Refinement.epoch_report) ->
+          Admission.settle adm ~now principal ~declared:cost
+            report.Prima_core.Refinement.budget_stats;
+          if browned_out then t.brownout_epochs <- t.brownout_epochs + 1)
+        result;
+      result)

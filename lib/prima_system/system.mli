@@ -9,9 +9,10 @@
 
     The loop is degraded-mode aware: consolidation runs through the
     fault-tolerant federation path and carries a {!Audit_mgmt.Health.t}
-    report; coverage over a partial trail is labelled a lower bound; and
-    {!refine} refuses to auto-accept patterns mined from a window whose
-    completeness falls below the configured threshold. *)
+    report; coverage over a partial or unverified trail is labelled a
+    lower bound whose evidence names its reasons; and {!refine} refuses to
+    auto-accept patterns mined from a window whose completeness falls
+    below the configured threshold. *)
 
 type t
 
@@ -26,8 +27,9 @@ type storage = {
 type recovery_report = {
   audit : Durable.Recovery.t;
   quarantine : Durable.Recovery.t;
-  undecodable : int;  (** CRC-valid payloads that no longer decode *)
 }
+(** What reopening each central log found; CRC-valid records that no
+    longer decode show only in {!standing_reasons}. *)
 
 val create :
   ?training_minimum:int ->
@@ -54,9 +56,9 @@ val prima : t -> Prima_core.Prima.t
 
     A resource budget applied to the refinement loop's pattern-extraction
     query (Algorithm 5).  When the budget fires, extraction degrades to a
-    lower-bound pattern set and the epoch's coverage readings are labelled
-    {!Prima_core.Coverage.Lower_bound} — the same discipline as a partial
-    consolidation window. *)
+    lower-bound pattern set and the epoch's qualifier carries
+    {!Prima_core.Coverage.Budget_truncated} — the same discipline as a
+    partial consolidation window. *)
 
 val query_limits : t -> Relational.Budget.limits option
 (** The budget currently applied to refinement queries (None = ungoverned). *)
@@ -95,27 +97,14 @@ val recovery : t -> recovery_report option
 (** The crash-recovery reports from {!create} ([Some] iff [~storage] was
     given). *)
 
-val tampered : t -> bool
-(** Did opening the durable state detect tampering — a
-    {!Durable.Recovery.Tamper_detected} verdict on either trail?  Implies
-    {!durably_degraded}. *)
-
-val durably_degraded : t -> bool
-(** Did opening the durable state lose anything — a dropped WAL tail, a
-    CRC-valid record that no longer decodes, or a tampered prefix?  While
-    true, every coverage statement is labelled
-    {!Prima_core.Coverage.Lower_bound} even over a nominally complete
-    window. *)
-
-val federation_degraded : t -> bool
-(** Is any federation-side durable state damaged — a member site whose WAL
-    recovery was lossy or tampered with the replay still pending, or a
-    torn/tampered archive shard?  While true, coverage stays a lower
-    bound: a degraded site's own record totals are not trustworthy. *)
-
-val fully_verified : t -> bool
-(** Neither {!durably_degraded} nor {!federation_degraded} — the
-    [verified] input to coverage qualification. *)
+val standing_reasons : t -> Prima_core.Coverage.reason list
+(** What opening the durable state lost, computed once from
+    {!recovery}: {!Prima_core.Coverage.Wal_tail_lost} ["audit"] or
+    ["quarantine"] for a dropped tail or CRC-valid records that no longer
+    decode, {!Prima_core.Coverage.Tampered} at the divergence offset for
+    tampering.  They stand for the system's lifetime: every coverage
+    reading and refinement epoch carries them, after the consolidation's
+    own reasons ({!Audit_mgmt.Health.evidence}). *)
 
 val sync_durable : t -> unit
 (** fsync every attached log: the central pair, each member site's WAL,
@@ -135,9 +124,6 @@ val reseat_site : t -> string -> Audit_mgmt.Site.t -> unit
 
 val last_health : t -> Audit_mgmt.Health.t option
 (** The health report of the most recent consolidation, if any. *)
-
-val completeness : t -> float
-(** Completeness of the most recent consolidation (1.0 before any). *)
 
 val add_site : t -> Audit_mgmt.Site.t -> unit
 (** Bring another system's audit trail into the consolidated view. *)
@@ -204,8 +190,9 @@ type qualified_coverage = {
 }
 
 val coverage_qualified : t -> qualified_coverage
-(** Syncs, then reports both coverage readings labelled [Exact] or
-    [Lower_bound] by the consolidation's completeness. *)
+(** Syncs, then reports both coverage readings, qualified by the
+    consolidation's evidence joined with {!standing_reasons}: [Exact]
+    only when neither carries a reason. *)
 
 val install_pattern : t -> Prima_core.Rule.t -> unit
 (** Install a pattern as an enforcement permit rule (no-op for rules
@@ -222,8 +209,10 @@ val refine : t -> (Prima_core.Refinement.epoch_report, string) result
     the training period — and [Error] when consolidation completeness is
     below {!effective_threshold}: patterns mined from a partial window
     are never auto-accepted, because the evidence that would have rejected
-    them may simply not have arrived.  After a recovery that dropped a WAL
-    tail, the epoch's coverage readings are lower bounds. *)
+    them may simply not have arrived.  The epoch's evidence is the
+    consolidation's and {!standing_reasons}, plus
+    {!Prima_core.Coverage.Budget_truncated} when extraction hits its
+    budget. *)
 
 (** {1 Multi-tenant admission}
 
@@ -284,5 +273,6 @@ val refine_admitted :
   (Prima_core.Refinement.epoch_report, string) result
 (** {!refine} through the admission gate.  A shed epoch returns the typed
     rejection message; a brownout epoch runs under the tightened grant
-    and always reports {!Prima_core.Coverage.Lower_bound} — the run was
-    deliberately truncated, so its readings never claim exactness. *)
+    with a {!Prima_core.Coverage.Brownout} reason, so it always reports
+    [Lower_bound] — the run was deliberately truncated, so its readings
+    never claim exactness. *)

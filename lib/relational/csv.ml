@@ -83,9 +83,6 @@ let parse_field_seq_numbered (input : string) : (int * field list) list =
 let parse_field_seq (input : string) : field list list =
   List.map snd (parse_field_seq_numbered input)
 
-let parse_line_seq (input : string) : string list list =
-  List.map (List.map (fun f -> f.text)) (parse_field_seq input)
-
 let parse_line_seq_numbered (input : string) : (int * string list) list =
   List.map
     (fun (line, fields) -> (line, List.map (fun f -> f.text) fields))

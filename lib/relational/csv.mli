@@ -15,9 +15,6 @@ val parse_field_seq : string -> field list list
 (** Raw records with quoting information (no header handling).
     @raise Errors.Sql_error (Parse) on unterminated quotes. *)
 
-val parse_line_seq : string -> string list list
-(** {!parse_field_seq} with the quoting information dropped. *)
-
 val parse_field_seq_numbered : string -> (int * field list) list
 (** Like {!parse_field_seq}, each record paired with the 1-based physical
     line its first field starts on — quoted fields may span lines, which

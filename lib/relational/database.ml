@@ -33,6 +33,3 @@ let table t table_name =
   match find_table t table_name with
   | Some table -> table
   | None -> Errors.fail Errors.Catalog "no such table: %s" table_name
-
-let table_names t =
-  Hashtbl.fold (fun key _ acc -> key :: acc) t.tables [] |> List.sort String.compare

@@ -16,6 +16,3 @@ val find_table : t -> string -> Table.t option
 
 val table : t -> string -> Table.t
 (** @raise Errors.Sql_error (Catalog) when absent. *)
-
-val table_names : t -> string list
-(** Sorted. *)

@@ -44,11 +44,6 @@ let query_scalar ?budget t sql : Value.t =
   | row :: _ when Row.arity row > 0 -> Row.get row 0
   | _ -> Errors.fail Errors.Execute "query returned no rows: %s" sql
 
-let query_int ?budget t sql : int =
-  match Value.as_int (query_scalar ?budget t sql) with
-  | Some i -> i
-  | None -> Errors.fail Errors.Execute "query did not return an integer: %s" sql
-
 let table t name = Database.table t.db name
 
 let create_table t ~name ~columns =

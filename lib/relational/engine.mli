@@ -32,9 +32,6 @@ val query_scalar : ?budget:Budget.t -> t -> string -> Value.t
 (** First column of the first row.
     @raise Errors.Sql_error (Execute) when no rows are returned. *)
 
-val query_int : ?budget:Budget.t -> t -> string -> int
-(** {!query_scalar} coerced to an integer. *)
-
 val table : t -> string -> Table.t
 val create_table : t -> name:string -> columns:(string * Value.ty) list -> Table.t
 val insert_row : t -> table:string -> Value.t list -> unit

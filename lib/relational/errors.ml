@@ -61,11 +61,6 @@ let internal fmt = Fmt.kstr (fun msg -> raise (Internal msg)) fmt
 let stats_to_string { rows_out; tuples; ticks } =
   Printf.sprintf "rows_out=%d tuples=%d ticks=%d" rows_out tuples ticks
 
-(* Everything raised on purpose by the engine. *)
-let is_engine_error = function
-  | Sql_error _ | Parse_error _ | Budget_exceeded _ | Cancelled _ | Internal _ -> true
-  | _ -> false
-
 let to_string = function
   | Sql_error (phase, msg) -> Printf.sprintf "%s error: %s" (phase_to_string phase) msg
   | Parse_error { phase; message; position } ->

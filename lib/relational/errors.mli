@@ -2,8 +2,8 @@
 
     Every user-facing failure of the relational engine is one of the typed
     exceptions below, so callers can report precisely without matching
-    internal exceptions.  {!is_engine_error} is the fuzzer's contract: any
-    other exception escaping the engine is a bug. *)
+    internal exceptions.  This is the fuzzer's contract: any other
+    exception escaping the engine is a bug. *)
 
 type phase =
   | Lex  (** tokenisation of SQL text *)
@@ -57,9 +57,6 @@ val fail_at : phase -> offset:int -> token:string -> ('a, Format.formatter, unit
 
 val internal : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raises {!Internal}. *)
-
-val is_engine_error : exn -> bool
-(** True for every exception the engine raises on purpose. *)
 
 val to_string : exn -> string
 (** Human-readable rendering; falls back to [Printexc] for foreign

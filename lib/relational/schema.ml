@@ -70,10 +70,6 @@ let with_qualifier (t : t) qualifier =
 
 let concat (a : t) (b : t) : t = Array.append a b
 
-let equal_modulo_qualifiers (a : t) (b : t) =
-  arity a = arity b
-  && Array.for_all2 (fun ca cb -> String.equal ca.name cb.name && ca.ty = cb.ty) a b
-
 let pp_column ppf c =
   match c.qualifier with
   | Some q -> Fmt.pf ppf "%s.%s %s" q c.name (Value.ty_to_string c.ty)

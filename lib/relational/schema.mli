@@ -39,7 +39,5 @@ val with_qualifier : t -> string -> t
 val concat : t -> t -> t
 (** Join output schema: left columns then right columns. *)
 
-val equal_modulo_qualifiers : t -> t -> bool
-
 val pp_column : Format.formatter -> column -> unit
 val pp : Format.formatter -> t -> unit

@@ -107,10 +107,6 @@ let as_string = function
   | Str x -> Some x
   | Null | Int _ | Float _ | Bool _ -> None
 
-let as_bool = function
-  | Bool x -> Some x
-  | Null | Int _ | Float _ | Str _ -> None
-
 (* Coerce a value into a column type at insert time; lossless widenings only. *)
 let coerce ty v =
   match ty, v with

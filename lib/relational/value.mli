@@ -51,7 +51,6 @@ val as_int : t -> int option
 
 val as_float : t -> float option
 val as_string : t -> string option
-val as_bool : t -> bool option
 
 val coerce : ty -> t -> t option
 (** [coerce ty v] fits [v] into a column of type [ty] using lossless

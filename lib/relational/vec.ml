@@ -12,8 +12,6 @@ let make capacity dummy = { data = Array.make (max capacity 1) dummy; len = 0 }
 
 let length t = t.len
 
-let is_empty t = t.len = 0
-
 let get t i =
   if i < 0 || i >= t.len then Errors.internal "Vec.get: index %d out of bounds (len %d)" i t.len;
   t.data.(i)
@@ -59,10 +57,6 @@ let fold_left f init t =
   done;
   !acc
 
-let exists p t =
-  let rec go i = i < t.len && (p t.data.(i) || go (i + 1)) in
-  go 0
-
 let to_list t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(i) :: acc) in
   go (t.len - 1) []
@@ -73,8 +67,6 @@ let of_list xs =
   let t = create () in
   List.iter (push t) xs;
   t
-
-let of_array a = { data = Array.copy a; len = Array.length a }
 
 let map f t =
   if t.len = 0 then create ()

@@ -12,7 +12,6 @@ val make : int -> 'a -> 'a t
     observable. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val get : 'a t -> int -> 'a
 (** @raise Errors.Internal when out of bounds. *)
@@ -30,11 +29,9 @@ val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
 val to_array : 'a t -> 'a array
 val of_list : 'a list -> 'a t
-val of_array : 'a array -> 'a t
 val map : ('a -> 'b) -> 'a t -> 'b t
 val filter : ('a -> bool) -> 'a t -> 'a t
 val copy : 'a t -> 'a t

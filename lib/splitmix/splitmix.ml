@@ -8,8 +8,6 @@ type t = {
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let next_int64 t =
   t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
   let z = t.state in
@@ -45,13 +43,3 @@ let pick_weighted t pairs =
     | (x, w) :: rest -> if target < acc + w then x else go (acc + w) rest
   in
   go 0 pairs
-
-let shuffle t xs =
-  let a = Array.of_list xs in
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done;
-  Array.to_list a

@@ -6,7 +6,6 @@
 type t
 
 val create : seed:int -> t
-val copy : t -> t
 val next_int64 : t -> int64
 
 val int : t -> int -> int
@@ -24,6 +23,3 @@ val pick : t -> 'a list -> 'a
 val pick_weighted : t -> ('a * int) list -> 'a
 (** Integer-weighted choice.
     @raise Invalid_argument when weights sum to 0 or less. *)
-
-val shuffle : t -> 'a list -> 'a list
-(** Fisher-Yates. *)

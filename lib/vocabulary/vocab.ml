@@ -58,8 +58,6 @@ let with_leaf t ~attr ~parent ~value =
 
 let attributes t = List.map fst (String_map.bindings t.taxonomies)
 
-let mem_attribute t attr = String_map.mem attr t.taxonomies
-
 let taxonomy t attr =
   match String_map.find_opt attr t.taxonomies with
   | Some tax -> tax

@@ -39,8 +39,6 @@ val with_leaf : t -> attr:string -> parent:string -> value:string -> t
 val attributes : t -> string list
 (** Attribute names, sorted. *)
 
-val mem_attribute : t -> string -> bool
-
 val taxonomy : t -> string -> Taxonomy.t
 (** @raise Unknown_attribute when absent. *)
 
@@ -60,7 +58,7 @@ val is_ground_uncached : t -> attr:string -> value:string -> bool
 val ground_set_uncached : t -> attr:string -> value:string -> string list
 (** Memo-free variants that re-walk the taxonomy per call — the seed's
     behaviour, kept for the differential-testing oracle
-    ([Prima_core.Range_reference]) and benchmark baselines. *)
+    (the test-support [Range_reference]) and benchmark baselines. *)
 
 val equivalent_values : t -> attr:string -> string -> string -> bool
 (** Definition 4 for one attribute: ground sets intersect. *)

@@ -270,7 +270,9 @@ let make_system () =
   system
 
 (* refine through a class that half-affords the declared cost: the epoch
-   runs as a brownout and must label its coverage Lower_bound. *)
+   runs as a brownout and must label its coverage Lower_bound with a
+   Brownout reason — and, the tightened budget never firing, no
+   Budget_truncated one. *)
 let test_refine_admitted_brownout_lower_bound () =
   let system = make_system () in
   Prima_system.System.set_budget_classes system
@@ -279,14 +281,27 @@ let test_refine_admitted_brownout_lower_bound () =
   let principal = Adm.principal ~tenant:"analyst" () in
   (match Prima_system.System.refine_admitted system ~principal with
   | Ok report ->
-    check_bool "brownout epoch is a lower bound" true
+    check_bool "brownout epoch is a lower bound over the whole window" true
       (match report.Prima_core.Refinement.qualifier with
-      | Prima_core.Coverage.Lower_bound _ -> true
+      | Prima_core.Coverage.Lower_bound e -> e.Prima_core.Coverage.completeness = 1.0
       | Prima_core.Coverage.Exact -> false);
-    check_bool "marked degraded" true report.Prima_core.Refinement.degraded
+    check_bool "the brownout is its only reason" true
+      (Prima_core.Coverage.reasons report.Prima_core.Refinement.qualifier
+      = [ Prima_core.Coverage.Brownout ]);
+    check_int "3/10 -> 8/10" 8
+      report.Prima_core.Refinement.coverage_after.Prima_core.Coverage.overlap;
+    let printed = Fmt.str "%a" Prima_core.Report.pp_epoch report in
+    let has sub =
+      let n = String.length printed and m = String.length sub in
+      let rec go i = i + m <= n && (String.sub printed i m = sub || go (i + 1)) in
+      go 0
+    in
+    check_bool "the report names the brownout, not a budget that never fired" true
+      (has "brownout grant" && not (has "resource budget"))
   | Error e -> Alcotest.fail ("brownout refine failed: " ^ e));
   let gov = Prima_system.System.governance system in
   check_int "brownout epoch counted" 1 gov.Prima_system.System.brownout_epochs;
+  check_int "the budget never fired" 0 gov.Prima_system.System.degraded_epochs;
   check_bool "class counters surfaced" true
     (List.exists
        (fun (s : Adm.class_stats) -> s.Adm.cls = "throttled" && s.Adm.brownouts = 1)

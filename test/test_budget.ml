@@ -200,10 +200,13 @@ let test_epoch_degrades_to_lower_bound () =
   let report =
     Ref.run_epoch ~config ~vocab ~p_ps:(S.policy_store ()) ~p_al:(S.table1_audit_policy ()) ()
   in
-  check_bool "epoch flagged degraded" true report.Ref.degraded;
   check_bool "budget stats recorded" true (report.Ref.budget_stats.E.ticks > 0);
   (match report.Ref.qualifier with
-  | Prima_core.Coverage.Lower_bound _ -> ()
+  | Prima_core.Coverage.Lower_bound e ->
+    check_bool "the budget is the only reason" true
+      (e.Prima_core.Coverage.reasons
+      = [ Prima_core.Coverage.Budget_truncated report.Ref.budget_stats ]);
+    check_bool "the trail itself was whole" true (e.Prima_core.Coverage.completeness = 1.0)
   | Prima_core.Coverage.Exact ->
     Alcotest.fail "a degraded extraction must downgrade coverage to Lower_bound");
   (* The same epoch under a generous budget is exact. *)
@@ -211,7 +214,6 @@ let test_epoch_degrades_to_lower_bound () =
   let report =
     Ref.run_epoch ~config ~vocab ~p_ps:(S.policy_store ()) ~p_al:(S.table1_audit_policy ()) ()
   in
-  check_bool "generous budget not degraded" false report.Ref.degraded;
   check_bool "exact qualifier" true (report.Ref.qualifier = Prima_core.Coverage.Exact)
 
 (* --- the assembled system tracks governance --- *)
@@ -228,7 +230,7 @@ let test_system_governance_counters () =
   (* Govern with a budget that will not fire: counted, not degraded. *)
   Sys_.set_query_limits system (Some (B.limits ~ticks:1_000_000 ()));
   (match Sys_.refine system with
-  | Ok report -> check_bool "not degraded" false report.Ref.degraded
+  | Ok report -> check_bool "not degraded" true (report.Ref.qualifier = Prima_core.Coverage.Exact)
   | Error e -> Alcotest.fail e);
   let g = Sys_.governance system in
   check_int "one governed epoch" 1 g.Sys_.governed_epochs;
@@ -238,7 +240,11 @@ let test_system_governance_counters () =
   (* Starve the next epoch: the degraded counter moves. *)
   Sys_.set_query_limits system (Some (B.limits ~tuples:3 ()));
   (match Sys_.refine system with
-  | Ok report -> check_bool "degraded epoch" true report.Ref.degraded
+  | Ok report ->
+    check_bool "degraded epoch" true
+      (match Prima_core.Coverage.reasons report.Ref.qualifier with
+      | [ Prima_core.Coverage.Budget_truncated _ ] -> true
+      | _ -> false)
   | Error e -> Alcotest.fail e);
   let g = Sys_.governance system in
   check_int "two governed epochs" 2 g.Sys_.governed_epochs;

@@ -300,8 +300,8 @@ let test_system_recovery_and_lower_bound () =
   (* Run 1: a durably-backed system accumulates a trail; part of it is
      synced, a tail is still in the page cache when the process dies. *)
   let system = Prima_system.System.create ~storage ~vocab ~p_ps () in
-  check_bool "fresh storage recovers clean" false
-    (Prima_system.System.durably_degraded system);
+  check_bool "fresh storage recovers clean" true
+    (Prima_system.System.standing_reasons system = []);
   let store = Hdb.Control_center.audit_store (Prima_system.System.control system) in
   let entries = scenario_entries () in
   Hdb.Audit_store.append_all store entries;
@@ -322,8 +322,8 @@ let test_system_recovery_and_lower_bound () =
     | None -> Alcotest.fail "no recovery report"
   in
   check_bool "audit tail dropped" true (R.dropped_tail recovery.Prima_system.System.audit);
-  check_bool "system knows it is degraded" true
-    (Prima_system.System.durably_degraded system2);
+  check_bool "system names the lost tail" true
+    (Prima_system.System.standing_reasons system2 = [ Prima_core.Coverage.Wal_tail_lost "audit" ]);
   let store2 = Hdb.Control_center.audit_store (Prima_system.System.control system2) in
   check_bool "synced trail survived" true
     (firstn (List.length entries) (Hdb.Audit_store.to_list store2) = entries);
@@ -332,16 +332,21 @@ let test_system_recovery_and_lower_bound () =
   let qc = Prima_system.System.coverage_qualified system2 in
   check_bool "window itself is complete" true
     (qc.Prima_system.System.health.Audit_mgmt.Health.completeness >= 1.0);
-  (match qc.Prima_system.System.bag_semantics.Prima_core.Coverage.qualifier with
-  | Prima_core.Coverage.Lower_bound _ -> ()
-  | Prima_core.Coverage.Exact -> Alcotest.fail "dropped tail must downgrade to Lower_bound");
-  match qc.Prima_system.System.set_semantics.Prima_core.Coverage.qualifier with
-  | Prima_core.Coverage.Lower_bound _ -> ()
-  | Prima_core.Coverage.Exact -> Alcotest.fail "dropped tail must downgrade to Lower_bound"
+  let lost_tail (q : Prima_core.Coverage.qualified) =
+    q.Prima_core.Coverage.qualifier
+    = Prima_core.Coverage.Lower_bound
+        { Prima_core.Coverage.completeness = 1.0;
+          reasons = [ Prima_core.Coverage.Wal_tail_lost "audit" ];
+        }
+  in
+  check_bool "bag coverage is a lower bound naming the lost tail" true
+    (lost_tail qc.Prima_system.System.bag_semantics);
+  check_bool "set coverage is a lower bound naming the lost tail" true
+    (lost_tail qc.Prima_system.System.set_semantics)
 
-(* Tampering is surfaced all the way up: the system reports it, counts as
-   durably degraded, amputates the trail at the divergence, and labels
-   every coverage reading a lower bound. *)
+(* Tampering is surfaced all the way up: the system reports it at the
+   divergence offset, amputates the trail there, and labels every coverage
+   reading a lower bound naming the tamper. *)
 let test_system_tamper_forces_lower_bound () =
   let audit_log = L.create ~seed:43 () in
   let quarantine_log = L.create ~seed:44 () in
@@ -349,7 +354,8 @@ let test_system_tamper_forces_lower_bound () =
   let vocab = Vocabulary.Samples.figure1 () in
   let p_ps = Workload.Scenario.policy_store () in
   let system = Prima_system.System.create ~storage ~vocab ~p_ps () in
-  check_bool "fresh storage is untampered" false (Prima_system.System.tampered system);
+  check_bool "fresh storage is untampered" true
+    (Prima_system.System.standing_reasons system = []);
   let store = Hdb.Control_center.audit_store (Prima_system.System.control system) in
   let entries = scenario_entries () in
   Hdb.Audit_store.append_all store entries;
@@ -364,9 +370,9 @@ let test_system_tamper_forces_lower_bound () =
     }
   in
   let system2 = Prima_system.System.create ~storage:storage2 ~vocab ~p_ps () in
-  check_bool "system reports the tampering" true (Prima_system.System.tampered system2);
-  check_bool "tampering implies durably degraded" true
-    (Prima_system.System.durably_degraded system2);
+  let tamper = Prima_core.Coverage.Tampered { log = "audit"; offset = off } in
+  check_bool "system reports the tampering at its offset" true
+    (Prima_system.System.standing_reasons system2 = [ tamper ]);
   let recovery =
     match Prima_system.System.recovery system2 with
     | Some r -> r
@@ -379,12 +385,12 @@ let test_system_tamper_forces_lower_bound () =
   check_bool "trail amputated just before the mutation" true
     (Hdb.Audit_store.to_list store2 = firstn 1 entries);
   let qc = Prima_system.System.coverage_qualified system2 in
-  (match qc.Prima_system.System.set_semantics.Prima_core.Coverage.qualifier with
-  | Prima_core.Coverage.Lower_bound _ -> ()
-  | Prima_core.Coverage.Exact -> Alcotest.fail "tampered recovery must force Lower_bound");
-  match qc.Prima_system.System.bag_semantics.Prima_core.Coverage.qualifier with
-  | Prima_core.Coverage.Lower_bound _ -> ()
-  | Prima_core.Coverage.Exact -> Alcotest.fail "tampered recovery must force Lower_bound"
+  check_bool "set coverage names the tamper" true
+    (Prima_core.Coverage.reasons qc.Prima_system.System.set_semantics.Prima_core.Coverage.qualifier
+    = [ tamper ]);
+  check_bool "bag coverage names the tamper" true
+    (Prima_core.Coverage.reasons qc.Prima_system.System.bag_semantics.Prima_core.Coverage.qualifier
+    = [ tamper ])
 
 (* The adaptive completeness gate: the configured floor applies in full to
    a large window, scaled down on a small one. *)

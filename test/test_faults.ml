@@ -314,6 +314,93 @@ let test_archive_lost_shard_placeholder () =
   check_bool "whole again" false (Shard_store.site_degraded b ~site:"icu");
   check_int "both records servable" 2 (Shard_store.site_records b ~site:"icu")
 
+(* The health report describes the archive as the consolidation left it.
+   A clean fetch rebuilds a site's damaged shards wholesale, so the
+   rebuilt site reads healthy in the report as in the [Exact] label.  A
+   stale-served site gets no archive step: its torn shard stays degraded,
+   and the reading is a lower bound that says so. *)
+
+let damaged_icu_archive damage =
+  let icu = [ entry ~time:1 ~user:"a" (); entry ~time:2 ~user:"b" () ] in
+  let a = Shard_store.create ~seed:21 () in
+  ignore (Shard_store.archive_site a ~site:"icu" icu);
+  Shard_store.sync a;
+  let _, wal, _ = List.find (fun (n, _, _) -> String.equal n "icu#0") (Shard_store.devices a) in
+  damage wal;
+  let b, _ =
+    Shard_store.reopen ~manifest:(Shard_store.manifest_device a) ~shards:(Shard_store.devices a) ()
+  in
+  check_int "one damaged shard" 1 (Shard_store.shards_degraded b);
+  (icu, b)
+
+let system_over ?(down = false) icu archive =
+  let system =
+    Prima_system.System.create ~vocab:(Workload.Scenario.vocab ())
+      ~p_ps:(Workload.Scenario.policy_store ()) ()
+  in
+  let site = Site.create ~name:"icu" () in
+  Site.ingest_entries site icu;
+  let fault = Fault.wrap ~config:Fault.no_faults ~seed:1 site in
+  if down then Fault.take_down fault;
+  Prima_system.System.add_faulty_site system fault;
+  Prima_system.System.attach_archive system archive;
+  Prima_system.System.coverage_qualified system
+
+let test_rebuilt_shard_reads_healthy () =
+  let icu, archive =
+    damaged_icu_archive (fun wal ->
+        let off, len, _ =
+          List.find
+            (fun (_, _, k) -> k = Durable.Frame.Data)
+            (Durable.Wal.frame_spans (Durable.Device.contents wal))
+        in
+        Durable.Device.corrupt_stable wal ~pos:(off + (len / 2)) ~bit:3)
+  in
+  let qc = system_over icu archive in
+  check_int "the clean fetch rebuilt the shard" 0 (Shard_store.shards_degraded archive);
+  check_bool "coverage exact" true
+    (Prima_core.Coverage.is_exact qc.Prima_system.System.bag_semantics);
+  let health = qc.Prima_system.System.health in
+  check_bool "the report agrees: no reason" true
+    ((Health.evidence health).Prima_core.Coverage.reasons = []);
+  check_bool "and the rebuilt shard healthy" true
+    (List.assoc_opt "icu" health.Health.shards = Some (1, 0));
+  let printed = Fmt.str "%a" Health.pp health in
+  let contains sub =
+    let n = String.length printed and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub printed i m = sub || go (i + 1)) in
+    go 0
+  in
+  check_bool "printed healthy" true (contains "shards=1/1" && not (contains "lower bound"))
+
+let test_stale_torn_shard_stays_degraded () =
+  let icu, archive =
+    damaged_icu_archive (fun wal ->
+        (* tear the second record in half: the shard keeps one *)
+        let off, len, _ =
+          List.nth
+            (List.filter
+               (fun (_, _, k) -> k = Durable.Frame.Data)
+               (Durable.Wal.frame_spans (Durable.Device.contents wal)))
+            1
+        in
+        Durable.Device.truncate wal (off + (len / 2));
+        Durable.Device.sync wal)
+  in
+  let qc = system_over ~down:true icu archive in
+  check_int "no fetch, no rebuild" 1 (Shard_store.shards_degraded archive);
+  match qc.Prima_system.System.bag_semantics.Prima_core.Coverage.qualifier with
+  | Prima_core.Coverage.Lower_bound e ->
+    check_bool "the torn shard is a reason" true
+      (List.mem
+         (Prima_core.Coverage.Shard_degraded { site = "icu"; shards = 1 })
+         e.Prima_core.Coverage.reasons);
+    check_bool "beside the record it lost, stranded" true
+      (List.mem
+         (Prima_core.Coverage.Site_dark { site = "icu"; lag = 1 })
+         e.Prima_core.Coverage.reasons)
+  | Prima_core.Coverage.Exact -> Alcotest.fail "a stale torn shard read Exact"
+
 (* --- shard bounds kept as entries arrive ---
 
    [site_high_water] and the manifest's per-shard [lo]/[hi] are kept per
@@ -618,6 +705,10 @@ let () =
             test_archive_tampered_shard_quarantined;
           Alcotest.test_case "lost shard placeholder until refetch" `Quick
             test_archive_lost_shard_placeholder;
+          Alcotest.test_case "rebuilt shard reads healthy" `Quick
+            test_rebuilt_shard_reads_healthy;
+          Alcotest.test_case "stale torn shard stays degraded" `Quick
+            test_stale_torn_shard_stays_degraded;
           QCheck_alcotest.to_alcotest ~long:false prop_shard_bounds_match_fold;
         ] );
       ("fault-matrix", matrix_cases);

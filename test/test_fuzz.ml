@@ -5,7 +5,7 @@
    bitwise.  Seeds are fixed so a failure reproduces exactly; `make fuzz`
    runs a bigger sweep. *)
 
-module Fuzz = Relational.Sql_fuzz
+module Fuzz = Test_support.Sql_fuzz
 
 let seeds = [ 1; 2; 3 ]
 

@@ -1,6 +1,6 @@
 (* Differential tests: the hash-backed Range and the memoized coverage
    fast paths must agree *exactly* with the seed's set-based implementation
-   (kept as Prima_core.Range_reference) — on randomly generated
+   (kept as Test_support.Range_reference) — on randomly generated
    vocabularies and policies (seeded via Workload.Prng, so failures are
    reproducible bit-for-bit), and on the paper's own Section 5 walkthrough
    (Table 1's 3/10) and Figure 3 (3/6). *)
@@ -8,7 +8,7 @@
 module R = Prima_core.Rule
 module P = Prima_core.Policy
 module Range = Prima_core.Range
-module Ref_range = Prima_core.Range_reference
+module Ref_range = Test_support.Range_reference
 module C = Prima_core.Coverage
 module Prng = Workload.Prng
 

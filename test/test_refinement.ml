@@ -373,7 +373,6 @@ let epoch_equal (a : Ref.epoch_report) (b : Ref.epoch_report) =
   && stats_equal a.Ref.coverage_before b.Ref.coverage_before
   && stats_equal a.Ref.coverage_after b.Ref.coverage_after
   && a.Ref.qualifier = b.Ref.qualifier
-  && a.Ref.degraded = b.Ref.degraded
   && a.Ref.budget_stats = b.Ref.budget_stats
 
 (* cases run on each path, and governed ones that degraded to partial *)
@@ -393,7 +392,7 @@ let agrees ~fused config trail rules =
   in
   let p_x = P.project p_ps ~attrs:Vocabulary.Audit_attrs.pattern in
   incr (if fused then fused_cases else reference_cases);
-  if coded.Ref.degraded then incr degraded_cases;
+  if coded.Ref.qualifier <> C.Exact then incr degraded_cases;
   if Ref.fuses config trail <> fused then
     QCheck2.Test.fail_reportf "expected the %s path" (if fused then "fused" else "reference");
   rules_equal (P.rules p_al) rules

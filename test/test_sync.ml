@@ -198,7 +198,6 @@ let epoch_equal (a : Ref.epoch_report) (b : Ref.epoch_report) =
   && stats_equal a.Ref.coverage_before b.Ref.coverage_before
   && stats_equal a.Ref.coverage_after b.Ref.coverage_after
   && a.Ref.qualifier = b.Ref.qualifier
-  && a.Ref.degraded = b.Ref.degraded
 
 let audit_rules tw = P.rules (Prima.audit_policy (Sys_.prima tw.sys))
 

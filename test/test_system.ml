@@ -137,12 +137,15 @@ let test_completeness_threshold_blocks_auto_acceptance () =
   (match Sys_.refine system with
   | Error e -> check_bool "error names completeness" true (contains e "completeness")
   | Ok _ -> Alcotest.fail "refine must refuse a degraded window");
-  check_bool "completeness recorded" true (Sys_.completeness system < 0.9);
+  check_bool "completeness recorded" true
+    (match Sys_.last_health system with
+    | Some h -> h.Audit_mgmt.Health.completeness < 0.9
+    | None -> false);
   (* Coverage is still measurable, but only as a lower bound. *)
   let q = Sys_.coverage_qualified system in
   check_bool "lower bound label" true
     (match q.Sys_.bag_semantics.Prima_core.Coverage.qualifier with
-    | Prima_core.Coverage.Lower_bound c -> c < 0.9
+    | Prima_core.Coverage.Lower_bound e -> e.Prima_core.Coverage.completeness < 0.9
     | Prima_core.Coverage.Exact -> false);
   (* Recovery: heal the site; refine runs and adopts the pattern, exact. *)
   Audit_mgmt.Federation.heal_all (Sys_.federation system);
@@ -174,7 +177,7 @@ let test_lowered_threshold_labels_lower_bound () =
   | Ok report ->
     check_bool "report labelled lower bound" true
       (match report.Prima_core.Refinement.qualifier with
-      | Prima_core.Coverage.Lower_bound c -> c < 1.0
+      | Prima_core.Coverage.Lower_bound e -> e.Prima_core.Coverage.completeness < 1.0
       | Prima_core.Coverage.Exact -> false)
   | Error e -> Alcotest.fail e
 

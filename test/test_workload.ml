@@ -48,13 +48,6 @@ let test_prng_pick_weighted () =
   done;
   check_bool "ratio respected" true (!heavy > 800)
 
-let test_prng_shuffle_permutes () =
-  let rng = Prng.create ~seed:11 in
-  let xs = List.init 20 Fun.id in
-  let ys = Prng.shuffle rng xs in
-  check_bool "same multiset" true (List.sort compare ys = xs);
-  check_bool "actually moved" true (ys <> xs)
-
 (* --- hospital model --- *)
 
 let test_staff_roster () =
@@ -303,7 +296,6 @@ let () =
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "rough uniformity" `Quick test_prng_uniformity_rough;
           Alcotest.test_case "weighted pick" `Quick test_prng_pick_weighted;
-          Alcotest.test_case "shuffle" `Quick test_prng_shuffle_permutes;
         ] );
       ( "hospital",
         [ Alcotest.test_case "staff roster" `Quick test_staff_roster;
