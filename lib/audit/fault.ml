@@ -89,10 +89,14 @@ type fetched = {
       (* (seq, garbled raw, reason) for records damaged in transit *)
 }
 
-(* One fetch attempt at simulated time [clock].  Success walks the whole
-   store and damages each record independently with [p_corrupt]; the site
-   itself keeps the originals, so a later clean fetch recovers them. *)
-let fetch t ~clock =
+(* One fetch attempt at simulated time [clock], returning the records at
+   seqs [from, length).  Success damages each record of the whole store
+   independently with [p_corrupt], one draw per record; the site itself
+   keeps the originals, so a later clean fetch recovers them.  At
+   [p_corrupt <= 0] no draw can damage anything, so the draws are skipped
+   in one step and only the suffix is read: the stream stays where the
+   walk would have left it. *)
+let fetch ?(from = 0) t ~clock =
   if t.down then Error Unavailable
   else if Splitmix.bool t.prng ~probability:t.config.p_timeout then begin
     clock := !clock + t.config.timeout_cost;
@@ -101,16 +105,23 @@ let fetch t ~clock =
   else if Splitmix.bool t.prng ~probability:t.config.p_flaky then Error Transient
   else begin
     clock := !clock + t.config.latency;
-    let entries = Site.entries t.site in
-    let _, delivered_rev, corrupted_rev =
-      List.fold_left
-        (fun (seq, delivered, corrupted) entry ->
-          if Splitmix.bool t.prng ~probability:t.config.p_corrupt then
-            ( seq + 1,
-              delivered,
-              (seq, garbled_raw t.prng entry, "corrupt in transit") :: corrupted )
-          else (seq + 1, entry :: delivered, corrupted))
-        (0, [], []) entries
-    in
-    Ok { delivered = List.rev delivered_rev; corrupted = List.rev corrupted_rev }
+    if t.config.p_corrupt <= 0. then begin
+      Splitmix.skip t.prng (Site.length t.site);
+      Ok { delivered = Site.entries_from t.site from; corrupted = [] }
+    end
+    else begin
+      let _, delivered_rev, corrupted_rev =
+        List.fold_left
+          (fun (seq, delivered, corrupted) entry ->
+            if Splitmix.bool t.prng ~probability:t.config.p_corrupt then
+              let raw = garbled_raw t.prng entry in
+              ( seq + 1,
+                delivered,
+                if seq >= from then (seq, raw, "corrupt in transit") :: corrupted
+                else corrupted )
+            else (seq + 1, (if seq >= from then entry :: delivered else delivered), corrupted))
+          (0, [], []) (Site.entries t.site)
+      in
+      Ok { delivered = List.rev delivered_rev; corrupted = List.rev corrupted_rev }
+    end
   end

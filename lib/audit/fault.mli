@@ -57,6 +57,11 @@ type fetched = {
       (** (seq, garbled raw, reason) for records damaged in transit *)
 }
 
-val fetch : t -> clock:int ref -> (fetched, failure) result
-(** One fetch attempt at the simulated clock.  The site keeps the originals
-    of corrupted records, so a later clean fetch recovers them. *)
+val fetch : ?from:int -> t -> clock:int ref -> (fetched, failure) result
+(** One fetch attempt at the simulated clock, carrying the records at seqs
+    [from, length) (default [from = 0], the whole store).  The fault
+    stream advances exactly as a whole fetch's would: the timeout and
+    flaky draws, then one corruption draw per record of the whole store —
+    skipped in O(1) when [p_corrupt <= 0], where no draw can damage a
+    record.  The site keeps the originals of corrupted records, so a later
+    clean fetch recovers them. *)

@@ -14,13 +14,38 @@
      per-site circuit breaker, with corrupted records quarantined — and the
      result carries a health report accounting for 100% of input records
      (delivered + quarantined + stranded at skipped sites) plus the
-     completeness fraction downstream coverage must surface. *)
+     completeness fraction downstream coverage must surface.
+
+   Consolidation is incremental where it can be.  Each member keeps a
+   cursor over its last clean live delivery, and its next fetch carries
+   only the store's suffix past it.  Called [~since] the previous
+   consolidation, the result is just the merge of those suffixes when
+   they all sort after the previous merge's last entry; anything else
+   returns the whole merge. *)
+
+(* What a member's last clean live delivery covered: the site and wrapper
+   it came through (compared physically, so a reseat, a replaced wrapper
+   or a recovered site invalidates it), how many records, and the newest
+   timestamp among them. *)
+type cursor = {
+  source : Site.t;
+  via : Fault.t option;
+  count : int;
+  newest : int; (* min_int when [count = 0] *)
+}
 
 type member = {
   mutable msite : Site.t; (* mutable so a crash-recovered site can be reseated *)
   mutable fault : Fault.t option; (* None = perfectly reliable transport *)
   breaker : Breaker.t;
+  (* set by a consolidation that delivered the member live with nothing
+     corrupted; cleared by any other *)
+  mutable cursor : cursor option;
 }
+
+(* One consolidation, for a later call to name as [since]; compared
+   physically with the federation's latest. *)
+type position = { consolidation : int }
 
 type t = {
   mutable members : member list;
@@ -35,6 +60,8 @@ type t = {
   (* Tenant admission controller (optional), shared with every member
      site's ingestion gate. *)
   mutable admission : Admission.t option;
+  mutable consolidations : int;
+  mutable last : position option; (* the latest consolidation *)
 }
 
 let create ?(retry = Retry.default) ?(seed = 0) () =
@@ -45,10 +72,12 @@ let create ?(retry = Retry.default) ?(seed = 0) () =
     transit = Quarantine.create ();
     archive = None;
     admission = None;
+    consolidations = 0;
+    last = None;
   }
 
 let member ?fault ?breaker site =
-  { msite = site; fault; breaker = Breaker.create ?config:breaker () }
+  { msite = site; fault; breaker = Breaker.create ?config:breaker (); cursor = None }
 
 let add_member t m =
   t.members <- t.members @ [ m ];
@@ -184,16 +213,30 @@ let merge_streams = Tournament.merge_entries
 let consolidated t : Hdb.Audit_schema.entry list =
   merge_streams (List.map sorted_entries (sites t))
 
-(* One site through its fault wrapper under retry; [None] fault is a
-   perfect in-process transport. *)
-let fetch_member t m : (Fault.fetched * int, string) result =
+(* The site a fetch reads: the wrapper's, when there is one. *)
+let source m = match m.fault with Some f -> Fault.site f | None -> m.msite
+
+(* The member's cursor, when its next fetch may carry only the suffix past
+   it: the same site through the same wrapper, one that cannot corrupt. *)
+let live_cursor m =
+  match m.cursor with
+  | Some c when c.source == source m -> (
+    match (c.via, m.fault) with
+    | None, None -> Some c
+    | Some a, Some b when a == b && (Fault.config b).Fault.p_corrupt <= 0. -> Some c
+    | _ -> None)
+  | _ -> None
+
+(* One site through its fault wrapper under retry, carrying its records
+   from [from] on; [None] fault is a perfect in-process transport. *)
+let fetch_member t m ~from : (Fault.fetched * int, string) result =
   match m.fault with
   | None ->
-    Ok ({ Fault.delivered = Site.entries m.msite; corrupted = [] }, 0)
+    Ok ({ Fault.delivered = Site.entries_from m.msite from; corrupted = [] }, 0)
   | Some f ->
     let result, stats =
       Retry.run ~policy:t.retry ~prng:t.prng ~clock:t.clock (fun ~attempt:_ ->
-          Fault.fetch f ~clock:t.clock)
+          Fault.fetch ~from f ~clock:t.clock)
     in
     (match result with
     | Ok fetched -> Ok (fetched, stats.Retry.attempts - 1)
@@ -202,7 +245,129 @@ let fetch_member t m : (Fault.fetched * int, string) result =
 type result_t = {
   entries : Hdb.Audit_schema.entry list;
   health : Health.t;
+  extends : bool;
+  position : position;
 }
+
+(* One member's part in a consolidation: its stream for the whole merge
+   (absent when skipped; a suffix fetch re-reads its prefix from the
+   append-only store only if needed), and the new records when the fetch
+   carried only those and none is older than the member's newest. *)
+type arrival = {
+  whole : Hdb.Audit_schema.entry list Lazy.t option;
+  fresh : Hdb.Audit_schema.entry list option;
+  site_health : Health.site_health;
+}
+
+(* The previous merge's last entry under the tournament's key, (time,
+   member index), read off the members' cursors: a member's newest entry
+   is the last of its stream, and at equal times the higher index merges
+   later.  [(min_int, -1)] when the cursors cover nothing. *)
+let boundary t =
+  let _, key =
+    List.fold_left
+      (fun (i, ((time, _) as key)) m ->
+        match m.cursor with
+        | Some c when c.count > 0 && c.newest >= time -> (i + 1, (c.newest, i))
+        | _ -> (i + 1, key))
+      (0, (min_int, -1)) t.members
+  in
+  key
+
+let arrive t m : arrival =
+  let name = Site.name m.msite in
+  let store_len = Site.length m.msite in
+  let ingest_q = Site.quarantined_count m.msite in
+  let health ?fetched ~status ~entries ~quarantined ~skipped_entries () =
+    Health.make ~site_degraded:(Site.durably_degraded m.msite) ?fetched ~site:name ~status
+      ~entries ~quarantined ~skipped_entries
+      ~breaker:(Breaker.state m.breaker) ~trips:(Breaker.trips m.breaker) ()
+  in
+  let cursor = live_cursor m in
+  m.cursor <- None;
+  (* A failed (or breaker-gated) live fetch degrades to the durable
+     archive when it can serve anything; otherwise the site is skipped
+     outright. *)
+  let degrade ~skip_status =
+    match t.archive with
+    | Some a when Shard_store.site_records a ~site:name > 0 ->
+      let archived = Shard_store.site_records a ~site:name in
+      let lag = max 0 (store_len - archived) in
+      { whole = Some (Lazy.from_val (Shard_store.merged_site a ~site:name));
+        fresh = None;
+        site_health =
+          health ~status:(Health.Stale { archived; lag }) ~entries:archived
+            ~quarantined:ingest_q ~skipped_entries:lag ();
+      }
+    | _ ->
+      { whole = None;
+        fresh = None;
+        site_health =
+          health ~status:skip_status ~entries:0 ~quarantined:ingest_q
+            ~skipped_entries:store_len ();
+      }
+  in
+  if not (Breaker.allow m.breaker ~now:!(t.clock)) then
+    degrade ~skip_status:(Health.Skipped Health.Breaker_open)
+  else
+    let from = match cursor with Some c -> c.count | None -> 0 in
+    match fetch_member t m ~from with
+    | Error why ->
+      Breaker.record_failure m.breaker ~now:!(t.clock);
+      degrade ~skip_status:(Health.Skipped (Health.Fetch_failed why))
+    | Ok (fetched, retries) ->
+      Breaker.record_success m.breaker;
+      (* Latest fetch supersedes the site's transit quarantine. *)
+      ignore (Quarantine.take_site t.transit ~site:name);
+      List.iter
+        (fun (seq, raw, reason) -> Quarantine.add t.transit ~site:name ~seq ~raw ~reason)
+        fetched.Fault.corrupted;
+      let corrupted = List.length fetched.Fault.corrupted in
+      let carried = List.length fetched.Fault.delivered in
+      let delivered = sort_defensively fetched.Fault.delivered in
+      let src = source m in
+      let whole, fresh =
+        match cursor with
+        | None -> (Lazy.from_val delivered, None)
+        | Some c ->
+          ( lazy (sorted_entries src),
+            if List.for_all (fun e -> e.Hdb.Audit_schema.time >= c.newest) delivered then
+              Some delivered
+            else None )
+      in
+      (* A suffix that extends the archived stream is appended by
+         position; anything else goes through the time partition. *)
+      Option.iter
+        (fun a ->
+          let appended =
+            match (cursor, fresh) with
+            | Some c, Some fresh ->
+              Shard_store.append_site a ~site:name ~held:c.count ~newest:c.newest fresh
+            | _ -> false
+          in
+          if not appended then ignore (Shard_store.archive_site a ~site:name (Lazy.force whole)))
+        t.archive;
+      if corrupted = 0 then
+        m.cursor <-
+          Some
+            { source = src;
+              via = m.fault;
+              count = from + carried;
+              newest =
+                List.fold_left
+                  (fun acc e -> max acc e.Hdb.Audit_schema.time)
+                  (match cursor with Some c -> c.newest | None -> min_int)
+                  fetched.Fault.delivered;
+            };
+      { whole = Some whole;
+        fresh;
+        site_health =
+          health
+            ~fetched:(carried + corrupted)
+            ~status:(Health.Delivered { retries })
+            ~entries:(store_len - corrupted)
+            ~quarantined:(ingest_q + corrupted) ~skipped_entries:0 ();
+      }
 
 (* The production path: breaker-gated, retried fetches; corrupted records
    quarantined; a health report accounting for every input record.
@@ -214,77 +379,52 @@ type result_t = {
    measures exactly what the merge contains.  Durability state — a
    pending site-WAL replay, the archive's shard tally — rides on the
    health report so downstream coverage stays a lower bound while
-   anything durable is damaged. *)
-let consolidated_result t : result_t =
+   anything durable is damaged.
+
+   [since] names the previous consolidation.  When every member was
+   fetched by suffix and every new record sorts after that merge's last
+   entry, the new merge is the old one followed by the merge of the
+   suffixes, and only the suffixes' merge is returned ([extends]).  Fault
+   draws, clock, archive steps and health are the same either way. *)
+let consolidated_result ?since t : result_t =
   (* Consolidation observes the freshest overload signals, so the
      admission bar tracks the federation's actual health. *)
   refresh_pressure t;
-  let streams_rev, healths_rev =
-    List.fold_left
-      (fun (streams, healths) m ->
-        let name = Site.name m.msite in
-        let store_len = Site.length m.msite in
-        let ingest_q = Site.quarantined_count m.msite in
-        let health ~status ~entries ~quarantined ~skipped_entries =
-          Health.make ~site_degraded:(Site.durably_degraded m.msite) ~site:name ~status
-            ~entries ~quarantined ~skipped_entries
-            ~breaker:(Breaker.state m.breaker) ~trips:(Breaker.trips m.breaker) ()
-        in
-        (* A failed (or breaker-gated) live fetch degrades to the durable
-           archive when it can serve anything; otherwise the site is
-           skipped outright. *)
-        let degrade ~skip_status =
-          match t.archive with
-          | Some a when Shard_store.site_records a ~site:name > 0 ->
-            let archived = Shard_store.site_records a ~site:name in
-            let lag = max 0 (store_len - archived) in
-            let h =
-              health
-                ~status:(Health.Stale { archived; lag })
-                ~entries:archived ~quarantined:ingest_q ~skipped_entries:lag
-            in
-            (Shard_store.merged_site a ~site:name :: streams, h :: healths)
-          | _ ->
-            let h =
-              health ~status:skip_status ~entries:0 ~quarantined:ingest_q
-                ~skipped_entries:store_len
-            in
-            (streams, h :: healths)
-        in
-        if not (Breaker.allow m.breaker ~now:!(t.clock)) then
-          degrade ~skip_status:(Health.Skipped Health.Breaker_open)
-        else
-          match fetch_member t m with
-          | Ok (fetched, retries) ->
-            Breaker.record_success m.breaker;
-            (* Latest fetch supersedes the site's transit quarantine. *)
-            ignore (Quarantine.take_site t.transit ~site:name);
-            List.iter
-              (fun (seq, raw, reason) -> Quarantine.add t.transit ~site:name ~seq ~raw ~reason)
-              fetched.Fault.corrupted;
-            let corrupted = List.length fetched.Fault.corrupted in
-            let stream = sort_defensively fetched.Fault.delivered in
-            Option.iter
-              (fun a -> ignore (Shard_store.archive_site a ~site:name stream))
-              t.archive;
-            let h =
-              health
-                ~status:(Health.Delivered { retries })
-                ~entries:(store_len - corrupted)
-                ~quarantined:(ingest_q + corrupted) ~skipped_entries:0
-            in
-            (stream :: streams, h :: healths)
-          | Error why ->
-            Breaker.record_failure m.breaker ~now:!(t.clock);
-            degrade ~skip_status:(Health.Skipped (Health.Fetch_failed why)))
-      ([], []) t.members
+  let extending =
+    match (since, t.last) with Some s, Some last -> s == last | _ -> false
+  in
+  let last = boundary t in
+  let arrivals = List.rev (List.fold_left (fun acc m -> arrive t m :: acc) [] t.members) in
+  let rec suffixes acc = function
+    | [] -> Some (List.rev acc)
+    | { fresh = Some fresh; _ } :: rest -> suffixes (fresh :: acc) rest
+    | { fresh = None; _ } :: _ -> None
+  in
+  let extension =
+    if extending then
+      Option.bind (suffixes [] arrivals)
+        (Tournament.merge_after ~key:(fun e -> e.Hdb.Audit_schema.time) ~last)
+    else None
+  in
+  let entries, extends =
+    match extension with
+    | Some merged -> (merged, true)
+    | None ->
+      (merge_streams (List.filter_map (fun a -> Option.map Lazy.force a.whole) arrivals), false)
   in
   (* The shard tally is read once every archive step has run: a clean
      fetch rebuilds a damaged site's shards, and the report must describe
      the archive as this consolidation left it. *)
   let shards = match t.archive with Some a -> Shard_store.tally a | None -> [] in
-  { entries = merge_streams (List.rev streams_rev);
-    health = Health.of_sites ~classes:(class_health_rows t) ~shards (List.rev healths_rev);
+  t.consolidations <- t.consolidations + 1;
+  let position = { consolidation = t.consolidations } in
+  t.last <- Some position;
+  { entries;
+    health =
+      Health.of_sites ~classes:(class_health_rows t) ~shards
+        (List.map (fun a -> a.site_health) arrivals);
+    extends;
+    position;
   }
 
 (* The consolidated view as P_AL. *)

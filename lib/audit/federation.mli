@@ -86,12 +86,19 @@ val consolidated : t -> Hdb.Audit_schema.entry list
     in site order (stable and deterministic).  Out-of-order site logs are
     sorted defensively.  Direct in-process reads: never fails. *)
 
+type position
+(** One consolidation, as a later call names it with [~since]. *)
+
 type result_t = {
   entries : Hdb.Audit_schema.entry list;
-  health : Health.t;
+      (** the whole merge; with [extends], only what follows the merge at
+          [since] *)
+  health : Health.t;  (** always describes the whole window *)
+  extends : bool;
+  position : position;  (** this consolidation *)
 }
 
-val consolidated_result : t -> result_t
+val consolidated_result : ?since:position -> t -> result_t
 (** The production path: each site fetched through its fault wrapper (if
     any) under retry/backoff, gated by its circuit breaker; corrupted
     records quarantined.  Never raises — failures degrade the health report
@@ -99,7 +106,19 @@ val consolidated_result : t -> result_t
     With an archive attached, failed sites degrade to stale archive reads
     (see {!attach_archive}), and the health report carries the durable
     state: each site's pending WAL replay, and the archive's shard tally
-    as this consolidation's archive steps left it. *)
+    as this consolidation's archive steps left it.
+
+    A member whose last consolidation delivered it live with nothing
+    corrupted — from the same site, through the same wrapper, which cannot
+    corrupt ([p_corrupt <= 0]) — is fetched by suffix: the transport
+    carries only the records past its cursor (the fault stream advances as
+    for a whole fetch), and the archive appends them by position.  When
+    [since] is this federation's latest consolidation, every member was
+    fetched by suffix, and every new record sorts after that merge's last
+    entry under the merge's (time, member order) key, [entries] is just
+    the merge of the suffixes and [extends] holds.  Otherwise [entries] is
+    the whole merge: without [since] the result is exactly a whole
+    consolidation's, fault draws and clock included. *)
 
 val to_policy : t -> Prima_core.Policy.t
 (** The consolidated view as P_AL. *)

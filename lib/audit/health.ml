@@ -26,6 +26,7 @@ type site_status =
 type site_health = {
   site : string;
   status : site_status;
+  fetched : int; (* records the transport carried in this consolidation *)
   entries : int; (* entries this site contributed to the merge *)
   quarantined : int; (* ingest-quarantined + corrupted-in-transit *)
   skipped_entries : int; (* entries stranded when the site was skipped *)
@@ -34,9 +35,9 @@ type site_health = {
   site_degraded : bool; (* site WAL recovery lossy/tampered, replay pending *)
 }
 
-let make ?(site_degraded = false) ~site ~status ~entries ~quarantined ~skipped_entries
-    ~breaker ~trips () =
-  { site; status; entries; quarantined; skipped_entries; breaker; trips; site_degraded }
+let make ?(site_degraded = false) ?(fetched = 0) ~site ~status ~entries ~quarantined
+    ~skipped_entries ~breaker ~trips () =
+  { site; status; fetched; entries; quarantined; skipped_entries; breaker; trips; site_degraded }
 
 (* Admission accounting for one budget class: how many requests the
    class had strictly admitted, browned out to Partial execution, or
@@ -121,10 +122,11 @@ let pp_status ppf = function
 let pp_site t ppf s =
   let shards, bad = Option.value (List.assoc_opt s.site t.shards) ~default:(0, 0) in
   Fmt.pf ppf
-    "%-16s %-24s entries=%d quarantined=%d stranded=%d shards=%d/%d%s breaker=%a trips=%d"
+    "%-16s %-24s fetched=%d entries=%d quarantined=%d stranded=%d shards=%d/%d%s breaker=%a \
+     trips=%d"
     s.site
     (Fmt.str "%a" pp_status s.status)
-    s.entries s.quarantined s.skipped_entries (shards - bad) shards
+    s.fetched s.entries s.quarantined s.skipped_entries (shards - bad) shards
     (if s.site_degraded then " DEGRADED" else "")
     Breaker.pp_state s.breaker s.trips
 

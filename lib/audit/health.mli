@@ -28,6 +28,10 @@ type site_status =
 type site_health = {
   site : string;
   status : site_status;
+  fetched : int;
+      (** records the transport carried in this consolidation: the store's
+          length on a whole fetch, the new records on a suffix fetch, 0
+          when the site was served stale or skipped *)
   entries : int;
   quarantined : int;
   skipped_entries : int;
@@ -38,6 +42,7 @@ type site_health = {
 
 val make :
   ?site_degraded:bool ->
+  ?fetched:int ->
   site:string ->
   status:site_status ->
   entries:int ->
@@ -47,7 +52,7 @@ val make :
   trips:int ->
   unit ->
   site_health
-(** [site_degraded] defaults to [false]. *)
+(** [site_degraded] defaults to [false], [fetched] to 0. *)
 
 type class_health = {
   cls : string;

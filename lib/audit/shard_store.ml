@@ -50,15 +50,27 @@ type shard = {
   mutable hi : int;
 }
 
+(* One site's totals over its shards, kept as shards are added, appended
+   to and dropped, so a consolidation reads them without a scan of every
+   shard. *)
+type totals = {
+  mutable shard_count : int;
+  mutable degraded : int; (* shards torn or tampered *)
+  mutable servable : int; (* records in shards that are not tampered *)
+  mutable stranded : int;
+  mutable high_water : int; (* newest archived time; -1 with nothing archived *)
+  (* where the site's last append went: its stream is time-sorted, so the
+     next entry almost always goes there too *)
+  mutable last : shard option;
+}
+
 type t = {
   seed : int;
   bucket_ms : int;
   manifest_device : Durable.Device.t;
   mutable shards : shard list; (* site-major, buckets ascending per site *)
   mutable next_shard_seed : int;
-  (* where the last append went: a site's fetch is time-sorted, so the
-     next entry almost always goes there too; cleared with [shards] *)
-  mutable last : shard option;
+  totals : (string, totals) Hashtbl.t; (* per site with at least one shard *)
 }
 
 type shard_report = {
@@ -99,7 +111,7 @@ let create ?(bucket_ms = default_bucket_ms) ?(seed = 0) () =
     manifest_device = Durable.Device.create ~seed:(seed * 7 + 1) ();
     shards = [];
     next_shard_seed = seed * 7 + 2;
-    last = None;
+    totals = Hashtbl.create 8;
   }
 
 let bucket_ms t = t.bucket_ms
@@ -131,33 +143,28 @@ let shard_entries s =
 (* Records the shard can serve (a tampered shard serves none). *)
 let servable s = match s.status with Tampered _ -> 0 | _ -> s.records
 
-let site_records t ~site =
-  List.fold_left (fun acc s -> acc + servable s) 0 (site_shards t ~site)
+let read_totals t ~site f ~none =
+  match Hashtbl.find_opt t.totals site with Some x -> f x | None -> none
 
-let site_stranded t ~site =
-  List.fold_left (fun acc s -> acc + s.stranded) 0 (site_shards t ~site)
+let site_records t ~site = read_totals t ~site (fun x -> x.servable) ~none:0
 
-let site_degraded t ~site =
-  List.exists (fun s -> s.status <> Healthy) (site_shards t ~site)
+let site_stranded t ~site = read_totals t ~site (fun x -> x.stranded) ~none:0
 
-let shards_degraded t = List.length (List.filter (fun s -> s.status <> Healthy) t.shards)
+let site_degraded t ~site = read_totals t ~site (fun x -> x.degraded > 0) ~none:false
+
+let shards_degraded t = Hashtbl.fold (fun _ x acc -> acc + x.degraded) t.totals 0
 
 let tally t =
-  List.map
-    (fun site ->
-      let mine = site_shards t ~site in
-      (site, (List.length mine, List.length (List.filter (fun s -> s.status <> Healthy) mine))))
-    (List.sort_uniq String.compare (List.map (fun s -> s.site) t.shards))
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun site x acc -> (site, (x.shard_count, x.degraded)) :: acc) t.totals [])
 
-let total_records t = List.fold_left (fun acc s -> acc + servable s) 0 t.shards
+let total_records t = Hashtbl.fold (fun _ x acc -> acc + x.servable) t.totals 0
 
 let shard_count t = List.length t.shards
 
 (* The newest archived timestamp for [site]; -1 with nothing archived. *)
-let site_high_water t ~site =
-  List.fold_left
-    (fun acc s -> if s.records = 0 then acc else max acc s.hi)
-    (-1) (site_shards t ~site)
+let site_high_water t ~site = read_totals t ~site (fun x -> x.high_water) ~none:(-1)
 
 let fresh_shard t ~site ~bucket =
   let seed = t.next_shard_seed in
@@ -176,10 +183,25 @@ let fresh_shard t ~site ~bucket =
 
 (* Keep [t.shards] site-major with buckets ascending within a site: a new
    site's shards go to the end, a new bucket into its site's group in
-   bucket order.  Site groups are contiguous by construction. *)
+   bucket order.  Site groups are contiguous by construction.  The shard
+   is counted into its site's totals as it stands. *)
 let insert_shard t shard =
-  if not (List.exists (fun s -> String.equal s.site shard.site) t.shards) then
-    t.shards <- t.shards @ [ shard ]
+  let x =
+    match Hashtbl.find_opt t.totals shard.site with
+    | Some x -> x
+    | None ->
+      let x =
+        { shard_count = 0; degraded = 0; servable = 0; stranded = 0; high_water = -1; last = None }
+      in
+      Hashtbl.replace t.totals shard.site x;
+      x
+  in
+  x.shard_count <- x.shard_count + 1;
+  if shard.status <> Healthy then x.degraded <- x.degraded + 1;
+  x.servable <- x.servable + servable shard;
+  x.stranded <- x.stranded + shard.stranded;
+  if shard.records > 0 then x.high_water <- max x.high_water shard.hi;
+  if x.shard_count = 1 then t.shards <- t.shards @ [ shard ]
   else begin
     let rec go = function
       | [] -> [ shard ]
@@ -197,33 +219,45 @@ let insert_shard t shard =
 let find_shard t ~site ~bucket =
   List.find_opt (fun s -> String.equal s.site site && s.bucket = bucket) t.shards
 
-let shard_for t ~site ~bucket =
-  match t.last with
-  | Some s when s.bucket = bucket && String.equal s.site site -> s
-  | _ ->
-    let s =
-      match find_shard t ~site ~bucket with
-      | Some s -> s
-      | None ->
-        let s = fresh_shard t ~site ~bucket in
-        insert_shard t s;
-        s
-    in
-    t.last <- Some s;
-    s
-
-let append_entry t ~site entry =
-  let time = entry.Hdb.Audit_schema.time in
-  let s = shard_for t ~site ~bucket:(bucket_of t time) in
-  ignore (Durable.Log.append s.log (Hdb.Audit_schema.to_wire entry));
-  s.tail <- entry :: s.tail;
-  if s.records = 0 then s.lo <- time;
-  if s.records = 0 || time > s.hi then s.hi <- time;
-  s.records <- s.records + 1
+(* Append a site's entries, each to its time bucket's shard (created on
+   first use).  Its stream is time-sorted, so an entry almost always goes
+   where the last one went: the site's totals are looked up once and
+   keep that shard at hand. *)
+let append_entries t ~site entries =
+  let totals = ref (Hashtbl.find_opt t.totals site) in
+  List.iter
+    (fun entry ->
+      let time = entry.Hdb.Audit_schema.time in
+      let bucket = bucket_of t time in
+      let s, x =
+        match !totals with
+        | Some ({ last = Some s; _ } as x) when s.bucket = bucket -> (s, x)
+        | _ ->
+          let s =
+            match find_shard t ~site ~bucket with
+            | Some s -> s
+            | None ->
+              let s = fresh_shard t ~site ~bucket in
+              insert_shard t s;
+              s
+          in
+          let x = Hashtbl.find t.totals site in
+          x.last <- Some s;
+          totals := Some x;
+          (s, x)
+      in
+      ignore (Durable.Log.append s.log (Hdb.Audit_schema.to_wire entry));
+      s.tail <- entry :: s.tail;
+      if s.records = 0 then s.lo <- time;
+      if s.records = 0 || time > s.hi then s.hi <- time;
+      s.records <- s.records + 1;
+      (match s.status with Tampered _ -> () | _ -> x.servable <- x.servable + 1);
+      x.high_water <- max x.high_water time)
+    entries
 
 let drop_site_shards t ~site =
   t.shards <- List.filter (fun s -> not (String.equal s.site site)) t.shards;
-  t.last <- None
+  Hashtbl.remove t.totals site
 
 type archive_summary = {
   appended : int; (* fresh records archived this call *)
@@ -242,14 +276,30 @@ let archive_site t ~site entries =
   let held = site_records t ~site in
   let consistent = (not (site_degraded t ~site)) && List.length old_prefix = held in
   if consistent then begin
-    List.iter (append_entry t ~site) fresh;
+    append_entries t ~site fresh;
     { appended = List.length fresh; rebuilt = false }
   end
   else begin
     drop_site_shards t ~site;
-    List.iter (append_entry t ~site) entries;
+    append_entries t ~site entries;
     { appended = List.length entries; rebuilt = true }
   end
+
+(* Append a site's records by position: [entries] are its stream from
+   record [held] on, none older than [newest], the newest time among the
+   first [held].  That holds only while the archive keeps exactly those
+   [held] records on healthy shards; otherwise nothing is appended and the
+   caller archives the whole stream through [archive_site].  Unlike the
+   time partition, an entry that repeats the newest archived time is new
+   here, not already held. *)
+let append_site t ~site ~held ~newest entries =
+  let holds =
+    (not (site_degraded t ~site))
+    && site_records t ~site = held
+    && (held = 0 || site_high_water t ~site = newest)
+  in
+  if holds then append_entries t ~site entries;
+  holds
 
 (* --- consolidation cursors --- *)
 
@@ -352,7 +402,7 @@ let reopen ?(bucket_ms = default_bucket_ms) ?(seed = 0) ~manifest ~shards () =
       manifest_device = manifest;
       shards = [];
       next_shard_seed = (seed * 7) + 2 + List.length shards;
-      last = None;
+      totals = Hashtbl.create 8;
     }
   in
   let adopted = ref 0 in

@@ -61,6 +61,16 @@ val archive_site : t -> site:string -> Hdb.Audit_schema.entry list -> archive_su
     any disagreement rebuilds the site's shards wholesale from the
     fetch. *)
 
+val append_site :
+  t -> site:string -> held:int -> newest:int -> Hdb.Audit_schema.entry list -> bool
+(** Append [site]'s records by position: the entries are its stream from
+    record [held] on, none older than [newest], the newest timestamp among
+    the first [held].  Applies, and returns [true], only when the archive
+    holds exactly [held] records for [site], on healthy shards, the newest
+    at [newest]; otherwise leaves the archive untouched.  An entry
+    repeating the newest archived timestamp is appended, not taken as
+    already held. *)
+
 val merged : t -> Hdb.Audit_schema.entry list
 (** Tournament merge over all servable shard cursors, (time, site) order
     identical to the federation's direct merge. *)

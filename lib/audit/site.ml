@@ -344,7 +344,9 @@ let reprocess_quarantined t =
       ingest_raw_seq t ~seq:item.Quarantine.seq item.Quarantine.raw summary)
     empty_summary stuck
 
-let entries t = Hdb.Audit_store.to_list t.store
+let entries_from t k = Hdb.Audit_store.to_list_from t.store k
+
+let entries t = entries_from t 0
 
 (* --- per-site durability --- *)
 

@@ -86,6 +86,10 @@ val reprocess_quarantined : t -> ingest_summary
 
 val entries : t -> Hdb.Audit_schema.entry list
 
+val entries_from : t -> int -> Hdb.Audit_schema.entry list
+(** The store's entries from position [k] on; the store is append-only,
+    so entries before [k] are the ones an earlier read returned. *)
+
 (** {2 Per-site durability}
 
     A site may sit on its own {!Durable.Log.t}: every mutation — an

@@ -50,19 +50,6 @@ let trail_entry memo (e : Hdb.Audit_schema.entry) : Prima_core.Trail.entry =
     prohibition = e.op = Hdb.Audit_schema.Disallow;
   }
 
-(* Same seven attributes, hence equal rules.  Pointer checks first: a
-   re-fetched merge draws its strings from the sites' dictionaries, so this
-   runs about three times faster than [Audit_schema.equal]. *)
-let same_rule (a : Hdb.Audit_schema.entry) (b : Hdb.Audit_schema.entry) =
-  a == b
-  || (a.time = b.time
-     && a.op = b.op
-     && a.status = b.status
-     && String.equal a.user b.user
-     && String.equal a.data b.data
-     && String.equal a.purpose b.purpose
-     && String.equal a.authorized b.authorized)
-
 let policy_of_entries entries : Prima_core.Policy.t =
   Prima_core.Policy.make ~source:Prima_core.Policy.Audit_log
     (List.map rule_of_entry entries)

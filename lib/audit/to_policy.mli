@@ -20,10 +20,6 @@ val trail_entry : patterns -> Hdb.Audit_schema.entry -> Prima_core.Trail.entry
     rule: its pattern rule comes from the memo (built by
     {!pattern_rule_of_entry} on a miss). *)
 
-val same_rule : Hdb.Audit_schema.entry -> Hdb.Audit_schema.entry -> bool
-(** The two entries convert to equal rules: they agree on the seven audit
-    attributes (provenance is not part of the rule). *)
-
 val policy_of_entries : Hdb.Audit_schema.entry list -> Prima_core.Policy.t
 (** Tagged with the {!Prima_core.Policy.Audit_log} source. *)
 

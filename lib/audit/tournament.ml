@@ -71,6 +71,25 @@ let merge_cursors ~(key : 'a -> int) (cursors : 'a cursor list) : 'a list =
 let merge ~key (streams : 'a list list) : 'a list =
   merge_cursors ~key (List.mapi (fun i s -> { rest = s; priority = i }) streams)
 
+(* A merge's continuation.  [last] is the (key, stream index) of the last
+   record a merge of some sorted prefixes emitted.  When every record of
+   [streams] — the streams' sorted continuations, by index — sorts after
+   it, each whole stream is its prefix followed by its continuation, and
+   the merge order (key, stream index, position) puts every new record
+   after every old one: the whole merge is the old merge followed by
+   [merge streams].  A record with an equal key sorts after it only from
+   the same stream or a later one, since lower streams win ties. *)
+let merge_after ~key ~last:(last_key, last_stream) streams =
+  let after i x =
+    let k = key x in
+    k > last_key || (k = last_key && i >= last_stream)
+  in
+  let rec admitted i = function
+    | [] -> true
+    | s :: rest -> List.for_all (after i) s && admitted (i + 1) rest
+  in
+  if admitted 0 streams then Some (merge ~key streams) else None
+
 (* The audit-entry instantiation used by consolidation: keyed by entry
    timestamp, ties in stream order. *)
 let merge_entries (streams : Hdb.Audit_schema.entry list list) :

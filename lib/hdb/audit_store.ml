@@ -174,7 +174,16 @@ let fold f init t =
   iter (fun e -> acc := f !acc e) t;
   !acc
 
-let to_list t = List.rev (fold (fun acc e -> e :: acc) [] t)
+(* Entries [from, length) in append order, built back to front. *)
+let to_list_from t from =
+  if from < 0 then invalid_arg "Audit_store.to_list_from: negative position";
+  let acc = ref [] in
+  for i = length t - 1 downto from do
+    acc := get t i :: !acc
+  done;
+  !acc
+
+let to_list t = to_list_from t 0
 
 let append_all t entries = List.iter (append t) entries
 

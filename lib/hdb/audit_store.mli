@@ -21,6 +21,12 @@ val get : t -> int -> Audit_schema.entry
 val iter : (Audit_schema.entry -> unit) -> t -> unit
 val fold : ('acc -> Audit_schema.entry -> 'acc) -> 'acc -> t -> 'acc
 val to_list : t -> Audit_schema.entry list
+
+val to_list_from : t -> int -> Audit_schema.entry list
+(** [to_list_from t k]: the entries from position [k] on, in append order
+    ([[]] when [k >= length t]); [to_list t = to_list_from t 0].
+    @raise Invalid_argument on a negative position. *)
+
 val append_all : t -> Audit_schema.entry list -> unit
 val of_entries : Audit_schema.entry list -> t
 

@@ -45,10 +45,10 @@ type t = {
   mutable last_budget_stats : Relational.Errors.budget_stats option;
   mutable brownout_epochs : int; (* refinement epochs run under a brownout grant *)
   mutable shed_requests : int; (* admitted-path requests shed at the gate *)
-  (* The merge P_AL was last coded from, the trail [sync_audit] installed
-     it in, and that trail's length then: the next sync codes only what a
-     fresh merge appends to it (see [sync_audit]). *)
-  mutable synced : (Hdb.Audit_schema.entry list * Prima_core.Trail.t * int) option;
+  (* The consolidation P_AL was last brought up to, the trail [sync_audit]
+     installed it in, and that trail's length then: the next sync asks
+     the federation for only what arrived since (see [sync_audit]). *)
+  mutable synced : (Audit_mgmt.Federation.position * Prima_core.Trail.t * int) option;
   patterns : Audit_mgmt.To_policy.patterns; (* shared pattern rules for coding *)
 }
 
@@ -260,53 +260,39 @@ let set_auto_checkpoint ?(policy = Durable.Log.checkpoint_every ~records:64 ()) 
     List.iter (fun site -> clear (Audit_mgmt.Site.wal site)) sites
   end
 
-(* [Some suffix] when [fresh] is [prev] followed by [suffix], entry for
-   entry. *)
-let rec suffix_after prev fresh =
-  match (prev, fresh) with
-  | [], suffix -> Some suffix
-  | p :: prev, f :: fresh when Audit_mgmt.To_policy.same_rule p f ->
-    suffix_after prev fresh
-  | _ -> None
-
 (* Pull the fault-aware consolidated view into the refinement component's
    P_AL; the health report of this consolidation is retained and its
    completeness qualifies everything computed from the window.
 
    Each entry is coded once, and its seven-term rule is built only if
-   someone asks Prima for P_AL's rules.  When the fresh merge extends the
-   one P_AL was coded from, and Prima still holds the trail installed here
-   at the length it had then, only the new suffix is coded and appended:
-   coding is entry by entry, so the result equals a full rebuild.
-   Anything else — an entry dropped or moved by a skipped, stale-served,
-   quarantined or crash-reseated site, a late entry merged before the old
-   tail, or P_AL reset or appended to from outside — falls back to
-   rebuilding P_AL from the whole merge. *)
+   someone asks Prima for P_AL's rules.  While Prima still holds the trail
+   installed here at the length it had then, the federation is asked for
+   only what arrived since the consolidation P_AL was brought up to; when
+   it returns an extension, only that is coded and appended: coding is
+   entry by entry, so the result equals a full rebuild.  Anything else — a
+   skipped, stale-served, corrupting or crash-reseated site, a late entry
+   merged before the old tail, another consolidation in between, or P_AL
+   reset or appended to from outside — rebuilds P_AL from the whole
+   merge. *)
 let sync_audit t =
-  let result = Audit_mgmt.Federation.consolidated_result t.federation in
-  let entries = result.Audit_mgmt.Federation.entries in
-  t.last_health <- Some result.Audit_mgmt.Federation.health;
   let prima = t.prima in
-  let suffix =
+  let since =
     match t.synced with
-    | Some (prev, trail, length)
+    | Some (position, trail, length)
       when Prima_core.Prima.trail prima == trail && Prima_core.Trail.length trail = length ->
-      suffix_after prev entries
+      Some position
     | _ -> None
   in
-  let fresh =
-    match suffix with
-    | Some suffix -> suffix
-    | None ->
-      Prima_core.Prima.reset_audit prima;
-      entries
-  in
+  let result = Audit_mgmt.Federation.consolidated_result ?since t.federation in
+  let fresh = result.Audit_mgmt.Federation.entries in
+  t.last_health <- Some result.Audit_mgmt.Federation.health;
+  if not result.Audit_mgmt.Federation.extends then Prima_core.Prima.reset_audit prima;
   let trail = Prima_core.Prima.trail prima in
   Prima_core.Trail.append trail
     ~rules:(lazy (List.map Audit_mgmt.To_policy.rule_of_entry fresh))
     (Audit_mgmt.To_policy.trail_entry t.patterns)
     fresh;
-  t.synced <- Some (entries, trail, Prima_core.Trail.length trail);
+  t.synced <- Some (result.Audit_mgmt.Federation.position, trail, Prima_core.Trail.length trail);
   result.Audit_mgmt.Federation.health
 
 let coverage t =

@@ -8,12 +8,20 @@ type t = {
 
 let create ~seed = { state = Int64.of_int seed }
 
+(* Every draw moves the state by this fixed odd increment, so [n] draws
+   move it by [n] times it (mod 2^64). *)
+let gamma = 0x9E3779B97F4A7C15L
+
 let next_int64 t =
-  t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+  t.state <- Int64.add t.state gamma;
   let z = t.state in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let skip t n =
+  if n < 0 then invalid_arg "Splitmix.skip: negative count";
+  t.state <- Int64.add t.state (Int64.mul (Int64.of_int n) gamma)
 
 (* Uniform in [0, bound).  The shift by 2 keeps 62 bits, which always fits
    positively in OCaml's 63-bit native int. *)

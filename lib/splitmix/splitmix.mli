@@ -8,6 +8,11 @@ type t
 val create : seed:int -> t
 val next_int64 : t -> int64
 
+val skip : t -> int -> unit
+(** [skip t n] leaves [t] where [n] draws would, in O(1): each draw adds
+    the same constant to the state.
+    @raise Invalid_argument on a negative count. *)
+
 val int : t -> int -> int
 (** Uniform in [0, bound).
     @raise Invalid_argument when the bound is not positive. *)

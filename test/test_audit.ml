@@ -361,6 +361,59 @@ let prop_tournament_stable_tie_break =
       in
       merged = expected)
 
+(* Incremental consolidation returns [merge_after]'s result as the
+   continuation of the previous merge.  Streams split into sorted prefixes
+   and continuations, with continuation times clustered around the
+   prefixes' newest time so ties at the boundary, from lower and higher
+   streams, are common: the rule must admit exactly the splits where the
+   prefixes' merge followed by the continuations' merge is the merge of
+   the whole streams. *)
+let prop_merge_after_extends =
+  QCheck2.Test.make ~name:"prefixes' merge @ merge_after continuations = whole merge"
+    ~count:500
+    ~print:(fun streams -> Printf.sprintf "<%d streams>" (List.length streams))
+    QCheck2.Gen.(
+      list_size (int_range 1 5)
+        (pair
+           (list_size (int_range 0 4) (int_range 0 5))
+           (list_size (int_range 0 3) (int_range (-1) 2))))
+    (fun raw ->
+      let newest = List.fold_left (fun m (p, _) -> List.fold_left max m p) 0 raw in
+      (* the user tags each record with its stream and place *)
+      let entry i tag time =
+        Hdb.Audit_schema.entry ~time ~op:Hdb.Audit_schema.Allow
+          ~user:(Printf.sprintf "%d-%s" i tag) ~data:"d" ~purpose:"p" ~authorized:"a"
+          ~status:Hdb.Audit_schema.Regular
+      in
+      let split =
+        List.mapi
+          (fun i (prefix, offsets) ->
+            let prefix = List.sort Int.compare prefix in
+            let floor = List.fold_left max min_int prefix in
+            let cont =
+              List.sort Int.compare (List.map (fun o -> max floor (newest + o)) offsets)
+            in
+            ( List.mapi (fun j t -> entry i (Printf.sprintf "p%d" j) t) prefix,
+              List.mapi (fun j t -> entry i (Printf.sprintf "c%d" j) t) cont ))
+          raw
+      in
+      let prefixes = List.map fst split and conts = List.map snd split in
+      let last =
+        List.fold_left
+          (fun (i, last) p ->
+            match List.rev p with
+            | (e : Hdb.Audit_schema.entry) :: _ when e.time >= fst last -> (i + 1, (e.time, i))
+            | _ -> (i + 1, last))
+          (0, (min_int, -1)) prefixes
+        |> snd
+      in
+      let whole = Tournament.merge_entries (List.map2 ( @ ) prefixes conts) in
+      let old = Tournament.merge_entries prefixes in
+      let same = List.equal Hdb.Audit_schema.equal in
+      match Tournament.merge_after ~key:(fun e -> e.Hdb.Audit_schema.time) ~last conts with
+      | Some fresh -> same (old @ fresh) whole
+      | None -> not (same (old @ Tournament.merge_entries conts) whole))
+
 (* --- per-site durable WAL: crash, local replay, exactly-once --- *)
 
 let site_log seed = Durable.Log.create ~seed ()
@@ -519,6 +572,7 @@ let () =
           Alcotest.test_case "11 cursors, duplicate keys" `Quick
             test_tournament_many_cursors_duplicate_keys;
           QCheck_alcotest.to_alcotest ~long:false prop_tournament_stable_tie_break;
+          QCheck_alcotest.to_alcotest ~long:false prop_merge_after_extends;
         ] );
       ( "site-wal",
         [ Alcotest.test_case "crash + local replay + exactly-once" `Quick

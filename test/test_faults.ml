@@ -17,6 +17,11 @@ let check_int = Alcotest.(check int)
 
 let matrix_seeds = [ 101; 202; 303 ]
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let entry ?(time = 1) ?(op = Hdb.Audit_schema.Allow) ?(user = "u") ?(data = "referral")
     ?(purpose = "treatment") ?(authorized = "nurse")
     ?(status = Hdb.Audit_schema.Regular) () =
@@ -366,12 +371,8 @@ let test_rebuilt_shard_reads_healthy () =
   check_bool "and the rebuilt shard healthy" true
     (List.assoc_opt "icu" health.Health.shards = Some (1, 0));
   let printed = Fmt.str "%a" Health.pp health in
-  let contains sub =
-    let n = String.length printed and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub printed i m = sub || go (i + 1)) in
-    go 0
-  in
-  check_bool "printed healthy" true (contains "shards=1/1" && not (contains "lower bound"))
+  check_bool "printed healthy" true
+    (contains printed "shards=1/1" && not (contains printed "lower bound"))
 
 let test_stale_torn_shard_stays_degraded () =
   let icu, archive =
@@ -401,14 +402,132 @@ let test_stale_torn_shard_stays_degraded () =
          e.Prima_core.Coverage.reasons)
   | Prima_core.Coverage.Exact -> Alcotest.fail "a stale torn shard read Exact"
 
+(* A clean fetch whose new entry repeats the site's newest archived time
+   appends that entry by position.  The time partition alone would count
+   it as already held, find one record too many, and rebuild the site's
+   shards on fresh devices. *)
+let test_archive_repeated_timestamp () =
+  let site = Site.create ~name:"s" () in
+  let fed = Federation.create ~retry:Retry.no_retry () in
+  Federation.add_faulty_site fed (Fault.wrap ~config:Fault.no_faults ~seed:1 site);
+  let archive = Shard_store.create ~seed:3 () in
+  Federation.attach_archive fed archive;
+  Site.ingest_entries site [ entry ~time:5 ~user:"a" () ];
+  ignore (Federation.consolidated_result fed);
+  let wals () = List.map (fun (name, wal, _) -> (name, wal)) (Shard_store.devices archive) in
+  let before = wals () in
+  Site.ingest_entries site [ entry ~time:5 ~user:"b" () ];
+  let r = Federation.consolidated_result fed in
+  check_bool "complete" true (Health.complete r.Federation.health);
+  check_int "one record fetched" 1 (List.hd r.Federation.health.Health.sites).Health.fetched;
+  check_bool "the shard keeps its device" true
+    (List.equal (fun (a, d) (b, e) -> String.equal a b && d == e) before (wals ()));
+  Shard_store.sync archive;
+  let data_frames =
+    List.filter
+      (fun (_, _, k) -> k = Durable.Frame.Data)
+      (Durable.Wal.frame_spans (Durable.Device.contents (snd (List.hd (wals ())))))
+  in
+  check_int "one record appended to the first" 2 (List.length data_frames);
+  check_int "both archived" 2 (Shard_store.site_records archive ~site:"s")
+
+(* [fetched] counts what the transport carried: the whole store on a first
+   fetch, the new records on a suffix fetch, nothing on a stale serve. *)
+let test_health_fetched () =
+  let site = Site.create ~name:"icu" () in
+  Site.ingest_entries site [ entry ~time:1 ~user:"a" (); entry ~time:2 ~user:"b" () ];
+  let fault = Fault.wrap ~config:Fault.no_faults ~seed:1 site in
+  let fed = Federation.create ~retry:Retry.no_retry () in
+  Federation.add_faulty_site fed fault;
+  Federation.attach_archive fed (Shard_store.create ~seed:5 ());
+  let row () =
+    let h = (Federation.consolidated_result fed).Federation.health in
+    (List.hd h.Health.sites, h)
+  in
+  let whole, _ = row () in
+  check_int "whole fetch: the store" 2 whole.Health.fetched;
+  check_int "whole fetch: entries" 2 whole.Health.entries;
+  Site.ingest_entries site [ entry ~time:3 ~user:"c" () ];
+  let suffix, h = row () in
+  check_int "suffix fetch: the new record" 1 suffix.Health.fetched;
+  check_int "suffix fetch: the whole window" 3 suffix.Health.entries;
+  check_bool "printed" true (contains (Fmt.str "%a" Health.pp h) "fetched=1 entries=3");
+  Fault.take_down fault;
+  let stale, _ = row () in
+  (match stale.Health.status with
+  | Health.Stale _ -> ()
+  | s -> Alcotest.failf "expected Stale, got %s" (Fmt.str "%a" Health.pp_status s));
+  check_int "stale: nothing fetched" 0 stale.Health.fetched;
+  check_int "stale: the archived records" 3 stale.Health.entries;
+  (* a suffix needs the cursor's wrapper: a replacement is fetched whole *)
+  Fault.restore fault;
+  ignore (row ());
+  Federation.set_fault fed "icu" (Some (Fault.wrap ~config:Fault.no_faults ~seed:2 site));
+  let replaced, _ = row () in
+  check_int "replaced wrapper: the store" 3 replaced.Health.fetched;
+  (* and a clean delivery: after records corrupted in transit, the healed
+     wrapper fetches the whole store again *)
+  let corrupting = Fault.wrap ~config:{ Fault.no_faults with p_corrupt = 0.5 } ~seed:4 site in
+  Federation.set_fault fed "icu" (Some corrupting);
+  let holed, _ = row () in
+  check_bool "some records corrupted" true (holed.Health.entries < 3);
+  Fault.heal corrupting;
+  let healed, _ = row () in
+  check_int "healed after holes: the store" 3 healed.Health.fetched;
+  check_int "healed after holes: all delivered" 3 healed.Health.entries
+
+(* A late entry in a suffix (older than the site's newest delivered) is
+   not appended by position: the time partition rebuilds the site's
+   shards, so the archive still holds the stream in time order. *)
+let test_late_suffix_rebuilds () =
+  let site = Site.create ~name:"s" () in
+  Site.ingest_entries site [ entry ~time:1 ~user:"a" (); entry ~time:2 ~user:"b" () ];
+  let fed = Federation.create ~retry:Retry.no_retry () in
+  Federation.add_site fed site;
+  let archive = Shard_store.create ~seed:3 () in
+  Federation.attach_archive fed archive;
+  ignore (Federation.consolidated_result fed);
+  Site.ingest_entries site [ entry ~time:0 ~user:"c" () ];
+  let r = Federation.consolidated_result fed in
+  check_int "the late record alone fetched" 1 (List.hd r.Federation.health.Health.sites).Health.fetched;
+  check_bool "the archive holds the sorted stream" true
+    (List.equal Hdb.Audit_schema.equal
+       (List.stable_sort
+          (fun (a : Hdb.Audit_schema.entry) b -> Int.compare a.time b.time)
+          (Site.entries site))
+       (Shard_store.merged_site archive ~site:"s"))
+
+(* The archive appends by position only while it holds the cursor's
+   records: an archive swapped in with as many records for the site, but
+   older ones, goes through the time partition and is rebuilt from the
+   stream. *)
+let test_swapped_archive_rebuilds () =
+  let site = Site.create ~name:"s" () in
+  Site.ingest_entries site [ entry ~time:1 ~user:"a" (); entry ~time:2 ~user:"b" () ];
+  let fed = Federation.create ~retry:Retry.no_retry () in
+  Federation.add_site fed site;
+  Federation.attach_archive fed (Shard_store.create ~seed:3 ());
+  ignore (Federation.consolidated_result fed);
+  let swapped = Shard_store.create ~seed:4 () in
+  ignore
+    (Shard_store.archive_site swapped ~site:"s"
+       [ entry ~time:0 ~user:"x" (); entry ~time:1 ~user:"y" () ]);
+  Federation.attach_archive fed swapped;
+  Site.ingest_entries site [ entry ~time:3 ~user:"c" () ];
+  ignore (Federation.consolidated_result fed);
+  check_bool "the archive holds the site's stream" true
+    (List.equal Hdb.Audit_schema.equal (Site.entries site)
+       (Shard_store.merged_site swapped ~site:"s"))
+
 (* --- shard bounds kept as entries arrive ---
 
-   [site_high_water] and the manifest's per-shard [lo]/[hi] are kept per
-   shard on append and set at recovery; the oracle is the fold over the
-   archived entries they replace.  Schedules grow two sites' time-sorted
-   streams, force wholesale rebuilds (a late entry below the high-water
-   mark disagrees with the held prefix) and reopen from the devices; each
-   site's archive must also hold exactly its fetched stream. *)
+   [site_high_water], the per-site record and degraded counts, the tally
+   and the manifest's per-shard [lo]/[hi] are kept on append and set at
+   recovery; the oracle is the fold over the shards and archived entries
+   they replace.  Schedules grow two sites' time-sorted streams, force
+   wholesale rebuilds (a late entry below the high-water mark disagrees
+   with the held prefix) and reopen from the devices; each site's archive
+   must also hold exactly its fetched stream. *)
 
 type shard_op =
   | Grow of int * int list (* site, time increments of the new entries *)
@@ -441,7 +560,29 @@ let bounds_match_fold store =
     List.fold_left (fun m e -> max m e.Hdb.Audit_schema.time) (-1)
       (Shard_store.merged_site store ~site)
   in
+  let infos = Shard_store.shard_infos store in
+  let mine site = List.filter (fun (i : Shard_store.shard_info) -> i.site = site) infos in
+  let degraded (i : Shard_store.shard_info) = i.status <> Shard_store.Healthy in
+  let fold_records site =
+    List.fold_left
+      (fun acc (i : Shard_store.shard_info) ->
+        match i.status with Shard_store.Tampered _ -> acc | _ -> acc + i.records)
+      0 (mine site)
+  in
+  let fold_tally =
+    List.filter_map
+      (fun site ->
+        match mine site with
+        | [] -> None
+        | m -> Some (site, (List.length m, List.length (List.filter degraded m))))
+      sites
+  in
   List.for_all (fun site -> Shard_store.site_high_water store ~site = fold_hwm site) sites
+  && List.for_all (fun site -> Shard_store.site_records store ~site = fold_records site) sites
+  && List.for_all
+       (fun site -> Shard_store.site_degraded store ~site = List.exists degraded (mine site))
+       sites
+  && Shard_store.tally store = fold_tally
   &&
   (Shard_store.sync store;
    match Durable.Manifest.read (Shard_store.manifest_device store) with
@@ -666,6 +807,114 @@ let test_matrix_convergence_through_quarantine () =
        (List.sort Prima_core.Rule.compare recovered_report.Prima_core.Refinement.accepted)
        (List.sort Prima_core.Rule.compare baseline_report.Prima_core.Refinement.accepted))
 
+(* --- suffix fetches against the whole-store walk ---
+
+   [Fault.fetch ?from] skips the corruption draws in one step where none
+   can corrupt, and reads only the suffix.  The oracle is the walk it
+   replaces ([Test_support.Fetch_reference]): wrapped with the same seed
+   and config and driven through the same appends, heals and outages, it
+   must fail the same attempts, deliver the same suffix, corrupt the same
+   records and leave the clock where the wrapper does, fetch after
+   fetch. *)
+
+module Fetch_reference = Test_support.Fetch_reference
+
+type fetch_op =
+  | Append of int
+  | Fetch of int (* from this many records before the end *)
+  | Heal
+  | Down
+  | Up
+
+let fetch_op_to_string = function
+  | Append n -> Printf.sprintf "append %d" n
+  | Fetch k -> Printf.sprintf "fetch -%d" k
+  | Heal -> "heal"
+  | Down -> "down"
+  | Up -> "up"
+
+let gen_fault_config =
+  let open QCheck2.Gen in
+  let* p_unavailable = oneofl [ 0.; 0.; 0.3 ]
+  and* p_timeout = oneofl [ 0.; 0.2; 0.5 ]
+  and* p_flaky = oneofl [ 0.; 0.3 ]
+  and* p_corrupt = oneofl [ 0.; 0.; 0.25 ] in
+  return
+    { Fault.p_unavailable; p_timeout; p_flaky; p_corrupt; latency = 3; timeout_cost = 50 }
+
+let gen_fetch_ops =
+  let open QCheck2.Gen in
+  list_size (int_range 1 30)
+    (frequency
+       [ (3, map (fun n -> Append n) (int_range 0 8));
+         (6, map (fun k -> Fetch k) (oneof [ int_bound 10; return max_int ]));
+         (1, return Heal);
+         (1, return Down);
+         (1, return Up);
+       ])
+
+let print_fetch_case ((c : Fault.config), seed, ops) =
+  Printf.sprintf "unavailable %g timeout %g flaky %g corrupt %g, seed %d: %s" c.p_unavailable
+    c.p_timeout c.p_flaky c.p_corrupt seed
+    (String.concat "; " (List.map fetch_op_to_string ops))
+
+let same_fetch a b =
+  match (a, b) with
+  | Ok (x : Fault.fetched), Ok (y : Fault.fetched) ->
+    List.equal Hdb.Audit_schema.equal x.delivered y.delivered && x.corrupted = y.corrupted
+  | Error e, Error f -> e = f
+  | _ -> false
+
+let prop_suffix_fetch_matches_walk =
+  QCheck2.Test.make ~name:"Fault.fetch ?from = the whole-store walk" ~count:300
+    ~print:print_fetch_case
+    QCheck2.Gen.(triple gen_fault_config (int_bound 10_000) gen_fetch_ops)
+    (fun (config, seed, ops) ->
+      let site = Site.create ~name:"s" () in
+      let fault = Fault.wrap ~config ~seed site in
+      let reference = Fetch_reference.wrap ~config ~seed site in
+      let clock = ref 0 and reference_clock = ref 0 in
+      let next_time = ref 0 in
+      List.for_all
+        (function
+          | Append n ->
+            Site.ingest_entries site
+              (List.init n (fun k ->
+                   let time = !next_time + k in
+                   entry ~time ~user:(string_of_int time) ()));
+            next_time := !next_time + n;
+            true
+          | Fetch k ->
+            let from = if k = max_int then 0 else max 0 (Site.length site - k) in
+            let a = Fault.fetch ~from fault ~clock in
+            let b = Fetch_reference.fetch ~from reference ~clock:reference_clock in
+            same_fetch a b && !clock = !reference_clock
+          | Heal ->
+            Fault.heal fault;
+            Fetch_reference.heal reference;
+            true
+          | Down ->
+            Fault.take_down fault;
+            Fetch_reference.take_down reference;
+            true
+          | Up ->
+            Fault.restore fault;
+            Fetch_reference.restore reference;
+            true)
+        ops)
+
+let prop_skip_is_n_draws =
+  QCheck2.Test.make ~name:"Splitmix.skip n = n draws" ~count:200
+    QCheck2.Gen.(pair int (int_bound 5_000))
+    (fun (seed, n) ->
+      let skipped = Splitmix.create ~seed and drawn = Splitmix.create ~seed in
+      Splitmix.skip skipped n;
+      for _ = 1 to n do
+        ignore (Splitmix.next_int64 drawn)
+      done;
+      List.init 4 (fun _ -> Splitmix.next_int64 skipped)
+      = List.init 4 (fun _ -> Splitmix.next_int64 drawn))
+
 let matrix_cases =
   List.concat_map
     (fun seed ->
@@ -709,8 +958,18 @@ let () =
             test_rebuilt_shard_reads_healthy;
           Alcotest.test_case "stale torn shard stays degraded" `Quick
             test_stale_torn_shard_stays_degraded;
+          Alcotest.test_case "repeated timestamp appends, no rebuild" `Quick
+            test_archive_repeated_timestamp;
+          Alcotest.test_case "fetched: whole, suffix and stale rows" `Quick
+            test_health_fetched;
+          Alcotest.test_case "late suffix rebuilds" `Quick test_late_suffix_rebuilds;
+          Alcotest.test_case "swapped archive rebuilds" `Quick test_swapped_archive_rebuilds;
           QCheck_alcotest.to_alcotest ~long:false prop_shard_bounds_match_fold;
         ] );
+      ( "suffix-fetch",
+        List.map
+          (QCheck_alcotest.to_alcotest ~long:false)
+          [ prop_suffix_fetch_matches_walk; prop_skip_is_n_draws ] );
       ("fault-matrix", matrix_cases);
       ( "quarantine-convergence",
         [ Alcotest.test_case "mapping fix converges" `Quick

@@ -1,13 +1,16 @@
 (* Incremental audit sync against its from-scratch oracle.
 
-   [System.sync_audit] codes only what a fresh consolidation appends to
-   the previous one into Prima's coded P_AL, and builds P_AL's rules only
-   when asked.  The oracle is the path both replace: a twin System that
-   receives the same operations but has [Prima.reset_audit] called before
-   each of its requests, which forces a full rebuild every time.  Random
-   schedules mix appends (late entries with earlier timestamps among
-   them), outages and heals with an archive attached, corrupted fetches,
-   crash-reseated sites, vocabulary edits and outside resets; after every
+   [System.sync_audit] asks the federation for only what arrived since its
+   last consolidation, codes that extension into Prima's coded P_AL, and
+   builds P_AL's rules only when asked.  The oracle is the path both
+   replace: a twin System that receives the same operations but has
+   [Prima.reset_audit] called before each of its requests, which forces a
+   whole consolidation and a full rebuild every time.  Random schedules
+   mix appends (late entries with earlier timestamps among them, and ties
+   at the newest timestamp from a lower site), outages and heals with an
+   archive attached, corrupting wrappers and their clean replacements,
+   crash-reseated sites, sites joining mid-schedule, consolidations from
+   outside System, vocabulary edits and outside resets; after every
    request the twins must agree on P_AL as a sequence, on both coverage
    readings (uncovered lists included) and on the epoch reports. *)
 
@@ -43,10 +46,16 @@ type op =
   | Append of { site : int; count : int; seed : int; sync : bool; uniform : bool }
   | Late of { site : int; back : int; seed : int; uniform : bool }
       (** one entry older than entries already consolidated *)
+  | Tie of { lower : bool; seed : int; uniform : bool }
+      (** one entry at the newest timestamp handed out, at the site below
+          the highest one holding it ([lower]) or at that site *)
   | Outage of int
   | Heal of int
   | Corrupt of { site : int; seed : int }  (** fetches damage records from now on *)
+  | Clean of { site : int; seed : int }  (** a fresh fault-free wrapper replaces the site's *)
   | Crash of int  (** power-cut the site's WAL, reopen it, reseat it *)
+  | Add_site of { count : int; seed : int }  (** a site joins with [count] new entries *)
+  | Outside_consolidate  (** a consolidation outside System, between requests *)
   | Vocab_edit of int
   | Outside_reset  (** P_AL replaced behind System's back *)
   | Coverage
@@ -60,18 +69,26 @@ let op_to_string = function
   | Late { site; back; seed; uniform } ->
     Printf.sprintf "late(site %d, -%d, seed %d%s)" site back seed
       (if uniform then ", uniform" else "")
+  | Tie { lower; seed; uniform } ->
+    Printf.sprintf "tie(%s, seed %d%s)" (if lower then "lower" else "same") seed
+      (if uniform then ", uniform" else "")
   | Outage i -> Printf.sprintf "outage(%d)" i
   | Heal i -> Printf.sprintf "heal(%d)" i
   | Corrupt { site; seed } -> Printf.sprintf "corrupt(site %d, seed %d)" site seed
+  | Clean { site; seed } -> Printf.sprintf "clean(site %d, seed %d)" site seed
   | Crash i -> Printf.sprintf "crash(%d)" i
+  | Add_site { count; seed } -> Printf.sprintf "add-site(%d, seed %d)" count seed
+  | Outside_consolidate -> "outside-consolidate"
   | Vocab_edit k -> Printf.sprintf "vocab-edit(%d)" k
   | Outside_reset -> "outside-reset"
   | Coverage -> "coverage"
   | Refine -> "refine"
 
+(* Site indices past the initial [n_sites] reach the sites that join
+   later; [apply] takes them modulo the sites present. *)
 let gen_op : op QCheck2.Gen.t =
   let open QCheck2.Gen in
-  let site = int_bound (n_sites - 1) in
+  let site = int_bound n_sites in
   frequency
     [ ( 8,
         let* site = site and* count = int_range 1 12 and* seed = int_bound 10_000
@@ -81,12 +98,22 @@ let gen_op : op QCheck2.Gen.t =
         let* site = site and* back = int_range 1 40 and* seed = int_bound 10_000
         and* uniform = bool in
         return (Late { site; back; seed; uniform }) );
+      ( 2,
+        let* lower = bool and* seed = int_bound 10_000 and* uniform = bool in
+        return (Tie { lower; seed; uniform }) );
       (1, map (fun i -> Outage i) site);
       (2, map (fun i -> Heal i) site);
       ( 1,
         let* site = site and* seed = int_bound 10_000 in
         return (Corrupt { site; seed }) );
+      ( 1,
+        let* site = site and* seed = int_bound 10_000 in
+        return (Clean { site; seed }) );
       (1, map (fun i -> Crash i) site);
+      ( 1,
+        let* count = int_range 0 6 and* seed = int_bound 10_000 in
+        return (Add_site { count; seed }) );
+      (1, return Outside_consolidate);
       (1, map (fun k -> Vocab_edit k) (int_bound 1_000));
       (1, return Outside_reset);
       (6, return Coverage);
@@ -101,25 +128,27 @@ let print_schedule ops = String.concat "; " (List.map op_to_string ops)
 
 type twin = {
   sys : Sys_.t;
-  faults : Fault.t array;
+  mutable faults : Fault.t array;
   mutable next_time : int;
+  mutable newest_site : int; (* the highest site holding [next_time - 1] *)
   mutable edits : int;
 }
 
 let site_name i = Printf.sprintf "site-%d" i
 
+(* A WAL-backed site behind a fault-free wrapper, as the next member. *)
+let join sys i =
+  let site = Site.create ~name:(site_name i) () in
+  Site.attach_wal site (Durable.Log.create ~seed:(i + 1) ());
+  let fault = Fault.wrap ~config:Fault.no_faults ~seed:(100 + i) site in
+  Sys_.add_faulty_site sys fault;
+  fault
+
 let make_twin () =
   let sys = Sys_.create ~vocab:(vocab ()) ~p_ps:(Workload.Scenario.policy_store ()) () in
-  let faults =
-    Array.init n_sites (fun i ->
-        let site = Site.create ~name:(site_name i) () in
-        Site.attach_wal site (Durable.Log.create ~seed:(i + 1) ());
-        let fault = Fault.wrap ~config:Fault.no_faults ~seed:(100 + i) site in
-        Sys_.add_faulty_site sys fault;
-        fault)
-  in
+  let faults = Array.init n_sites (join sys) in
   Sys_.attach_archive sys (Audit_mgmt.Shard_store.create ~seed:7 ());
-  { sys; faults; next_time = 1; edits = 0 }
+  { sys; faults; next_time = 1; newest_site = 0; edits = 0 }
 
 let pick rng a = a.(Splitmix.int rng (Array.length a))
 
@@ -137,28 +166,51 @@ let gen_entry rng ~uniform ~time =
 
 let site_of tw i = Fault.site tw.faults.(i)
 
-let apply tw = function
+(* Fresh entries at the next timestamps, at site [i]. *)
+let append_fresh tw i ~count ~seed ~uniform =
+  let rng = Splitmix.create ~seed in
+  let entries = List.init count (fun k -> gen_entry rng ~uniform ~time:(tw.next_time + k)) in
+  tw.next_time <- tw.next_time + count;
+  if count > 0 then tw.newest_site <- i;
+  Site.ingest_entries (site_of tw i) entries
+
+let swap_fault tw site fault =
+  tw.faults.(site) <- fault;
+  Federation.set_fault (Sys_.federation tw.sys) (site_name site) (Some fault)
+
+let apply tw op =
+  let sites = Array.length tw.faults in
+  match op with
   | Append { site; count; seed; sync; uniform } ->
-    let rng = Splitmix.create ~seed in
-    let entries =
-      List.init count (fun k -> gen_entry rng ~uniform ~time:(tw.next_time + k))
-    in
-    tw.next_time <- tw.next_time + count;
-    Site.ingest_entries (site_of tw site) entries;
+    let site = site mod sites in
+    append_fresh tw site ~count ~seed ~uniform;
     if sync then Site.sync_wal (site_of tw site)
   | Late { site; back; seed; uniform } ->
     let rng = Splitmix.create ~seed in
     let time = max 0 (tw.next_time - back) in
-    Site.ingest_entries (site_of tw site) [ gen_entry rng ~uniform ~time ]
-  | Outage i -> Fault.take_down tw.faults.(i)
-  | Heal i -> Fault.heal tw.faults.(i)
+    Site.ingest_entries (site_of tw (site mod sites)) [ gen_entry rng ~uniform ~time ]
+  | Tie { lower; seed; uniform } ->
+    (* at an equal time a lower site merges first, so a lower-site tie
+       lands before the newest merged entry *)
+    let site = if lower then max 0 (tw.newest_site - 1) else tw.newest_site in
+    let rng = Splitmix.create ~seed in
+    Site.ingest_entries (site_of tw site)
+      [ gen_entry rng ~uniform ~time:(max 0 (tw.next_time - 1)) ]
+  | Outage i -> Fault.take_down tw.faults.(i mod sites)
+  | Heal i -> Fault.heal tw.faults.(i mod sites)
   | Corrupt { site; seed } ->
-    let fault =
-      Fault.wrap ~config:{ Fault.no_faults with p_corrupt = 0.2 } ~seed (site_of tw site)
-    in
-    tw.faults.(site) <- fault;
-    Federation.set_fault (Sys_.federation tw.sys) (site_name site) (Some fault)
+    let site = site mod sites in
+    swap_fault tw site
+      (Fault.wrap ~config:{ Fault.no_faults with p_corrupt = 0.2 } ~seed (site_of tw site))
+  | Clean { site; seed } ->
+    let site = site mod sites in
+    swap_fault tw site (Fault.wrap ~config:Fault.no_faults ~seed (site_of tw site))
+  | Add_site { count; seed } ->
+    tw.faults <- Array.append tw.faults [| join tw.sys sites |];
+    append_fresh tw sites ~count ~seed ~uniform:false
+  | Outside_consolidate -> ignore (Federation.consolidated_result (Sys_.federation tw.sys))
   | Crash i ->
+    let i = i mod sites in
     let log = Option.get (Site.wal (site_of tw i)) in
     let wal = Durable.Log.wal_device log and snapshot = Durable.Log.snapshot_device log in
     Durable.Device.crash wal ~point:Durable.Device.Clean_loss;
@@ -199,7 +251,8 @@ let epoch_equal (a : Ref.epoch_report) (b : Ref.epoch_report) =
   && stats_equal a.Ref.coverage_after b.Ref.coverage_after
   && a.Ref.qualifier = b.Ref.qualifier
 
-let audit_rules tw = P.rules (Prima.audit_policy (Sys_.prima tw.sys))
+let audit_rules_of sys = P.rules (Prima.audit_policy (Sys_.prima sys))
+let audit_rules tw = audit_rules_of tw.sys
 
 (* Run a schedule on the incremental System and its from-scratch twin;
    [Error] names the first step where they disagree. *)
@@ -356,6 +409,46 @@ let test_outside_ingest_rebuilds () =
   Alcotest.(check int) "rebuilt from the merge alone" 6 (List.length (audit_rules tw));
   check_bool "the outside rule is gone" false (List.exists (R.equal outside) (audit_rules tw))
 
+(* The monitor workload's shape: four clean WAL-backed sites behind
+   fault-free wrappers with an archive attached, then cycles of a
+   24-entry batch dealt across them, each followed by a request (a refine
+   every fifth).  Every request must extend P_AL — Prima keeps the trail
+   it holds — and the transport must carry only the batch. *)
+let test_monitor_cycles_extend () =
+  let sys = Sys_.create ~vocab:(vocab ()) ~p_ps:(Workload.Scenario.policy_store ()) () in
+  let sites = Array.init 4 (fun i -> Fault.site (join sys i)) in
+  Sys_.attach_archive sys (Audit_mgmt.Shard_store.create ~seed:7 ());
+  let rng = Splitmix.create ~seed:11 in
+  let next_time = ref 1 in
+  let deal n =
+    for k = 0 to n - 1 do
+      Site.ingest_entries sites.(k mod 4) [ gen_entry rng ~uniform:false ~time:(!next_time + k) ]
+    done;
+    next_time := !next_time + n;
+    Array.iter Site.sync_wal sites
+  in
+  deal 400;
+  ignore (Sys_.coverage_qualified sys);
+  let trail = Prima.trail (Sys_.prima sys) in
+  for cycle = 0 to 9 do
+    deal 24;
+    if cycle mod 5 = 2 then ignore (Sys_.refine sys) else ignore (Sys_.coverage_qualified sys);
+    check_bool (Printf.sprintf "cycle %d extends P_AL" cycle) true
+      (Prima.trail (Sys_.prima sys) == trail);
+    let health = Option.get (Sys_.last_health sys) in
+    Alcotest.(check int)
+      (Printf.sprintf "cycle %d fetches the batch alone" cycle)
+      24
+      (List.fold_left
+         (fun acc (h : Audit_mgmt.Health.site_health) -> acc + h.Audit_mgmt.Health.fetched)
+         0 health.Audit_mgmt.Health.sites);
+    Alcotest.(check int) "the window is the whole trail" (!next_time - 1)
+      health.Audit_mgmt.Health.delivered
+  done;
+  check_bool "P_AL is the direct view, in order" true
+    (rules_equal (audit_rules_of sys)
+       (P.rules (Audit_mgmt.To_policy.policy_of_entries (Federation.consolidated (Sys_.federation sys)))))
+
 (* --- bounded intern table --- *)
 
 (* One term per distinct timestamp, past the bound: the table never holds
@@ -389,6 +482,7 @@ let () =
             test_append_reuses_prefix;
           Alcotest.test_case "an outside ingest rebuilds P_AL" `Quick
             test_outside_ingest_rebuilds;
+          Alcotest.test_case "monitor-shaped cycles extend" `Quick test_monitor_cycles_extend;
         ] );
       ( "intern",
         [ Alcotest.test_case "intern table bounded" `Quick test_intern_table_bounded ] );
