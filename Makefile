@@ -4,10 +4,22 @@ build:
 	dune build
 
 # Line counts of lib/'s .ml and .mli files, the figures CHANGES.md
-# entries report for each change.
+# entries report for each change.  `make loc BASE=<rev>` also prints the
+# counts at that revision (read with git show, nothing checked out) and
+# the difference from the working tree.
 loc:
 	@printf 'lib .ml  %s\n' "$$(find lib -name '*.ml' -exec cat {} + | wc -l)"
 	@printf 'lib .mli %s\n' "$$(find lib -name '*.mli' -exec cat {} + | wc -l)"
+	@if [ -n "$(BASE)" ]; then \
+	  git rev-parse -q --verify "$(BASE)^{commit}" > /dev/null \
+	    || { echo "make loc: $(BASE) is not a revision" >&2; exit 1; }; \
+	  for ext in ml mli; do \
+	    now=$$(find lib -name "*.$$ext" -exec cat {} + | wc -l); \
+	    base=$$(git ls-tree -r --name-only "$(BASE)" -- lib | grep "\.$$ext\$$" \
+	      | while read -r f; do git show "$(BASE):$$f"; done | wc -l); \
+	    printf 'lib .%-3s %s at %s, %+d\n' "$$ext" "$$base" "$(BASE)" "$$((now - base))"; \
+	  done; \
+	fi
 
 test:
 	dune build && dune runtest

@@ -158,20 +158,6 @@ let pressure_signals t =
 let refresh_pressure t =
   Option.iter (fun adm -> Admission.set_pressure adm (pressure_signals t)) t.admission
 
-let class_health_rows t =
-  match t.admission with
-  | None -> []
-  | Some adm ->
-      List.map
-        (fun (s : Admission.class_stats) ->
-          { Health.cls = s.Admission.cls;
-            weight = s.Admission.weight;
-            admitted = s.Admission.admitted;
-            brownouts = s.Admission.brownouts;
-            shed = s.Admission.shed;
-          })
-        (Admission.stats adm)
-
 let heal_all t =
   List.iter (fun m -> Option.iter Fault.heal m.fault) t.members
 
@@ -421,7 +407,7 @@ let consolidated_result ?since t : result_t =
   t.last <- Some position;
   { entries;
     health =
-      Health.of_sites ~classes:(class_health_rows t) ~shards
+      Health.of_sites ~classes:(Option.fold ~none:[] ~some:Admission.stats t.admission) ~shards
         (List.map (fun a -> a.site_health) arrivals);
     extends;
     position;

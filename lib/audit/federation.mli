@@ -62,10 +62,6 @@ val refresh_pressure : t -> unit
 (** Re-derive {!pressure_signals} into the attached controller (no-op
     without one).  {!consolidated_result} does this implicitly. *)
 
-val class_health_rows : t -> Health.class_health list
-(** Per-budget-class admission counters as health rows; [[]] without a
-    controller. *)
-
 val heal_all : t -> unit
 (** {!Fault.heal} every member — the recovery step of the convergence
     oracle. *)

@@ -39,20 +39,9 @@ let make ?(site_degraded = false) ?(fetched = 0) ~site ~status ~entries ~quarant
     ~skipped_entries ~breaker ~trips () =
   { site; status; fetched; entries; quarantined; skipped_entries; breaker; trips; site_degraded }
 
-(* Admission accounting for one budget class: how many requests the
-   class had strictly admitted, browned out to Partial execution, or
-   shed outright since counters were last reset. *)
-type class_health = {
-  cls : string;
-  weight : int;
-  admitted : int;
-  brownouts : int;
-  shed : int;
-}
-
 type t = {
   sites : site_health list;
-  classes : class_health list; (* per-budget-class admission rows; [] when unattached *)
+  classes : Admission.class_stats list; (* per budget class; [] when unattached *)
   delivered : int;
   quarantined : int;
   skipped_entries : int;
@@ -130,7 +119,7 @@ let pp_site t ppf s =
     (if s.site_degraded then " DEGRADED" else "")
     Breaker.pp_state s.breaker s.trips
 
-let pp_class ppf c =
+let pp_class ppf (c : Admission.class_stats) =
   Fmt.pf ppf "%-16s weight=%d admitted=%d brownouts=%d shed=%d" c.cls c.weight c.admitted
     c.brownouts c.shed
 

@@ -54,19 +54,10 @@ val make :
   site_health
 (** [site_degraded] defaults to [false], [fetched] to 0. *)
 
-type class_health = {
-  cls : string;
-  weight : int;
-  admitted : int;  (** strict admission grants *)
-  brownouts : int;  (** Partial-mode (lower-bound) grants *)
-  shed : int;  (** typed, all-or-nothing rejections *)
-}
-(** Admission accounting for one budget class (see {!Admission}). *)
-
 type t = {
   sites : site_health list;
-  classes : class_health list;
-      (** per-budget-class admission rows; [[]] when no admission
+  classes : Admission.class_stats list;
+      (** per-budget-class admission counters; [[]] when no admission
           controller is attached *)
   delivered : int;
   quarantined : int;
@@ -79,7 +70,10 @@ type t = {
 }
 
 val of_sites :
-  ?classes:class_health list -> shards:(string * (int * int)) list -> site_health list -> t
+  ?classes:Admission.class_stats list ->
+  shards:(string * (int * int)) list ->
+  site_health list ->
+  t
 
 val complete : t -> bool
 
@@ -102,5 +96,5 @@ val site_completeness : site_health -> float
 val site_ok : site_health -> bool
 val skip_reason_to_string : skip_reason -> string
 val pp_status : Format.formatter -> site_status -> unit
-val pp_class : Format.formatter -> class_health -> unit
+val pp_class : Format.formatter -> Admission.class_stats -> unit
 val pp : Format.formatter -> t -> unit

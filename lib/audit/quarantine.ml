@@ -23,8 +23,8 @@ type t = {
   mutable log : Durable.Log.t option;
 }
 
-(* Op record codec.  One byte of opcode, then length-prefixed strings and
-   u64 sequence numbers:
+(* Op record codec.  One byte of opcode, then u32-prefixed strings and
+   u64 sequence numbers ({!Durable.Frame}'s payload fields):
 
      'A' [seq : u64] [site] [reason] [npairs : u32] ([key] [value]) xn
      'R' [seq : u64] [site]
@@ -33,95 +33,46 @@ type t = {
    A checkpoint image is the live items re-encoded as 'A' ops, so replay
    needs only this one decoder. *)
 
-let add_str buffer s =
-  Durable.Frame.put_u32 buffer (String.length s);
-  Buffer.add_string buffer s
-
-let encode_add ~site ~seq ~raw ~reason =
-  let buffer = Buffer.create 64 in
-  Buffer.add_char buffer 'A';
-  Durable.Frame.put_u64 buffer seq;
-  add_str buffer site;
-  add_str buffer reason;
-  Durable.Frame.put_u32 buffer (List.length raw);
-  List.iter
-    (fun (k, v) ->
-      add_str buffer k;
-      add_str buffer v)
-    raw;
-  Buffer.contents buffer
-
-let encode_remove ~site ~seq =
-  let buffer = Buffer.create 24 in
-  Buffer.add_char buffer 'R';
-  Durable.Frame.put_u64 buffer seq;
-  add_str buffer site;
-  Buffer.contents buffer
-
-let encode_clear = "C"
-
 type op =
   | Op_add of item
   | Op_remove of string * int
   | Op_clear
 
+let encode_op op =
+  let module F = Durable.Frame in
+  let buffer = Buffer.create 64 in
+  (match op with
+  | Op_add { site; seq; raw; reason } ->
+    Buffer.add_char buffer 'A';
+    F.put_u64 buffer seq;
+    F.put_string buffer site;
+    F.put_string buffer reason;
+    F.put_pairs buffer raw
+  | Op_remove (site, seq) ->
+    Buffer.add_char buffer 'R';
+    F.put_u64 buffer seq;
+    F.put_string buffer site
+  | Op_clear -> Buffer.add_char buffer 'C');
+  Buffer.contents buffer
+
 let decode_op s =
-  let n = String.length s in
-  let pos = ref 0 in
+  let module F = Durable.Frame in
   let ( let* ) = Option.bind in
-  let u64 () =
-    if !pos + 8 > n then None
-    else begin
-      let v = Durable.Frame.get_u64 s !pos in
-      pos := !pos + 8;
-      if v < 0 then None else Some v
-    end
-  in
-  let str () =
-    if !pos + 4 > n then None
-    else begin
-      let len = Durable.Frame.get_u32 s !pos in
-      pos := !pos + 4;
-      if len < 0 || !pos + len > n then None
-      else begin
-        let v = String.sub s !pos len in
-        pos := !pos + len;
-        Some v
-      end
-    end
-  in
-  if n = 0 then None
-  else
-    match s.[0] with
-    | 'C' -> if n = 1 then Some Op_clear else None
-    | 'R' ->
-      pos := 1;
-      let* seq = u64 () in
-      let* site = str () in
-      if !pos <> n then None else Some (Op_remove (site, seq))
-    | 'A' ->
-      pos := 1;
-      let* seq = u64 () in
-      let* site = str () in
-      let* reason = str () in
-      let* npairs =
-        if !pos + 4 > n then None
-        else begin
-          let v = Durable.Frame.get_u32 s !pos in
-          pos := !pos + 4;
-          if v < 0 then None else Some v
-        end
-      in
-      let rec pairs acc k =
-        if k = 0 then Some (List.rev acc)
-        else
-          let* key = str () in
-          let* value = str () in
-          pairs ((key, value) :: acc) (k - 1)
-      in
-      let* raw = pairs [] npairs in
-      if !pos <> n then None else Some (Op_add { site; seq; raw; reason })
-    | _ -> None
+  let r = F.reader s in
+  let* code = F.read_char r in
+  match code with
+  | 'A' ->
+    let* seq = F.read_u64 r in
+    let* site = F.read_string r in
+    let* reason = F.read_string r in
+    let* raw = F.read_pairs r in
+    F.finish r (Op_add { site; seq; raw; reason })
+  | 'R' ->
+    let* seq = F.read_u64 r in
+    let* site = F.read_string r in
+    F.finish r (Op_remove (site, seq))
+  | 'C' -> F.finish r Op_clear
+  | _ -> None
 
 let create () = { index = Hashtbl.create 16; order = []; log = None }
 
@@ -129,9 +80,9 @@ let length t = Hashtbl.length t.index
 
 let mem t ~site ~seq = Hashtbl.mem t.index (site, seq)
 
-let log_op t payload =
+let log_op t op =
   match t.log with
-  | Some log -> ignore (Durable.Log.append log payload)
+  | Some log -> ignore (Durable.Log.append log (encode_op op))
   | None -> ()
 
 (* Table updates alone — shared by the public mutators (which log first)
@@ -155,12 +106,12 @@ let clear_mem t =
 (* Idempotent: re-adding a (site, seq) already held replaces the reason but
    does not duplicate the item. *)
 let add t ~site ~seq ~raw ~reason =
-  log_op t (encode_add ~site ~seq ~raw ~reason);
+  log_op t (Op_add { site; seq; raw; reason });
   add_mem t ~site ~seq ~raw ~reason
 
 let remove t ~site ~seq =
   if mem t ~site ~seq then begin
-    log_op t (encode_remove ~site ~seq);
+    log_op t (Op_remove (site, seq));
     remove_mem t ~site ~seq
   end
 
@@ -181,7 +132,7 @@ let take_site t ~site =
   taken
 
 let clear t =
-  if length t > 0 || t.log <> None then log_op t encode_clear;
+  if length t > 0 || t.log <> None then log_op t Op_clear;
   clear_mem t
 
 (* --- durability --- *)
@@ -190,53 +141,37 @@ let log t = t.log
 
 let sync t = Option.iter Durable.Log.sync t.log
 
+let apply_op t = function
+  | Op_add { site; seq; raw; reason } -> add_mem t ~site ~seq ~raw ~reason
+  | Op_remove (site, seq) -> remove_mem t ~site ~seq
+  | Op_clear -> clear_mem t
+
 (* Replay a recovered op log into [t] (assumed fresh), then attach it so
-   new mutations are write-ahead.  Ops that fail to decode are counted —
-   they passed their CRC, so a non-zero count means a codec mismatch. *)
+   new mutations are write-ahead. *)
 let restore t log =
-  let recovery = Durable.Log.open_or_recover log in
-  let undecodable = ref 0 in
-  List.iter
-    (fun payload ->
-      match decode_op payload with
-      | Some (Op_add { site; seq; raw; reason }) -> add_mem t ~site ~seq ~raw ~reason
-      | Some (Op_remove (site, seq)) -> remove_mem t ~site ~seq
-      | Some Op_clear -> clear_mem t
-      | None -> incr undecodable)
-    recovery.Durable.Recovery.entries;
+  let result = Durable.Log.replay log ~decode:decode_op ~apply:(apply_op t) in
   t.log <- Some log;
-  (recovery, !undecodable)
+  result
 
 let open_durable log =
   let t = create () in
   let recovery, undecodable = restore t log in
   (t, recovery, undecodable)
 
-(* Compact the op history into a snapshot of the live items (each re-encoded
-   as an 'A' op, so replay reuses the one decoder) and truncate the WAL. *)
-let checkpoint t =
-  match t.log with
-  | None -> ()
-  | Some durable_log ->
-    let entries =
-      List.map
-        (fun { site; seq; raw; reason } -> encode_add ~site ~seq ~raw ~reason)
-        (items t)
-    in
-    Durable.Log.checkpoint durable_log ~entries
+(* The snapshot image: the live items, each re-encoded as an 'A' op so
+   replay reuses the one decoder. *)
+let image t = List.map (fun item -> encode_op (Op_add item)) (items t)
+
+(* Compact the op history into a snapshot of the live items and truncate
+   the WAL. *)
+let checkpoint t = Option.iter (fun log -> Durable.Log.checkpoint log ~entries:(image t)) t.log
 
 (* Keep the op log bounded: compact automatically once it exceeds the
    policy.  Mutations are write-ahead (op logged, then applied), so at
    trigger time the live items are exactly the state the logged ops
    produce. *)
 let enable_auto_checkpoint ?(policy = Durable.Log.checkpoint_every ~records:1024 ()) t =
-  match t.log with
-  | None -> ()
-  | Some durable_log ->
-    Durable.Log.set_auto_checkpoint durable_log policy (fun () ->
-        List.map
-          (fun { site; seq; raw; reason } -> encode_add ~site ~seq ~raw ~reason)
-          (items t))
+  Option.iter (fun log -> Durable.Log.set_auto_checkpoint log policy (fun () -> image t)) t.log
 
 let pp_item ppf item =
   Fmt.pf ppf "%s#%d: %s" item.site item.seq item.reason

@@ -46,6 +46,18 @@ val clear : t -> unit
     {!sync}ed; {!checkpoint} compacts the op history into a snapshot of
     the live items. *)
 
+type op =
+  | Op_add of item  (** ['A']: an item added, or replaced *)
+  | Op_remove of string * int  (** ['R']: the item at (site, seq) left *)
+  | Op_clear  (** ['C'] *)
+
+val encode_op : op -> string
+(** The WAL payload of one op; a checkpoint image is the live items as
+    [Op_add]s. *)
+
+val decode_op : string -> op option
+(** Inverse of {!encode_op}; [None] on anything else. *)
+
 val log : t -> Durable.Log.t option
 
 val sync : t -> unit

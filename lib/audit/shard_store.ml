@@ -21,8 +21,9 @@
    Archiving is per-site and append-only up to a high-water mark: entries
    at or below the newest archived timestamp must already be held, so a
    fetch is split into the already-archived prefix and the fresh suffix.
-   If the held records disagree with that prefix — a damaged shard, a
-   lost device — the site's shards are rebuilt wholesale from the fetch:
+   If the held records disagree with that prefix, entry by entry — a
+   damaged shard, a lost device, a record the site lost in a crash and
+   replaced — the site's shards are rebuilt wholesale from the fetch:
    a clean fetch supersedes a damaged archive.  Per-site streams are
    assumed time-sorted (the consolidation path sorts defensively).
 
@@ -259,22 +260,32 @@ let drop_site_shards t ~site =
   t.shards <- List.filter (fun s -> not (String.equal s.site site)) t.shards;
   Hashtbl.remove t.totals site
 
+(* A site's servable records, in bucket order. *)
+let merged_site t ~site =
+  List.concat_map
+    (fun s -> match s.status with Tampered _ -> [] | _ -> shard_entries s)
+    (site_shards t ~site)
+
 type archive_summary = {
   appended : int; (* fresh records archived this call *)
   rebuilt : bool; (* the site's shards were rebuilt from the fetch *)
 }
 
 (* Archive one site's fetched stream (time-sorted).  The prefix at or
-   below the high-water mark must already be held record-for-record; any
-   disagreement — damaged shard, lost device, corruption hole — rebuilds
-   the site's shards wholesale from the fetch. *)
+   below the high-water mark must already be held record for record —
+   equal counts are not enough: a record the site lost in a crash, and a
+   late one at the same time after it, leave the count as it was.  Any
+   disagreement — damaged shard, lost device, corruption hole, a replaced
+   record — rebuilds the site's shards wholesale from the fetch. *)
 let archive_site t ~site entries =
   let hwm = site_high_water t ~site in
   let old_prefix, fresh =
     List.partition (fun e -> e.Hdb.Audit_schema.time <= hwm) entries
   in
-  let held = site_records t ~site in
-  let consistent = (not (site_degraded t ~site)) && List.length old_prefix = held in
+  let consistent =
+    (not (site_degraded t ~site))
+    && List.equal Hdb.Audit_schema.equal old_prefix (merged_site t ~site)
+  in
   if consistent then begin
     append_entries t ~site fresh;
     { appended = List.length fresh; rebuilt = false }
@@ -313,11 +324,6 @@ let cursors t =
 let merged t =
   Tournament.merge_cursors ~key:(fun e -> e.Hdb.Audit_schema.time) (cursors t)
 
-let merged_site t ~site =
-  List.concat_map
-    (fun s -> match s.status with Tampered _ -> [] | _ -> shard_entries s)
-    (site_shards t ~site)
-
 (* --- durability --- *)
 
 let manifest_of t =
@@ -353,15 +359,11 @@ let checkpoint t =
 (* Recover one shard log; [expected] is its manifest descriptor if the
    manifest survived. *)
 let recover_shard ~name ~site ~bucket ~log ~expected =
-  let report = Durable.Log.open_or_recover log in
   let decoded = ref [] in
-  let undecodable = ref 0 in
-  List.iter
-    (fun wire ->
-      match Hdb.Audit_schema.of_wire wire with
-      | Some e -> decoded := e :: !decoded
-      | None -> incr undecodable)
-    report.Durable.Recovery.entries;
+  let report, undecodable =
+    Durable.Log.replay log ~decode:Hdb.Audit_schema.of_wire ~apply:(fun e ->
+        decoded := e :: !decoded)
+  in
   let entries = List.rev !decoded in
   let recovered = List.length entries in
   let status, stranded =
@@ -374,8 +376,8 @@ let recover_shard ~name ~site ~bucket ~log ~expected =
       | Some d when recovered < d.Durable.Manifest.records ->
         (Torn { lost = d.Durable.Manifest.records - recovered }, 0)
       | Some _ | None ->
-        if Durable.Recovery.dropped_tail report || !undecodable > 0 then
-          (Torn { lost = !undecodable }, 0)
+        if Durable.Recovery.dropped_tail report || undecodable > 0 then
+          (Torn { lost = undecodable }, 0)
         else (Healthy, 0))
   in
   let lo = match entries with [] -> 0 | e :: _ -> e.Hdb.Audit_schema.time in

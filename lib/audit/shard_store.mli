@@ -57,9 +57,9 @@ type archive_summary = {
 
 val archive_site : t -> site:string -> Hdb.Audit_schema.entry list -> archive_summary
 (** Archive one site's fetched stream (time-sorted).  The prefix at or
-    below the high-water mark must already be held record-for-record;
-    any disagreement rebuilds the site's shards wholesale from the
-    fetch. *)
+    below the high-water mark must equal the held records entry by entry
+    ({!Hdb.Audit_schema.equal}), not just in count; any disagreement
+    rebuilds the site's shards wholesale from the fetch. *)
 
 val append_site :
   t -> site:string -> held:int -> newest:int -> Hdb.Audit_schema.entry list -> bool

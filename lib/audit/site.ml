@@ -39,8 +39,8 @@ type t = {
   mutable admission : Admission.t option;
 }
 
-(* Op record codec.  One byte of opcode, then length-prefixed strings and
-   u64 numbers:
+(* Op record codec.  One byte of opcode, then u32-prefixed strings and
+   u64 numbers ({!Durable.Frame}'s payload fields):
 
      'E' [entry wire]                  entry accepted outside the ledger
      'S' [seq : u64] [entry wire]      entry accepted at seq (ledger mark)
@@ -60,10 +60,6 @@ type op =
   | Op_quarantined of int * string * (string * string) list (* seq, reason, raw *)
   | Op_unquarantined of int
   | Op_next of int
-
-let add_str buffer s =
-  Durable.Frame.put_u32 buffer (String.length s);
-  Buffer.add_string buffer s
 
 (* 'E' and 'S' ops share one allocation with their entry's wire form:
    opcode, seq ('S' only), the u32 wire length, the wire. *)
@@ -92,106 +88,48 @@ let encode_op op =
     let buffer = Buffer.create 64 in
     Buffer.add_char buffer 'Q';
     Durable.Frame.put_u64 buffer seq;
-    add_str buffer reason;
-    Durable.Frame.put_u32 buffer (List.length raw);
-    List.iter
-      (fun (k, v) ->
-        add_str buffer k;
-        add_str buffer v)
-      raw;
+    Durable.Frame.put_string buffer reason;
+    Durable.Frame.put_pairs buffer raw;
     Buffer.contents buffer
 
 let decode_op s =
-  let n = String.length s in
-  let pos = ref 0 in
+  let module F = Durable.Frame in
   let ( let* ) = Option.bind in
-  let u64 () =
-    if !pos + 8 > n then None
-    else begin
-      let v = Durable.Frame.get_u64 s !pos in
-      pos := !pos + 8;
-      if v < 0 then None else Some v
-    end
-  in
-  let str () =
-    if !pos + 4 > n then None
-    else begin
-      let len = Durable.Frame.get_u32 s !pos in
-      pos := !pos + 4;
-      if len < 0 || !pos + len > n then None
-      else begin
-        let v = String.sub s !pos len in
-        pos := !pos + len;
-        Some v
-      end
-    end
-  in
+  let r = F.reader s in
   let entry () =
-    let* wire = str () in
+    let* wire = F.read_string r in
     Hdb.Audit_schema.of_wire wire
   in
-  if n = 0 then None
-  else begin
-    pos := 1;
-    match s.[0] with
-    | 'E' ->
-      let* e = entry () in
-      if !pos <> n then None else Some (Op_entry e)
-    | 'S' ->
-      let* seq = u64 () in
-      let* e = entry () in
-      if !pos <> n then None else Some (Op_seq_entry (seq, e))
-    | 'P' ->
-      let* seq = u64 () in
-      if !pos <> n then None else Some (Op_processed seq)
-    | 'Q' ->
-      let* seq = u64 () in
-      let* reason = str () in
-      let* npairs =
-        if !pos + 4 > n then None
-        else begin
-          let v = Durable.Frame.get_u32 s !pos in
-          pos := !pos + 4;
-          if v < 0 then None else Some v
-        end
-      in
-      let rec pairs acc k =
-        if k = 0 then Some (List.rev acc)
-        else
-          let* key = str () in
-          let* value = str () in
-          pairs ((key, value) :: acc) (k - 1)
-      in
-      let* raw = pairs [] npairs in
-      if !pos <> n then None else Some (Op_quarantined (seq, reason, raw))
-    | 'R' ->
-      let* seq = u64 () in
-      if !pos <> n then None else Some (Op_unquarantined seq)
-    | 'N' ->
-      let* next = u64 () in
-      if !pos <> n then None else Some (Op_next next)
-    | _ -> None
-  end
+  let* code = F.read_char r in
+  match code with
+  | 'E' ->
+    let* e = entry () in
+    F.finish r (Op_entry e)
+  | 'S' ->
+    let* seq = F.read_u64 r in
+    let* e = entry () in
+    F.finish r (Op_seq_entry (seq, e))
+  | 'P' ->
+    let* seq = F.read_u64 r in
+    F.finish r (Op_processed seq)
+  | 'Q' ->
+    let* seq = F.read_u64 r in
+    let* reason = F.read_string r in
+    let* raw = F.read_pairs r in
+    F.finish r (Op_quarantined (seq, reason, raw))
+  | 'R' ->
+    let* seq = F.read_u64 r in
+    F.finish r (Op_unquarantined seq)
+  | 'N' ->
+    let* next = F.read_u64 r in
+    F.finish r (Op_next next)
+  | _ -> None
 
-(* [quarantine] lets a restarted site adopt a quarantine recovered from a
-   durable op log (its items keep their original seqs, so reprocessing
-   after the restart composes with batch retries exactly as before the
-   crash); the default is a fresh empty one. *)
-let create ?(mapping = Mapping.identity) ?quarantine ~name () =
-  { name;
-    store = Hdb.Audit_store.create ();
-    mapping;
-    quarantine = (match quarantine with Some q -> q | None -> Quarantine.create ());
-    processed = Hashtbl.create 64;
-    next_seq = 0;
-    wal = None;
-    recovery = None;
-    undecodable = 0;
-    replay_pending = false;
-    admission = None;
-  }
-
-(* Attach an existing store (e.g. an enforcement logger's). *)
+(* Attach an existing store (e.g. an enforcement logger's).  [quarantine]
+   lets a restarted site adopt a quarantine recovered from a durable op
+   log (its items keep their original seqs, so reprocessing after the
+   restart composes with batch retries exactly as before the crash); the
+   default is a fresh empty one. *)
 let of_store ?(mapping = Mapping.identity) ?quarantine ~name store =
   { name;
     store;
@@ -205,6 +143,9 @@ let of_store ?(mapping = Mapping.identity) ?quarantine ~name store =
     replay_pending = false;
     admission = None;
   }
+
+let create ?mapping ?quarantine ~name () =
+  of_store ?mapping ?quarantine ~name (Hdb.Audit_store.create ())
 
 let name t = t.name
 
@@ -409,25 +350,15 @@ let apply_op t = function
   | Op_next next -> if next > t.next_seq then t.next_seq <- next
 
 (* Replay a recovered op log into [t] (assumed fresh), then attach it so
-   new mutations are write-ahead.  Ops that fail to decode are counted —
-   they passed their CRC, so a non-zero count means a codec mismatch. *)
+   new mutations are write-ahead. *)
 let restore t log =
-  let report = Durable.Log.open_or_recover log in
-  let undecodable = ref 0 in
-  List.iter
-    (fun payload ->
-      match decode_op payload with
-      | Some op -> apply_op t op
-      | None -> incr undecodable)
-    report.Durable.Recovery.entries;
+  let report, undecodable = Durable.Log.replay log ~decode:decode_op ~apply:(apply_op t) in
   t.wal <- Some log;
   t.recovery <- Some report;
-  t.undecodable <- !undecodable;
+  t.undecodable <- undecodable;
   t.replay_pending <-
-    Durable.Recovery.dropped_tail report
-    || Durable.Recovery.tampered report
-    || !undecodable > 0;
-  (report, !undecodable)
+    Durable.Recovery.dropped_tail report || Durable.Recovery.tampered report || undecodable > 0;
+  (report, undecodable)
 
 let open_durable ?mapping ~name log =
   let t = create ?mapping ~name () in

@@ -15,7 +15,11 @@
    record's own CRC still verifies.
 
    [scan] distinguishes a clean end of log from a tail that cannot be
-   verified — the distinction recovery reports. *)
+   verified — the distinction recovery reports.
+
+   The payload fields every store's codec writes and reads live here too:
+   little-endian integers, u32-prefixed strings and pairs, and the one
+   bounded reader. *)
 
 let header_size = 4 + 4 + 1 + 8
 
@@ -38,6 +42,78 @@ let get_u64 s pos =
     n := (!n lsl 8) lor Char.code s.[pos + i]
   done;
   !n
+
+(* Payload fields: a u32-prefixed string, and a u32 count of key/value
+   string pairs. *)
+let put_string buffer s =
+  put_u32 buffer (String.length s);
+  Buffer.add_string buffer s
+
+let put_pairs buffer pairs =
+  put_u32 buffer (List.length pairs);
+  List.iter
+    (fun (k, v) ->
+      put_string buffer k;
+      put_string buffer v)
+    pairs
+
+(* The one reader every payload codec decodes with.  A read that would
+   pass the end returns [None] and a payload is accepted only when read to
+   its last byte, so a decoder built from these reads never raises and
+   never returns a record from part of a payload. *)
+type reader = {
+  payload : string;
+  mutable pos : int;
+}
+
+let reader payload = { payload; pos = 0 }
+
+(* Where [n] bytes start, consumed; -1 when fewer remain. *)
+let take r n =
+  if n > String.length r.payload - r.pos then -1
+  else begin
+    let at = r.pos in
+    r.pos <- at + n;
+    at
+  end
+
+let read_char r =
+  let at = take r 1 in
+  if at < 0 then None else Some r.payload.[at]
+
+let read_u32 r =
+  let at = take r 4 in
+  if at < 0 then None else Some (get_u32 r.payload at)
+
+(* A u64 with bit 62 set reads back as a negative int — what [put_u64]
+   writes for one — and is refused: no payload field read as a u64 (a
+   sequence number, a shard bound or count, a chain head) is negative. *)
+let read_u64 r =
+  let at = take r 8 in
+  if at < 0 then None
+  else
+    let v = get_u64 r.payload at in
+    if v < 0 then None else Some v
+
+let read_string r =
+  match read_u32 r with
+  | None -> None
+  | Some len ->
+    let at = take r len in
+    if at < 0 then None else Some (String.sub r.payload at len)
+
+let read_pairs r =
+  let rec go acc k =
+    if k = 0 then Some (List.rev acc)
+    else
+      match read_string r with
+      | None -> None
+      | Some key -> (
+        match read_string r with None -> None | Some v -> go ((key, v) :: acc) (k - 1))
+  in
+  match read_u32 r with None -> None | Some n -> go [] n
+
+let finish r v = if r.pos = String.length r.payload then Some v else None
 
 type kind =
   | Data (* a logical record; advances the LSN and the chain *)

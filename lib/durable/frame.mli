@@ -47,3 +47,38 @@ val put_u32 : Buffer.t -> int -> unit
 val get_u32 : string -> int -> int
 val put_u64 : Buffer.t -> int -> unit
 val get_u64 : string -> int -> int
+
+val put_string : Buffer.t -> string -> unit
+(** A u32 LE length, then the bytes. *)
+
+val put_pairs : Buffer.t -> (string * string) list -> unit
+(** A u32 LE count, then each key and value as by {!put_string}. *)
+
+(** {1 Reading a payload}
+
+    The bounded reader the stores' payload codecs decode with.  Each read
+    consumes its field and returns [None] when the field would pass the
+    end of the payload; {!finish} accepts only a payload read to its last
+    byte.  A decoder built from these never raises, and a payload either
+    decodes whole or not at all. *)
+
+type reader
+
+val reader : string -> reader
+(** A reader at the start of a payload. *)
+
+val read_char : reader -> char option
+val read_u32 : reader -> int option
+
+val read_u64 : reader -> int option
+(** [None] too when the value has bit 62 set (a negative int), which
+    {!put_u64} writes only for a negative argument. *)
+
+val read_string : reader -> string option
+(** A field written by {!put_string}. *)
+
+val read_pairs : reader -> (string * string) list option
+(** A field written by {!put_pairs}. *)
+
+val finish : reader -> 'a -> 'a option
+(** [Some v] when the whole payload has been read, [None] otherwise. *)

@@ -81,6 +81,23 @@ let open_or_recover t =
   t.wal <- Some wal;
   r
 
+(* How every store reads its log back: a verified payload that decodes is
+   applied, one that does not is counted — it passed its CRC and the
+   chain, so it is unknown to this codec, never taken for another record. *)
+let replay t ~decode ~apply =
+  let report = open_or_recover t in
+  let undecodable =
+    List.fold_left
+      (fun bad payload ->
+        match decode payload with
+        | Some record ->
+          apply record;
+          bad
+        | None -> bad + 1)
+      0 report.Recovery.entries
+  in
+  (report, undecodable)
+
 let wal t =
   match t.wal with
   | Some w -> w

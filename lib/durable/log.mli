@@ -23,6 +23,12 @@ val open_or_recover : t -> Recovery.t
     format a fresh WAL when the file is virgin or unusable), and return
     the report. *)
 
+val replay : t -> decode:(string -> 'a option) -> apply:('a -> unit) -> Recovery.t * int
+(** {!open_or_recover}, then [apply] every verified payload that [decode]
+    accepts, in log order.  Returns the report and the count of payloads
+    [decode] refused: they passed their checksums, so a non-zero count
+    means a codec mismatch, and the store's contents are a lower bound. *)
+
 val append : t -> string -> int
 (** Append one record, returning its LSN; opens the log first if nobody
     did.  Not durable until {!sync}.  With an auto-checkpoint policy

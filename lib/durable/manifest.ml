@@ -34,16 +34,12 @@ type t = { shards : shard list }
 
 let empty = { shards = [] }
 
-let add_str buffer s =
-  Frame.put_u32 buffer (String.length s);
-  Buffer.add_string buffer s
-
 let encode_payload t =
   let buffer = Buffer.create 256 in
   Frame.put_u32 buffer (List.length t.shards);
   List.iter
     (fun s ->
-      add_str buffer s.name;
+      Frame.put_string buffer s.name;
       Frame.put_u64 buffer s.lo;
       Frame.put_u64 buffer s.hi;
       Frame.put_u64 buffer s.records;
@@ -56,47 +52,20 @@ let encode t =
   magic ^ Frame.encode ~chain:(Chain.hash_string payload) payload
 
 let decode_payload payload =
-  let n = String.length payload in
-  let pos = ref 0 in
   let ( let* ) = Option.bind in
-  let u32 () =
-    if !pos + 4 > n then None
-    else begin
-      let v = Frame.get_u32 payload !pos in
-      pos := !pos + 4;
-      if v < 0 then None else Some v
-    end
-  in
-  let u64 () =
-    if !pos + 8 > n then None
-    else begin
-      let v = Frame.get_u64 payload !pos in
-      pos := !pos + 8;
-      if v < 0 then None else Some v
-    end
-  in
-  let str () =
-    let* len = u32 () in
-    if !pos + len > n then None
-    else begin
-      let v = String.sub payload !pos len in
-      pos := !pos + len;
-      Some v
-    end
-  in
-  let* count = u32 () in
+  let r = Frame.reader payload in
   let rec shards acc k =
-    if k = 0 then if !pos = n then Some (List.rev acc) else None
+    if k = 0 then Frame.finish r { shards = List.rev acc }
     else
-      let* name = str () in
-      let* lo = u64 () in
-      let* hi = u64 () in
-      let* records = u64 () in
-      let* chain = u64 () in
+      let* name = Frame.read_string r in
+      let* lo = Frame.read_u64 r in
+      let* hi = Frame.read_u64 r in
+      let* records = Frame.read_u64 r in
+      let* chain = Frame.read_u64 r in
       shards ({ name; lo; hi; records; chain } :: acc) (k - 1)
   in
-  let* shards = shards [] count in
-  Some { shards }
+  let* count = Frame.read_u32 r in
+  shards [] count
 
 let decode image =
   if String.length image < String.length magic then Error "truncated manifest header"

@@ -208,33 +208,22 @@ let lsn t = base_lsn t + length t
 let sync t = Option.iter Durable.Log.sync t.log
 
 (* Replay a recovered log into [t] (assumed fresh), then attach it so new
-   appends are write-ahead.  Payloads that fail to decode are counted —
-   they passed their CRC, so a non-zero count means a codec mismatch, and
-   the caller should treat the trail as degraded. *)
+   appends are write-ahead. *)
 let restore t log =
-  let recovery = Durable.Log.open_or_recover log in
-  let undecodable = ref 0 in
-  List.iter
-    (fun payload ->
-      match Audit_schema.of_wire payload with
-      | Some e -> append_mem t e
-      | None -> incr undecodable)
-    recovery.Durable.Recovery.entries;
+  let result = Durable.Log.replay log ~decode:Audit_schema.of_wire ~apply:(append_mem t) in
   t.log <- Some log;
-  (recovery, !undecodable)
+  result
 
 let open_durable log =
   let t = create () in
   let recovery, undecodable = restore t log in
   (t, recovery, undecodable)
 
+(* The snapshot image: every entry's wire form, in append order. *)
+let image t = List.rev (fold (fun acc e -> Audit_schema.to_wire e :: acc) [] t)
+
 (* Fold the whole store into a snapshot image and truncate the WAL. *)
-let checkpoint t =
-  match t.log with
-  | None -> ()
-  | Some log ->
-    let entries = fold (fun acc e -> Audit_schema.to_wire e :: acc) [] t in
-    Durable.Log.checkpoint log ~entries:(List.rev entries)
+let checkpoint t = Option.iter (fun log -> Durable.Log.checkpoint log ~entries:(image t)) t.log
 
 (* Keep the WAL bounded: the log compacts itself mid-append once it holds
    [policy]-many records/bytes, snapshotting the store's contents at that
@@ -242,11 +231,7 @@ let checkpoint t =
    after): when the trigger fires, the columns hold exactly the state the
    WAL covers, so the image neither misses nor anticipates a record. *)
 let enable_auto_checkpoint ?(policy = Durable.Log.checkpoint_every ~records:1024 ()) t =
-  match t.log with
-  | None -> ()
-  | Some log ->
-    Durable.Log.set_auto_checkpoint log policy (fun () ->
-        List.rev (fold (fun acc e -> Audit_schema.to_wire e :: acc) [] t))
+  Option.iter (fun log -> Durable.Log.set_auto_checkpoint log policy (fun () -> image t)) t.log
 
 (* Size of the flat row-store equivalent: every string stored inline. *)
 let naive_bytes t =

@@ -16,8 +16,10 @@ module R = Durable.Recovery
 module Snap = Durable.Snapshot
 module W = Durable.Wal
 module Schema = Hdb.Audit_schema
+module Q = Audit_mgmt.Quarantine
 module Site = Audit_mgmt.Site
 module Shards = Audit_mgmt.Shard_store
+module Codec_ref = Test_support.Codec_reference
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -1155,28 +1157,28 @@ let gen_field =
 let gen_int =
   QCheck2.Gen.(oneof [ int; return 0; return max_int; return min_int; int_range (-9) 9 ])
 
-let gen_entry =
+let gen_entry field =
   let open QCheck2.Gen in
   let* time = gen_int in
   let* op = oneofl [ Schema.Allow; Schema.Disallow ] in
   let* status = oneofl [ Schema.Regular; Schema.Exception_based ] in
-  let* user = gen_field and* data = gen_field and* purpose = gen_field in
-  let* authorized = gen_field in
+  let* user = field and* data = field and* purpose = field in
+  let* authorized = field in
   let e = Schema.entry ~time ~op ~user ~data ~purpose ~authorized ~status in
   let* provenance = bool in
   if not provenance then return e
   else
-    let* session = gen_field and* request = gen_field in
+    let* session = field and* request = field in
     let* parent = opt gen_int in
-    let* changed = list_size (int_range 0 3) gen_field in
+    let* changed = list_size (int_range 0 3) field in
     return (Schema.with_provenance ~session ~request ?parent ~changed e)
 
-let gen_op =
+let gen_op_of field =
   let open QCheck2.Gen in
   let* seq = gen_int in
-  let* e = gen_entry in
-  let* reason = gen_field in
-  let* raw = list_size (int_range 0 3) (pair gen_field gen_field) in
+  let* e = gen_entry field in
+  let* reason = field in
+  let* raw = list_size (int_range 0 3) (pair field field) in
   oneofl
     [ Site.Op_entry e;
       Site.Op_seq_entry (seq, e);
@@ -1185,6 +1187,8 @@ let gen_op =
       Site.Op_unquarantined seq;
       Site.Op_next seq;
     ]
+
+let gen_op = gen_op_of gen_field
 
 let print_op op = String.escaped (ref_encode_op op)
 
@@ -1227,6 +1231,90 @@ let test_oversized_field_raises () =
               { Schema.session = long; request = "r"; parent = None; changed = []; integrity = 0 };
         } );
     ]
+
+(* --- decoder oracle ---
+
+   Site's and the quarantine's op decoders and the manifest's catalogue
+   decoder read through Frame's bounded reader.  Each must return exactly
+   what its reference — the private reader it replaced, kept in
+   Test_support.Codec_reference — returns: on valid payloads, on every
+   truncation of one, on single-byte flips at every offset and on random
+   strings.  Neither side may raise.  Fields are short here so that every
+   truncation and flip of a payload stays cheap to try. *)
+
+let gen_short_field =
+  QCheck2.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 12))
+
+let gen_quarantine_op =
+  let open QCheck2.Gen in
+  let* site = gen_short_field and* seq = gen_int and* reason = gen_short_field in
+  let* raw = list_size (int_range 0 3) (pair gen_short_field gen_short_field) in
+  oneofl [ Q.Op_add { Q.site; seq; raw; reason }; Q.Op_remove (site, seq); Q.Op_clear ]
+
+(* A valid payload, then every proper prefix of it and, at every offset,
+   the byte XORed with 0x01, 0x80 and [mask]. *)
+let variants payload ~mask =
+  let n = String.length payload in
+  let flip i x =
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor x) else c) payload
+  in
+  (payload :: List.init n (String.sub payload 0))
+  @ List.concat (List.init n (fun i -> [ flip i 0x01; flip i 0x80; flip i mask ]))
+
+let gen_mask = QCheck2.Gen.int_range 1 255
+
+(* The catalogue decoder is reached through [Manifest.decode]: a payload
+   is framed as the manifest writes it, behind its magic, so only the
+   catalogue can fail. *)
+let manifest_magic = "PMAN0001"
+
+let manifest_decode payload =
+  Result.to_option
+    (M.decode (manifest_magic ^ F.encode ~chain:(C.hash_string payload) payload))
+
+let catalogue_payload t =
+  match F.scan (M.encode t) ~pos:(String.length manifest_magic) with
+  | F.Record { payload; _ } -> payload
+  | F.End | F.Bad _ -> Alcotest.fail "manifest image does not scan"
+
+let agree name decode reference s =
+  match (decode s, reference s) with
+  | a, b -> a = b || QCheck2.Test.fail_reportf "%s differs from its reference on %S" name s
+  | exception e ->
+    QCheck2.Test.fail_reportf "%s raised %s on %S" name (Printexc.to_string e) s
+
+let decoders_agree s =
+  agree "Site.decode_op" Site.decode_op Codec_ref.site_decode_op s
+  && agree "Quarantine.decode_op" Q.decode_op Codec_ref.quarantine_decode_op s
+  && agree "the catalogue decoder" manifest_decode Codec_ref.manifest_decode_payload s
+
+let prop_decoders_match_reference =
+  let open QCheck2.Gen in
+  let gen =
+    let* mask = gen_mask in
+    let* payload =
+      oneof
+        [ map Site.encode_op (gen_op_of gen_short_field);
+          map Q.encode_op gen_quarantine_op;
+          map catalogue_payload gen_catalogue;
+        ]
+    in
+    return (payload, mask)
+  in
+  QCheck2.Test.make ~name:"payload decoders = their references, valid and damaged" ~count:300
+    ~print:(fun (payload, mask) -> Printf.sprintf "%S mask %d" payload mask)
+    gen
+    (fun (payload, mask) -> List.for_all decoders_agree (variants payload ~mask))
+
+(* Random strings, half of them led by an opcode so the decoders get past
+   their first byte. *)
+let prop_decoders_match_reference_on_noise =
+  let open QCheck2.Gen in
+  let bytes = string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 48) in
+  let opcode = oneofl [ "A"; "C"; "E"; "N"; "P"; "Q"; "R"; "S" ] in
+  let gen = oneof [ bytes; map2 ( ^ ) opcode bytes ] in
+  QCheck2.Test.make ~name:"payload decoders = their references on random strings" ~count:1000
+    ~print:String.escaped gen decoders_agree
 
 (* --- golden device images ---
 
@@ -1346,6 +1434,72 @@ let test_golden_images () =
   Alcotest.(check (list (pair string string)))
     "device image digests" golden_digests (golden_images ())
 
+(* The central pair on its own durable logs.  The audit store's WAL and
+   snapshot carry entries with and without provenance, a checkpoint, a
+   second WAL generation and a reopen that replays both before appending;
+   the transit quarantine's log carries 'A', 'R' and 'C' ops on both
+   sides of a checkpoint (whose image is 'A' ops) and a reopen. *)
+let central_images () =
+  let log = L.create ~seed:5151 () in
+  let store, _, _ = Hdb.Audit_store.open_durable log in
+  let with_prov time =
+    Schema.with_provenance ~session:"s9" ~request:(Printf.sprintf "r%d" time) ~parent:1
+      ~changed:[ "data"; "purpose" ] (golden_entry time)
+  in
+  List.iter (Hdb.Audit_store.append store)
+    [ golden_entry 1; with_prov 2; golden_entry ~user:"u2" ~op:Schema.Disallow 3 ];
+  Hdb.Audit_store.sync store;
+  Hdb.Audit_store.checkpoint store;
+  List.iter (Hdb.Audit_store.append store)
+    [ golden_entry ~status:Schema.Exception_based 4; with_prov 5 ];
+  Hdb.Audit_store.sync store;
+  let reopened, _, _ =
+    Hdb.Audit_store.open_durable
+      (L.of_devices ~wal:(L.wal_device log) ~snapshot:(L.snapshot_device log))
+  in
+  check_int "the audit store replays all five" 5 (Hdb.Audit_store.length reopened);
+  Hdb.Audit_store.append reopened (golden_entry ~user:"u3" 6);
+  Hdb.Audit_store.sync reopened;
+  let qlog = L.create ~seed:6161 () in
+  let q, _, _ = Q.open_durable qlog in
+  let raw time = golden_raw ~time ~role:"rolle" in
+  Q.add q ~site:"a" ~seq:1 ~raw:(raw 1) ~reason:"unmappable";
+  Q.add q ~site:"b" ~seq:2 ~raw:[] ~reason:"corrupted in transit";
+  Q.remove q ~site:"a" ~seq:1;
+  Q.sync q;
+  Q.clear q;
+  Q.add q ~site:"a" ~seq:3 ~raw:(raw 3) ~reason:"unmappable";
+  Q.add q ~site:"c" ~seq:4 ~raw:(raw 4) ~reason:"bad time";
+  Q.sync q;
+  Q.checkpoint q;
+  Q.add q ~site:"b" ~seq:5 ~raw:(raw 5) ~reason:"unmappable";
+  Q.remove q ~site:"a" ~seq:3;
+  Q.clear q;
+  Q.add q ~site:"c" ~seq:6 ~raw:(raw 6) ~reason:"bad time";
+  Q.sync q;
+  let q, _, _ =
+    Q.open_durable (L.of_devices ~wal:(L.wal_device qlog) ~snapshot:(L.snapshot_device qlog))
+  in
+  check_int "the quarantine replays to one item" 1 (Q.length q);
+  Q.add q ~site:"a" ~seq:7 ~raw:(raw 7) ~reason:"unmappable";
+  Q.sync q;
+  [ ("audit_store.wal", image_digest (L.wal_device log));
+    ("audit_store.snapshot", image_digest (L.snapshot_device log));
+    ("quarantine.wal", image_digest (L.wal_device qlog));
+    ("quarantine.snapshot", image_digest (L.snapshot_device qlog));
+  ]
+
+let central_digests =
+  [ ("audit_store.wal", "10013c997b9845058a984babe3e15c7a");
+    ("audit_store.snapshot", "e76099fdd6a0ba9fd4112f84ec734473");
+    ("quarantine.wal", "8c982f7e2a608ef5d2fde0e238675b3c");
+    ("quarantine.snapshot", "1f4a26f2d334b06179ab71cb7d25f43d");
+  ]
+
+let test_central_images () =
+  Alcotest.(check (list (pair string string)))
+    "central pair digests" central_digests (central_images ())
+
 let () =
   Alcotest.run "durable"
     [ ("crash-matrix", matrix "prefix" test_crash_matrix);
@@ -1414,10 +1568,15 @@ let () =
       ( "codec",
         [ QCheck_alcotest.to_alcotest ~long:false prop_encoders_match_buffer_encoders;
           Alcotest.test_case "65,536-byte field raises" `Quick test_oversized_field_raises;
+          QCheck_alcotest.to_alcotest ~long:false prop_decoders_match_reference;
+          QCheck_alcotest.to_alcotest ~long:false prop_decoders_match_reference_on_noise;
         ] );
       ( "golden",
         [ Alcotest.test_case "device images match the committed digests" `Quick
-            test_golden_images ] );
+            test_golden_images;
+          Alcotest.test_case "central pair images match the committed digests" `Quick
+            test_central_images;
+        ] );
       ( "system",
         [ Alcotest.test_case "dropped tail -> lower bound" `Quick
             test_system_recovery_and_lower_bound;

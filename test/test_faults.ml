@@ -519,6 +519,41 @@ let test_swapped_archive_rebuilds () =
     (List.equal Hdb.Audit_schema.equal (Site.entries site)
        (Shard_store.merged_site swapped ~site:"s"))
 
+(* A record the archive holds but the site lost in a crash is not taken
+   as held because a late record at the same time keeps the count: the
+   archive compares its prefix with the fetch entry by entry, rebuilds
+   the site's shards, and a stale serve returns what the site holds. *)
+let test_crash_replaced_record_rebuilds () =
+  let log = Durable.Log.create ~seed:3 () in
+  let site = Site.create ~name:"s" () in
+  Site.attach_wal site log;
+  let fault = Fault.wrap ~config:Fault.no_faults ~seed:1 site in
+  let fed = Federation.create ~retry:Retry.no_retry () in
+  Federation.add_faulty_site fed fault;
+  let archive = Shard_store.create ~seed:3 () in
+  Federation.attach_archive fed archive;
+  (* archived, never synced at the site *)
+  Site.ingest_entries site [ entry ~time:0 ~user:"a" () ];
+  ignore (Federation.consolidated_result fed);
+  let wal = Durable.Log.wal_device log and snapshot = Durable.Log.snapshot_device log in
+  Durable.Device.crash wal ~point:Durable.Device.Clean_loss;
+  let site, _, _ = Site.open_durable ~name:"s" (Durable.Log.of_devices ~wal ~snapshot) in
+  check_int "the crash lost the record" 0 (Site.length site);
+  Federation.reseat_site fed "s" site;
+  Site.ingest_entries site [ entry ~time:1 ~user:"b" (); entry ~time:0 ~user:"c" () ];
+  let users entries = List.map (fun e -> e.Hdb.Audit_schema.user) entries in
+  ignore (Federation.consolidated_result fed);
+  Alcotest.(check (list string))
+    "the archive holds the site's records" [ "c"; "b" ]
+    (users (Shard_store.merged_site archive ~site:"s"));
+  Fault.take_down fault;
+  let stale = Federation.consolidated_result fed in
+  (match (List.hd stale.Federation.health.Health.sites).Health.status with
+  | Health.Stale _ -> ()
+  | s -> Alcotest.failf "expected Stale, got %s" (Fmt.str "%a" Health.pp_status s));
+  Alcotest.(check (list string))
+    "the stale serve returns them" [ "c"; "b" ] (users stale.Federation.entries)
+
 (* --- shard bounds kept as entries arrive ---
 
    [site_high_water], the per-site record and degraded counts, the tally
@@ -964,6 +999,8 @@ let () =
             test_health_fetched;
           Alcotest.test_case "late suffix rebuilds" `Quick test_late_suffix_rebuilds;
           Alcotest.test_case "swapped archive rebuilds" `Quick test_swapped_archive_rebuilds;
+          Alcotest.test_case "crash-replaced record rebuilds" `Quick
+            test_crash_replaced_record_rebuilds;
           QCheck_alcotest.to_alcotest ~long:false prop_shard_bounds_match_fold;
         ] );
       ( "suffix-fetch",

@@ -254,6 +254,28 @@ let epoch_equal (a : Ref.epoch_report) (b : Ref.epoch_report) =
 let audit_rules_of sys = P.rules (Prima.audit_policy (Sys_.prima sys))
 let audit_rules tw = audit_rules_of tw.sys
 
+(* After a request, every member it delivered cleanly — live, nothing
+   corrupted in transit — has the archive holding that member's stream
+   record for record, in time order. *)
+let archive_mirrors tw =
+  let fed = Sys_.federation tw.sys in
+  let archive = Option.get (Federation.archive fed) in
+  let transit = Federation.transit_quarantine fed in
+  let by_time = List.stable_sort (fun (a : E.entry) b -> Int.compare a.time b.time) in
+  let mirrors (h : Audit_mgmt.Health.site_health) =
+    match h.Audit_mgmt.Health.status with
+    | Audit_mgmt.Health.Delivered _
+      when Audit_mgmt.Quarantine.site_count transit ~site:h.Audit_mgmt.Health.site = 0 ->
+      let site = Option.get (Federation.site fed h.Audit_mgmt.Health.site) in
+      List.equal E.equal
+        (by_time (Site.entries site))
+        (Audit_mgmt.Shard_store.merged_site archive ~site:h.Audit_mgmt.Health.site)
+    | _ -> true
+  in
+  match Sys_.last_health tw.sys with
+  | Some h -> List.for_all mirrors h.Audit_mgmt.Health.sites
+  | None -> true
+
 (* Run a schedule on the incremental System and its from-scratch twin;
    [Error] names the first step where they disagree. *)
 let run_twins ops =
@@ -288,6 +310,8 @@ let run_twins ops =
       | Some false -> fail "coverage or epoch report differs"
       | Some true when not (rules_equal (audit_rules inc) (audit_rules scratch)) ->
         fail "P_AL differs as a sequence"
+      | Some true when not (archive_mirrors inc && archive_mirrors scratch) ->
+        fail "the archive does not mirror a clean delivery"
       | _ -> go (step + 1) rest)
   in
   go 1 ops
@@ -392,6 +416,20 @@ let test_append_reuses_prefix () =
   check_bool "an outside reset rebuilds P_AL" false (first () == before);
   Alcotest.(check int) "rebuilt in full" 15 (List.length (audit_rules tw))
 
+(* A crash loses a record the archive already holds, and a late record at
+   the same time takes its place at the site: the twins must agree and
+   the archive must mirror the site, not keep the lost record. *)
+let test_crash_replaced_record () =
+  let append site seed = Append { site; count = 1; seed; sync = false; uniform = false } in
+  match
+    run_twins
+      [ append 0 1; Coverage; Crash 0; append 1 2;
+        Late { site = 0; back = 2; seed = 3; uniform = false }; Coverage;
+      ]
+  with
+  | Ok () -> ()
+  | Error why -> Alcotest.fail why
+
 (* Rules ingested from outside between two requests leave the installed
    trail at another length: the next sync rebuilds P_AL from the merge,
    dropping them. *)
@@ -484,6 +522,9 @@ let () =
             test_outside_ingest_rebuilds;
           Alcotest.test_case "monitor-shaped cycles extend" `Quick test_monitor_cycles_extend;
         ] );
+      ( "archive",
+        [ Alcotest.test_case "a crash-replaced record is not kept" `Quick
+            test_crash_replaced_record ] );
       ( "intern",
         [ Alcotest.test_case "intern table bounded" `Quick test_intern_table_bounded ] );
     ]
