@@ -1,4 +1,4 @@
-.PHONY: build test loc faults crash fuzz chaos shrink tamper federation overload pipebench pipebench-trace bench bench-quick bench-coverage bench-wal bench-governor
+.PHONY: build test loc faults crash fuzz chaos shrink tamper federation overload pipebench pipebench-trace ab bench bench-quick bench-coverage bench-wal bench-governor bench-requests
 
 build:
 	dune build
@@ -113,6 +113,19 @@ pipebench-trace:
 	done; \
 	exit $$status
 
+# Parent/change comparison on one pipeline workload:
+# `make ab BASE=<rev> WORKLOAD=monitor [PAIRS=10] [SEEDS=1,2,7919]`.
+# git-archives BASE into a temporary directory under $TMPDIR, alternates its
+# runs with this working tree's, each BENCHMARK.json's run_seconds long,
+# prints each gated metric's medians and quartiles, and fails if any run
+# is not correct (bench/ab.py).
+PAIRS ?= 10
+SEEDS ?= 1
+ab:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make ab BASE=<rev> WORKLOAD=<w> PAIRS=<n>" >&2; exit 2; }
+	python3 bench/ab.py --base "$(BASE)" --workload "$(WORKLOAD)" --pairs "$(PAIRS)" \
+	  --seeds "$(SEEDS)"
+
 # All experiments + Bechamel microbenchmarks.
 bench:
 	dune exec bench/main.exe
@@ -132,3 +145,10 @@ bench-wal:
 # Only the query-governance overhead sweep (E13); refreshes BENCH_governor.json.
 bench-governor:
 	dune exec bench/main.exe -- governor
+
+# Only the per-request cost sweep (E19): coverage and refine medians at
+# 12k, 120k and 1M base entries beside Trail_reference's walks; refreshes
+# BENCH_requests.json.  Not part of bench or bench-quick: it takes about a
+# minute and peaks near a gigabyte of memory at the 1M point.
+bench-requests:
+	dune exec bench/main.exe -- requests

@@ -18,6 +18,8 @@
      dune exec bench/main.exe -- coverage  -- only E11, regenerating BENCH_coverage.json
      dune exec bench/main.exe -- wal       -- only E12, regenerating BENCH_wal.json
      dune exec bench/main.exe -- governor  -- only E13, regenerating BENCH_governor.json
+     dune exec bench/main.exe -- requests  -- only E19, regenerating BENCH_requests.json
+                                              (run only when asked for)
 
    (or `make bench` / `make bench-quick` / `make bench-coverage`). *)
 
@@ -921,6 +923,228 @@ let e13 () =
     ~measured:(if largest <= 5.0 then "<= 5%" else Printf.sprintf "%.1f%%" largest)
 
 (* ------------------------------------------------------------------ *)
+(* E19: per-request cost against history.                               *)
+(* ------------------------------------------------------------------ *)
+
+(* One size of the sweep: a monitor-shaped System (4 WAL-backed sites
+   behind fault-free wrappers, a sharded archive, the generator's oracle as
+   the privacy officer) over a base trail of [base] entries, and the 40
+   24-entry batches its cycles append. *)
+type request_point = {
+  base : int;
+  trail : Hdb.Audit_schema.entry array;
+  vocab : Vocabulary.Vocab.t;
+  sys : Prima_system.System.t;
+  sites : Audit_mgmt.Site.t list;
+  mutable refine_s : float list;
+  mutable requests : request list;  (** newest first *)
+  mutable uncovered : int;  (** bag-uncovered entries at the last coverage request *)
+  mutable extending_s : float list;  (** coverage requests whose bag listing grew *)
+  mutable steady_s : float list;  (** the other coverage requests *)
+}
+
+(* What a request read, for the reference pass to read again. *)
+and request =
+  | Coverage_read of P.t * (C.stats * C.stats)  (** the store, and the set and bag readings *)
+  | Refine_read of P.t * P.t  (** the stores before and after *)
+
+let coverage_s point = point.extending_s @ point.steady_s
+
+let request_cycles = 40
+let request_batch = 24
+
+let batch_of point c =
+  Array.to_list (Array.sub point.trail (point.base + (c * request_batch)) request_batch)
+
+(* Entry [i] goes to site [i mod 4]: every site's stream stays in time
+   order and the merge is the trail itself. *)
+let deal point entries =
+  List.iteri
+    (fun s site ->
+      Audit_mgmt.Site.ingest_entries site (List.filteri (fun i _ -> i mod 4 = s) entries);
+      Audit_mgmt.Site.sync_wal site)
+    point.sites
+
+let request_point base =
+  let module System = Prima_system.System in
+  let cfg =
+    { (Workload.Hospital.default_config ~seed:1 ()) with
+      Workload.Hospital.total_accesses = base + (request_cycles * request_batch)
+    }
+  in
+  let vocab = cfg.Workload.Hospital.vocab in
+  let sys =
+    System.create
+      ~config:
+        { Ref.default_config with Ref.acceptance = Ref.Oracle (Workload.Generator.oracle cfg) }
+      ~vocab ~p_ps:(Workload.Hospital.policy_store cfg) ()
+  in
+  let sites =
+    List.init 4 (fun i ->
+        let site = Audit_mgmt.Site.create ~name:(Printf.sprintf "site-%d" (i + 1)) () in
+        Audit_mgmt.Site.attach_wal site (Durable.Log.create ~seed:(i + 1) ());
+        System.add_faulty_site sys
+          (Audit_mgmt.Fault.wrap ~config:Audit_mgmt.Fault.no_faults ~seed:(100 + i) site);
+        site)
+  in
+  System.attach_archive sys (Audit_mgmt.Shard_store.create ~seed:7 ());
+  let trail = Array.of_list (Workload.Generator.entries (Workload.Generator.generate cfg)) in
+  let point =
+    { base; trail; vocab; sys; sites; refine_s = []; requests = []; uncovered = 0; extending_s = [];
+      steady_s = [] }
+  in
+  deal point (Array.to_list (Array.sub trail 0 base));
+  let bag = (System.coverage_qualified sys).System.bag_semantics.C.stats in
+  point.uncovered <- bag.C.denominator - bag.C.overlap;
+  point
+
+(* Cycle [c] of a point: its batch, then the timed request. *)
+let request_cycle point c =
+  let module System = Prima_system.System in
+  deal point (batch_of point c);
+  let store () = P.project (Prima_core.Prima.policy_store (System.prima point.sys)) ~attrs in
+  if c mod 5 = 2 then begin
+    let before = store () in
+    match time_it (fun () -> System.refine point.sys) with
+    | Ok r, dt ->
+      point.refine_s <- dt :: point.refine_s;
+      point.requests <- Refine_read (before, P.project r.Ref.p_ps' ~attrs) :: point.requests
+    | Error e, _ -> failwith ("E19: refine refused: " ^ e)
+  end
+  else begin
+    let q, dt = time_it (fun () -> System.coverage_qualified point.sys) in
+    let stats (r : C.qualified) = r.C.stats in
+    let bag = stats q.System.bag_semantics in
+    let uncovered = bag.C.denominator - bag.C.overlap in
+    if uncovered > point.uncovered then point.extending_s <- dt :: point.extending_s
+    else point.steady_s <- dt :: point.steady_s;
+    point.uncovered <- uncovered;
+    point.requests <-
+      Coverage_read (store (), (stats q.System.set_semantics, stats q.System.bag_semantics))
+      :: point.requests
+  end
+
+(* Test_support.Trail_reference — the trail that walks every entry on
+   every reading — fed the point's entries cycle by cycle, timed on the
+   trail work each request did under the stores it read: both coverage
+   readings for a coverage request; Filter + GROUP BY and the before and
+   after bag readings for a refine.  The medians of both, and whether
+   every coverage reading equalled the System's. *)
+let reference_walks point =
+  let module TR = Test_support.Trail_reference in
+  let module To_policy = Audit_mgmt.To_policy in
+  let reference = TR.create () and memo = To_policy.patterns () in
+  let feed entries =
+    TR.append reference ~rules:(lazy (List.map To_policy.rule_of_entry entries))
+      (fun e ->
+        let coded = To_policy.trail_entry memo e in
+        { TR.pattern = coded.Prima_core.Trail.pattern;
+          user = coded.Prima_core.Trail.user;
+          exception_based = coded.Prima_core.Trail.exception_based;
+          prohibition = coded.Prima_core.Trail.prohibition;
+        })
+      entries
+  in
+  feed (Array.to_list (Array.sub point.trail 0 point.base));
+  Gc.full_major ();
+  let frequent n =
+    n >= Prima_core.Data_analysis.default_config.Prima_core.Data_analysis.min_frequency
+  in
+  let same (a : C.stats) (b : C.stats) =
+    a.C.overlap = b.C.overlap && a.C.denominator = b.C.denominator
+    && List.equal R.equal a.C.uncovered b.C.uncovered
+  in
+  let vocab = point.vocab in
+  let coverage = ref [] and refine = ref [] and agreed = ref true in
+  List.iteri
+    (fun c request ->
+      feed (batch_of point c);
+      match request with
+      | Refine_read (before, after) ->
+        let (), dt =
+          time_it (fun () ->
+              ignore
+                (TR.frequent_groups reference ~keep_prohibitions:false ~frequent
+                   ~distinct_users:true);
+              ignore (TR.coverage_bag vocab reference ~p_x:before);
+              ignore (TR.coverage_bag vocab reference ~p_x:after))
+        in
+        refine := dt :: !refine
+      | Coverage_read (p_x, (set, bag)) ->
+        let (set', bag'), dt =
+          time_it (fun () ->
+              (TR.coverage vocab reference ~p_x, TR.coverage_bag vocab reference ~p_x))
+        in
+        coverage := dt :: !coverage;
+        if not (same set set' && same bag bag') then agreed := false)
+    (List.rev point.requests);
+  (!coverage, !refine, !agreed)
+
+let median_ms l = 1000. *. List.nth (List.sort Float.compare l) (List.length l / 2)
+
+(* E19.  All sizes are set up first; then cycle [c] of every size runs
+   before cycle [c + 1] of any, the order rotating from cycle to cycle, so
+   the host's drift falls on every size alike.  The reference pass runs
+   after, one size at a time, each after a full collection. *)
+let e19 () =
+  header "E19" "Per-request cost against history — running counters vs Trail_reference's walks";
+  let sizes = [ 12_000; 120_000; 1_000_000 ] in
+  let points = Array.of_list (List.map request_point sizes) in
+  Gc.full_major ();
+  let n = Array.length points in
+  for c = 0 to request_cycles - 1 do
+    for k = 0 to n - 1 do
+      request_cycle points.((c + k) mod n) c
+    done
+  done;
+  Fmt.pr "@.Monitor-shaped System, 40 cycles of a 24-entry batch + request (refine every 5th);@.";
+  Fmt.pr "coverage requests split by whether the bag uncovered listing grew (extending) or not:@.";
+  Fmt.pr "%-10s %-13s %-11s %-15s %-13s %-10s %-18s %s@." "base" "coverage p50" "refine p50"
+    "walk: coverage" "walk: refine" "uncovered" "extending: n, p50" "steady p50";
+  let median_or_nan l = if l = [] then Float.nan else median_ms l in
+  let agreed = ref true and rows = ref [] in
+  Array.iter
+    (fun point ->
+      let walk_coverage, walk_refine, same = reference_walks point in
+      let cov = median_ms (coverage_s point) and refine = median_ms point.refine_s in
+      let walk_cov = median_ms walk_coverage and walk_refine = median_ms walk_refine in
+      let extending = median_or_nan point.extending_s and steady = median_or_nan point.steady_s in
+      let n_extending = List.length point.extending_s in
+      agreed := !agreed && same;
+      Fmt.pr "%-10d %-13.3f %-11.3f %-15.3f %-13.3f %-10d %2d/%d, %-12.3f %.3f %s@." point.base cov
+        refine walk_cov walk_refine point.uncovered n_extending (List.length (coverage_s point))
+        extending steady
+        (if same then "" else "(readings differ from the reference)");
+      rows :=
+        Printf.sprintf
+          "    {\"base_entries\": %d, \"coverage_ms_p50\": %.4f, \"refine_ms_p50\": %.4f, \
+           \"reference_coverage_walk_ms_p50\": %.4f, \"reference_refine_walk_ms_p50\": %.4f, \
+           \"uncovered\": %d, \"extending_requests\": %d, \"extending_ms_p50\": %.4f, \
+           \"steady_ms_p50\": %.4f, \"readings_equal_reference\": %b}"
+          point.base cov refine walk_cov walk_refine point.uncovered n_extending extending steady
+          same
+        :: !rows)
+    points;
+  let ratio f = f points.(n - 1) /. f points.(0) in
+  let cov_ratio = ratio (fun p -> median_ms (coverage_s p))
+  and refine_ratio = ratio (fun p -> median_ms p.refine_s) in
+  let oc = open_out "BENCH_requests.json" in
+  Printf.fprintf oc
+    "{\n  \"experiment\": \"request-cost\",\n  \"baseline\": \"Trail_reference walks of every \
+     entry, on the same trail and stores\",\n  \"candidate\": \"whole System requests over \
+     Trail's running counters and cached verdicts\",\n  \"points\": [\n%s\n  ],\n  \"gate\": \
+     {\"coverage_1m_over_12k\": %.2f, \"refine_1m_over_12k\": %.2f}\n}\n"
+    (String.concat ",\n" (List.rev !rows))
+    cov_ratio refine_ratio;
+  close_out oc;
+  Fmt.pr "@.wrote BENCH_requests.json@.";
+  check "coverage readings equal Trail_reference's at every size" ~paper:"equal"
+    ~measured:(if !agreed then "equal" else "DIFFER");
+  let within r = if r <= 2.0 then "<= 2x" else Printf.sprintf "%.2fx" r in
+  check "coverage p50 at 1M within 2x of 12k" ~paper:"<= 2x" ~measured:(within cov_ratio);
+  check "refine p50 at 1M within 2x of 12k" ~paper:"<= 2x" ~measured:(within refine_ratio)
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks.                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -1047,7 +1271,8 @@ let () =
   let coverage_only = Array.exists (String.equal "coverage") Sys.argv in
   let wal_only = Array.exists (String.equal "wal") Sys.argv in
   let governor_only = Array.exists (String.equal "governor") Sys.argv in
-  let solo = coverage_only || wal_only || governor_only in
+  let requests_only = Array.exists (String.equal "requests") Sys.argv in
+  let solo = coverage_only || wal_only || governor_only || requests_only in
   if not solo then begin
     e1 ();
     e2 ();
@@ -1063,6 +1288,7 @@ let () =
   if coverage_only || not solo then e11 ();
   if wal_only || not solo then e12 ();
   if governor_only || not solo then e13 ();
+  if requests_only then e19 ();
   if (not quick) && not solo then bechamel_suite ();
   Fmt.pr "@.============================================================@.";
   if !all_ok then Fmt.pr "All experiment checks PASSED.@."

@@ -1,13 +1,19 @@
-(** P_AL as dictionary-coded columns.
+(** P_AL, coded.
 
-    Each entry is held as three codes: its pattern group (the distinct
-    (data, purpose, authorized) projection, held once), its user, and
-    {!Filter}'s two predicates as flag bits.  Filter, the default
-    [GROUP BY] of Algorithm 5 and both coverage readings run over these
-    codes, so their cost follows the number of distinct pattern groups —
-    bounded by the vocabulary's data × purpose × authorized leaves — not
-    the number of entries.  The seven-term rules are built only when
-    {!policy} asks for them.
+    Each entry is held as the code of its pattern group (the distinct
+    (data, purpose, authorized) projection, held once).  Its user and
+    {!Filter}'s two predicates go into the group's running counters.  The
+    seven-term rules are built only when {!policy} asks for them.
+
+    The readings carry their state forward as the trail grows:
+    {!append} keeps running counters per group, and coverage caches its
+    per-group verdicts for one store under one vocabulary.  So Filter,
+    the default [GROUP BY] of Algorithm 5 and both coverage readings cost
+    O(entries appended since the last reading + pattern groups), plus a
+    copy of the bag [uncovered] listing whenever new entries extend it
+    and one walk of every entry under a new store or vocabulary; the
+    number of groups is bounded by the vocabulary's data × purpose ×
+    authorized leaves, not by the number of entries.
 
     A trail only grows; drop it and start a new one to discard entries. *)
 
@@ -58,14 +64,25 @@ val frequent_groups :
     and the pattern groups whose practice-entry count is [frequent] and,
     when [distinct_users], which span more than one user.  Groups come out
     in the order their first practice entry appears, the order the SQL
-    engine's [GROUP BY] emits them.
+    engine's [GROUP BY] emits them.  A scan over the groups' running
+    counters, which {!append} keeps for both settings of
+    [keep_prohibitions].
     @raise Invalid_argument unless the trail is {!regular}. *)
 
 val coverage : Vocabulary.Vocab.t -> t -> p_x:Policy.t -> Coverage.stats
 (** Set semantics: {!Coverage.compute} of [p_x] over the distinct pattern
-    groups, which have the same range as P_AL's projection. *)
+    groups, which have the same range as P_AL's projection.  The reading
+    is cached with the verdicts below and stands until a new group
+    appears. *)
 
 val coverage_bag : Vocabulary.Vocab.t -> t -> p_x:Policy.t -> Coverage.stats
 (** Bag semantics: equal to {!Coverage.compute_bag} of [p_x] over P_AL's
     projection, [uncovered] listing one rule per uncovered entry in P_AL
-    order.  Each group is grounded once. *)
+    order.
+
+    The trail caches one vector of per-group verdicts, keyed by
+    {!Vocabulary.Vocab.stamp} and [p_x]'s rules (compared with
+    {!Rule.equal}, so a store projected anew on every call still hits).
+    Overlap and denominator are sums of per-group entry totals; the
+    cached [uncovered] is extended by the entries appended since, and is
+    rebuilt from every entry when the key changes. *)

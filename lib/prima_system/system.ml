@@ -489,8 +489,11 @@ let refine_admitted ?(cost = Admission.cost ~rows:256 ~ticks:65536 ()) t ~princi
         | Some l -> Relational.Budget.limits_min l grant.Admission.g_limits
       in
       set_query_limits t (Some limits);
-      let result = refine_with t (if browned_out then [ Prima_core.Coverage.Brownout ] else []) in
-      set_query_limits t saved;
+      let result =
+        Fun.protect
+          ~finally:(fun () -> set_query_limits t saved)
+          (fun () -> refine_with t (if browned_out then [ Prima_core.Coverage.Brownout ] else []))
+      in
       Result.iter
         (fun (report : Prima_core.Refinement.epoch_report) ->
           Admission.settle adm ~now principal ~declared:cost

@@ -307,6 +307,27 @@ let test_refine_admitted_brownout_lower_bound () =
        (fun (s : Adm.class_stats) -> s.Adm.cls = "throttled" && s.Adm.brownouts = 1)
        gov.Prima_system.System.classes)
 
+(* An epoch that raises (here the privacy officer's acceptance step) must not
+   leave the grant's limits installed: every later refinement and
+   enforcement query would run under them. *)
+let test_refine_admitted_restores_limits () =
+  let system = make_system () in
+  Prima_system.System.set_budget_classes system [ ("gold", rows_class ~cap:4096 ~rate:4096 ()) ];
+  Prima_system.System.assign_tenant system ~tenant:"analyst" ~class_name:"gold";
+  let prima = Prima_system.System.prima system in
+  Prima_core.Prima.set_refinement_config prima
+    { (Prima_core.Prima.refinement_config prima) with
+      Prima_core.Refinement.acceptance =
+        Prima_core.Refinement.Oracle (fun _ -> failwith "privacy officer unavailable")
+    };
+  (match
+     Prima_system.System.refine_admitted system ~principal:(Adm.principal ~tenant:"analyst" ())
+   with
+  | _ -> Alcotest.fail "the acceptance step was never reached"
+  | exception Failure _ -> ());
+  check_bool "no limits were standing before, none after" true
+    (Prima_system.System.query_limits system = None)
+
 (* An exhausted class sheds the whole request — typed, retryable, and
    counted — and a generous class on the same system still runs exact. *)
 let test_enforce_admitted_shed_and_exact () =
@@ -370,5 +391,7 @@ let () =
             test_refine_admitted_brownout_lower_bound;
           Alcotest.test_case "enforce shed and exact" `Quick
             test_enforce_admitted_shed_and_exact;
+          Alcotest.test_case "a raising epoch restores the limits" `Quick
+            test_refine_admitted_restores_limits;
         ] );
     ]

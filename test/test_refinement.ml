@@ -301,22 +301,24 @@ let datas = [ "referral"; "prescription"; "routine" ]
 let purposes = [ "treatment"; "registration" ]
 let roles = [ "nurse"; "clerk" ]
 
-let gen_entries ~min : E.entry list QCheck2.Gen.t =
+let gen_entry : (int -> E.entry) QCheck2.Gen.t =
   let open QCheck2.Gen in
-  let entry =
-    let* op = frequencyl [ (4, E.Allow); (1, E.Disallow) ]
-    and* status = frequencyl [ (3, E.Exception_based); (1, E.Regular) ]
-    and* user =
-      frequency
-        [ (3, oneofl [ "mark"; "tim"; "bob" ]);
-          (1, map (fun i -> "solo-" ^ string_of_int i) (int_bound 10_000));
-        ]
-    and* data = oneofl datas
-    and* purpose = oneofl purposes
-    and* authorized = oneofl roles in
-    return (fun time -> E.entry ~time ~op ~user ~data ~purpose ~authorized ~status)
-  in
-  map (List.mapi (fun time make -> make time)) (list_size (int_range min 100) entry)
+  let* op = frequencyl [ (4, E.Allow); (1, E.Disallow) ]
+  and* status = frequencyl [ (3, E.Exception_based); (1, E.Regular) ]
+  and* user =
+    frequency
+      [ (3, oneofl [ "mark"; "tim"; "bob" ]);
+        (1, map (fun i -> "solo-" ^ string_of_int i) (int_bound 10_000));
+      ]
+  and* data = oneofl datas
+  and* purpose = oneofl purposes
+  and* authorized = oneofl roles in
+  return (fun time -> E.entry ~time ~op ~user ~data ~purpose ~authorized ~status)
+
+let gen_entries_sized size : E.entry list QCheck2.Gen.t =
+  QCheck2.Gen.(map (List.mapi (fun time make -> make time)) (list_size size gen_entry))
+
+let gen_entries ~min = gen_entries_sized (QCheck2.Gen.int_range min 100)
 
 (* How the trail is coded: from entries as System codes them, or from
    rules as [Prima.ingest_rules] does, in chunks of [chunk], reading
@@ -538,6 +540,184 @@ let test_both_paths_exercised () =
   check_int "cases on the reference path" 300 !reference_cases;
   check_bool "some governed cases degraded to partial" true (!degraded_cases > 0)
 
+(* --- running counters and cached verdicts against the walks --- *)
+
+(* [Trail] keeps per-group counters as entries arrive and caches coverage
+   verdicts per (vocabulary stamp, store); [Test_support.Trail_reference]
+   is the trail before that, which walks every entry on every reading.
+   Random programs interleave chunked appends — coded from entries as
+   System codes them, or from rules, some of them irregular — with store
+   changes, vocabulary edits and readings; every reading must equal the
+   reference's, with patterns and uncovered listings compared as ordered
+   lists.  Leaves added under a composite value, stores of leaves and
+   composites, and partial store rules make verdicts change both ways. *)
+
+module TR = Test_support.Trail_reference
+
+(* How an irregular chunk breaks rules [i] with [i mod every = 0]. *)
+type break =
+  | Drop of string list  (** those terms, possibly every pattern term *)
+  | Duplicate  (** a second data term *)
+
+type read = {
+  keep_prohibitions : bool;
+  strict : bool;
+  f : int;
+  distinct_users : bool;
+  bag_first : bool;
+}
+
+type trail_op =
+  | Entries of E.entry list
+  | Rules of E.entry list * (break * int) option
+  | Read of read
+  | Store of R.t list
+  | Grow of R.t
+  | Edit of string  (** a new data leaf under that value *)
+
+let break_rules (break, every) rules =
+  let edit rule =
+    match break with
+    | Drop attrs -> (
+      let kept t = not (List.mem (Prima_core.Rule_term.attr t) attrs) in
+      match List.filter kept (R.terms rule) with
+      | [] -> rule
+      | terms -> R.make terms)
+    | Duplicate -> List.hd (twist_rules Duplicate_term ~every:1 [ rule ])
+  in
+  List.mapi (fun i rule -> if i mod every = 0 then edit rule else rule) rules
+
+let gen_store_rule =
+  let open QCheck2.Gen in
+  let* d = oneofl [ "routine"; "referral"; "prescription"; "lab-results"; "clinical" ]
+  and* p = oneofl [ "treatment"; "registration"; "administering-healthcare" ]
+  and* a = oneofl [ "nurse"; "clerk"; "clinical-staff" ]
+  and* partial = frequencyl [ (6, false); (1, true) ] in
+  let open Vocabulary.Audit_attrs in
+  return (R.of_assoc ([ (data, d); (purpose, p) ] @ if partial then [] else [ (authorized, a) ]))
+
+let gen_trail_op =
+  let open QCheck2.Gen in
+  let chunk = gen_entries_sized (int_range 0 15) in
+  frequency
+    [ (4, map (fun es -> Entries es) chunk);
+      (2, map (fun es -> Rules (es, None)) chunk);
+      ( 1,
+        let* es = chunk
+        and* break =
+          oneofl
+            [ Drop [ "user" ]; Drop [ "data" ]; Drop [ "authorized" ];
+              Drop Vocabulary.Audit_attrs.pattern; Duplicate;
+            ]
+        and* every = int_range 1 5 in
+        return (Rules (es, Some (break, every))) );
+      ( 6,
+        let* keep_prohibitions = bool and* strict = bool and* f = int_range 1 4
+        and* distinct_users = bool and* bag_first = bool in
+        return (Read { keep_prohibitions; strict; f; distinct_users; bag_first }) );
+      (1, map (fun rules -> Store rules) (list_size (int_range 0 6) gen_store_rule));
+      (1, map (fun rule -> Grow rule) gen_store_rule);
+      (1, map (fun parent -> Edit parent) (oneofl [ "routine"; "referral"; "clinical" ]));
+    ]
+
+let trail_op_to_string = function
+  | Entries es -> Printf.sprintf "entries [%s]" (print_entries es)
+  | Rules (es, None) -> Printf.sprintf "rules [%s]" (print_entries es)
+  | Rules (es, Some (break, every)) ->
+    Printf.sprintf "rules %s every %d [%s]"
+      (match break with
+      | Drop attrs -> "without " ^ String.concat "," attrs
+      | Duplicate -> "doubled data")
+      every (print_entries es)
+  | Read r ->
+    Printf.sprintf "read(keep=%b %s %d users=%b %s first)" r.keep_prohibitions
+      (if r.strict then ">" else ">=")
+      r.f r.distinct_users
+      (if r.bag_first then "bag" else "set")
+  | Store rules -> Printf.sprintf "store [%s]" (String.concat "; " (List.map compact rules))
+  | Grow rule -> "grow " ^ R.to_string rule
+  | Edit parent -> "leaf under " ^ parent
+
+(* One reading of both trails.  The store is rebuilt rule by rule for each
+   call, as [Prima] projects it anew, so the cache must match it by value. *)
+let readings_agree vocab store trail reference r =
+  let p_x () = P.make (List.map (fun rule -> R.of_assoc (R.to_assoc rule)) store) in
+  let frequent = if r.strict then fun n -> n > r.f else fun n -> n >= r.f in
+  let groups run =
+    match run ~keep_prohibitions:r.keep_prohibitions ~frequent ~distinct_users:r.distinct_users with
+    | result -> Some result
+    | exception Invalid_argument _ -> None
+  in
+  let bag () =
+    stats_equal
+      (T.coverage_bag vocab trail ~p_x:(p_x ()))
+      (TR.coverage_bag vocab reference ~p_x:(p_x ()))
+  in
+  let set () =
+    stats_equal (T.coverage vocab trail ~p_x:(p_x ())) (TR.coverage vocab reference ~p_x:(p_x ()))
+  in
+  (match (groups (T.frequent_groups trail), groups (TR.frequent_groups reference)) with
+  | Some (n, ps), Some (m, qs) -> n = m && rules_equal ps qs
+  | None, None -> true
+  | _ -> false)
+  && T.length trail = TR.length reference
+  && T.regular trail = TR.regular reference
+  && if r.bag_first then bag () && set () else set () && bag ()
+
+let run_trail_program ops =
+  let trail = T.create () and reference = TR.create () and memo = To_policy.patterns () in
+  let vocab = ref vocab and edits = ref 0 in
+  let store = ref (P.rules (P.project (S.policy_store ()) ~attrs:Vocabulary.Audit_attrs.pattern)) in
+  let append_rules rules =
+    T.append_rules trail rules;
+    TR.append_rules reference rules
+  in
+  let rec go step = function
+    | [] -> Ok ()
+    | op :: rest ->
+      let agreed =
+        match op with
+        | Entries es ->
+          T.append trail
+            ~rules:(lazy (List.map To_policy.rule_of_entry es))
+            (To_policy.trail_entry memo) es;
+          TR.append_rules reference (List.map To_policy.rule_of_entry es);
+          true
+        | Rules (es, break) ->
+          let rules = List.map To_policy.rule_of_entry es in
+          append_rules (match break with Some b -> break_rules b rules | None -> rules);
+          true
+        | Read r -> readings_agree !vocab !store trail reference r
+        | Store rules ->
+          store := rules;
+          true
+        | Grow rule ->
+          store := !store @ [ rule ];
+          true
+        | Edit parent ->
+          incr edits;
+          vocab :=
+            Vocabulary.Vocab.with_leaf !vocab ~attr:Vocabulary.Audit_attrs.data ~parent
+              ~value:(Printf.sprintf "edit-%d" !edits);
+          true
+      in
+      if agreed then go (step + 1) rest
+      else
+        Error
+          (Printf.sprintf "step %d (%s) differs from the reference" step (trail_op_to_string op))
+  in
+  go 1 ops
+
+let prop_trail_matches_reference =
+  QCheck2.Test.make ~name:"running counters and cached verdicts = Trail_reference's walks"
+    ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map trail_op_to_string ops))
+    QCheck2.Gen.(list_size (int_range 5 40) gen_trail_op)
+    (fun ops ->
+      match run_trail_program ops with
+      | Ok () -> true
+      | Error why -> QCheck2.Test.fail_report why)
+
 let () =
   Alcotest.run "refinement"
     [ ( "filter",
@@ -585,4 +765,6 @@ let () =
           (QCheck_alcotest.to_alcotest ~long:false)
           [ prop_fused_epoch_matches_reference; prop_fallback_epoch_matches_reference ]
         @ [ Alcotest.test_case "both paths exercised" `Quick test_both_paths_exercised ] );
+      ( "trail",
+        List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_trail_matches_reference ] );
     ]

@@ -328,33 +328,50 @@ let prop_incremental_sync_matches_rebuild =
 type prima_op =
   | Ingest of R.t list
   | Reset
+  | Prima_refine  (** an epoch that adopts every useful pattern *)
+  | Leaf of int  (** a new data leaf under [datas.(k mod _)] *)
 
+(* [keep] drops pattern attributes at random, sometimes all three, so
+   some rules leave no trace in the projection; the small pools repeat
+   users and pattern groups, and op and status set both flag bits.  Half
+   the rules draw pattern values from every value and keep each term 1
+   time in 2; the other half draw them from a handful of values and keep
+   each term 3 times in 4, so that groups repeat often enough for epochs
+   to adopt patterns. *)
 let gen_audit_rule : R.t QCheck2.Gen.t =
   let open QCheck2.Gen in
-  let* d = oneofa datas and* p = oneofa purposes and* a = oneofa roles
-  and* time = int_bound 50 and* keep = list_repeat 3 bool
-  and* op = oneofl [ Vocabulary.Audit_attrs.op_allow; Vocabulary.Audit_attrs.op_disallow ]
-  and* status =
-    oneofl [ Vocabulary.Audit_attrs.status_regular; Vocabulary.Audit_attrs.status_exception ]
-  and* user = oneofa users in
-  (* [keep] drops pattern attributes at random, sometimes all three, so
-     some rules leave no trace in the projection; the small pools repeat
-     users and pattern groups, and op and status set both flag bits *)
-  let pattern =
-    List.filteri
-      (fun i _ -> List.nth keep i)
-      [ (Vocabulary.Audit_attrs.data, d);
-        (Vocabulary.Audit_attrs.purpose, p);
-        (Vocabulary.Audit_attrs.authorized, a);
-      ]
+  let rule ~data ~purpose ~authorized ~kept =
+    let* d = data and* p = purpose and* a = authorized
+    and* time = int_bound 50 and* keep = list_repeat 3 kept
+    and* op = oneofl [ Vocabulary.Audit_attrs.op_allow; Vocabulary.Audit_attrs.op_disallow ]
+    and* status =
+      oneofl [ Vocabulary.Audit_attrs.status_regular; Vocabulary.Audit_attrs.status_exception ]
+    and* user = oneofa users in
+    let pattern =
+      List.filteri
+        (fun i _ -> List.nth keep i)
+        [ (Vocabulary.Audit_attrs.data, d);
+          (Vocabulary.Audit_attrs.purpose, p);
+          (Vocabulary.Audit_attrs.authorized, a);
+        ]
+    in
+    return
+      (R.of_assoc
+         ((Vocabulary.Audit_attrs.time, string_of_int time)
+         :: (Vocabulary.Audit_attrs.op, op)
+         :: (Vocabulary.Audit_attrs.status, status)
+         :: (Vocabulary.Audit_attrs.user, user)
+         :: pattern))
   in
-  return
-    (R.of_assoc
-       ((Vocabulary.Audit_attrs.time, string_of_int time)
-       :: (Vocabulary.Audit_attrs.op, op)
-       :: (Vocabulary.Audit_attrs.status, status)
-       :: (Vocabulary.Audit_attrs.user, user)
-       :: pattern))
+  frequency
+    [ (1, rule ~data:(oneofa datas) ~purpose:(oneofa purposes) ~authorized:(oneofa roles) ~kept:bool);
+      ( 1,
+        rule
+          ~data:(oneofl [ "referral"; "routine"; "psychiatry" ])
+          ~purpose:(oneofl [ "treatment"; "registration" ])
+          ~authorized:(oneofl [ "nurse"; "doctor" ])
+          ~kept:(frequencyl [ (3, true); (1, false) ]) );
+    ]
 
 let gen_prima_ops =
   let open QCheck2.Gen in
@@ -362,6 +379,8 @@ let gen_prima_ops =
     (frequency
        [ (5, map (fun rules -> Ingest rules) (list_size (int_range 0 6) gen_audit_rule));
          (1, return Reset);
+         (2, return Prima_refine);
+         (1, map (fun k -> Leaf k) (int_bound 1_000));
        ])
 
 let print_prima_ops ops =
@@ -369,25 +388,61 @@ let print_prima_ops ops =
     (List.map
        (function
          | Ingest rules -> "ingest [" ^ String.concat ", " (List.map R.to_string rules) ^ "]"
-         | Reset -> "reset")
+         | Reset -> "reset"
+         | Prima_refine -> "refine"
+         | Leaf k -> Printf.sprintf "leaf(%d)" k)
        ops)
+
+(* After every operation both readings equal [Coverage.aligned] over the
+   store and P_AL's rules; an epoch equals [Refinement.run_epoch] over
+   them.  Epochs adopt every useful pattern of two or more practice
+   entries, so they grow the store, and leaves change the vocabulary,
+   under the trail's cached verdicts. *)
+let eager =
+  { Ref.default_config with
+    Ref.backend =
+      Prima_core.Extract_patterns.Sql
+        { Prima_core.Data_analysis.default_config with Prima_core.Data_analysis.min_frequency = 2 }
+  }
 
 let prop_prima_coverage_is_aligned =
   QCheck2.Test.make ~name:"Prima.coverage = Coverage.aligned over audit_policy" ~count:300
     ~print:print_prima_ops gen_prima_ops (fun ops ->
-      let v = vocab () in
-      let prima = Prima.create ~vocab:v ~p_ps:(Workload.Scenario.policy_store ()) () in
+      let prima =
+        Prima.create ~config:eager ~vocab:(vocab ()) ~p_ps:(Workload.Scenario.policy_store ()) ()
+      in
       List.for_all
         (fun op ->
-          (match op with
-          | Ingest rules -> Prima.ingest_rules prima rules
-          | Reset -> Prima.reset_audit prima);
+          let epoch_agrees =
+            match op with
+            | Ingest rules ->
+              Prima.ingest_rules prima rules;
+              true
+            | Reset ->
+              Prima.reset_audit prima;
+              true
+            | Prima_refine -> (
+              let reference =
+                Ref.run_epoch ~config:(Prima.refinement_config prima) ~vocab:(Prima.vocab prima)
+                  ~p_ps:(Prima.policy_store prima) ~p_al:(Prima.audit_policy prima) ()
+              in
+              match Prima.refine prima with
+              | Ok report -> epoch_equal report reference
+              | Error _ -> false)
+            | Leaf k ->
+              Prima.set_vocab prima
+                (Vocabulary.Vocab.with_leaf (Prima.vocab prima) ~attr:Vocabulary.Audit_attrs.data
+                   ~parent:datas.(k mod Array.length datas)
+                   ~value:(Printf.sprintf "leaf-%d" (Vocabulary.Vocab.stamp (Prima.vocab prima))));
+              true
+          in
           let live = Prima.coverage prima in
           let aligned bag =
-            C.aligned ~bag v ~attrs:Vocabulary.Audit_attrs.pattern
+            C.aligned ~bag (Prima.vocab prima) ~attrs:Vocabulary.Audit_attrs.pattern
               ~p_x:(Prima.policy_store prima) ~p_y:(Prima.audit_policy prima)
           in
-          stats_equal live.Prima.set_semantics (aligned false)
+          epoch_agrees
+          && stats_equal live.Prima.set_semantics (aligned false)
           && stats_equal live.Prima.bag_semantics (aligned true))
         ops)
 
