@@ -1,4 +1,4 @@
-.PHONY: build test loc faults crash fuzz chaos shrink tamper federation overload pipebench pipebench-trace ab bench bench-quick bench-coverage bench-wal bench-governor bench-requests
+.PHONY: build test loc faults crash fuzz chaos shrink tamper federation overload same pipebench pipebench-trace ab bench bench-quick bench-coverage bench-wal bench-governor bench-requests
 
 build:
 	dune build
@@ -87,6 +87,15 @@ federation:
 # BENCH_overload.json.
 overload:
 	dune build && dune exec bench/overload_sweep.exe
+
+# Behaviour check against a revision: `make same BASE=<rev>`.  Builds BASE
+# (git archive) and a copy of this working tree in temporary directories
+# under $TMPDIR, runs the chaos, tamper, fuzz and overload sweeps in each,
+# and fails if any sweep's output or exit code differs (bench/same.py).
+# The sweeps' BENCH_*.json rewrites land in the copies, not here.
+same:
+	@test -n "$(BASE)" || { echo "usage: make same BASE=<rev>" >&2; exit 2; }
+	python3 bench/same.py --base "$(BASE)"
 
 # Pipeline benchmark smoke run: each workload once at seed 1 for 5 s,
 # untraced (see pipebench/NOTES.md for the full protocol).  Every run is

@@ -555,8 +555,7 @@ let e11 () =
   let vocab = config.Workload.Hospital.vocab in
   let p_ps = P.project (Workload.Hospital.policy_store config) ~attrs in
   Fmt.pr "@.Audit-log size sweep (hospital vocabulary):@.";
-  Fmt.pr "%-10s %-12s %-12s %-14s %-10s@." "log size" "set (ms)" "hash (ms)" "hash-fast (ms)"
-    "speedup";
+  Fmt.pr "%-10s %-12s %-12s %-10s@." "log size" "set (ms)" "hash (ms)" "speedup";
   Buffer.add_string buffer "  \"policy_size_sweep\": [\n";
   let size_speedups =
     List.map
@@ -569,17 +568,12 @@ let e11 () =
         let t_hash =
           time_per_call ~iterations (fun () -> C.compute vocab ~p_x:p_ps ~p_y:p_al)
         in
-        let t_fast =
-          time_per_call ~iterations (fun () ->
-              C.compute ~uncovered:false vocab ~p_x:p_ps ~p_y:p_al)
-        in
         let speedup = t_set /. t_hash in
-        Fmt.pr "%-10d %-12.2f %-12.2f %-14.2f %-10.1f@." n t_set t_hash t_fast speedup;
+        Fmt.pr "%-10d %-12.2f %-12.2f %-10.1f@." n t_set t_hash speedup;
         Buffer.add_string buffer
           (Printf.sprintf
-             "    {\"log_size\": %d, \"set_ms\": %.3f, \"hash_ms\": %.3f, \
-              \"hash_fast_ms\": %.3f, \"speedup\": %.1f}%s\n"
-             n t_set t_hash t_fast speedup
+             "    {\"log_size\": %d, \"set_ms\": %.3f, \"hash_ms\": %.3f, \"speedup\": %.1f}%s\n"
+             n t_set t_hash speedup
              (if n = 16000 then "" else ","));
         (n, speedup))
       [ 1000; 4000; 16000 ]
@@ -637,12 +631,15 @@ let e11 () =
    alternating, so drift, cache state and collector debt fall on both
    alike.  Each side keeps its minimum over iterations, not the mean — the
    per-row cost under test is a handful of integer ops, so scheduler noise
-   would otherwise dominate the measurement.  Milliseconds. *)
+   would otherwise dominate the measurement.  Each timed call starts on an
+   empty minor heap, so neither side pays for collecting what the other
+   (or the set-up) allocated.  Milliseconds. *)
 let min_times_interleaved ~iterations f g =
   ignore (f ());
   ignore (g ());
   let best_f = ref infinity and best_g = ref infinity in
   let time h best =
+    Gc.minor ();
     let t0 = now () in
     ignore (h ());
     let dt = now () -. t0 in

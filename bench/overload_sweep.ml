@@ -114,7 +114,6 @@ let shed_run ~seed =
   in
   Adm.assign adm ~tenant:"clinic" "tight";
   let site = Audit_mgmt.Site.create ~name:"gated" () in
-  Audit_mgmt.Site.set_admission site (Some adm);
   let principal = Adm.principal ~tenant:"clinic" () in
   let sheds = ref 0 and partial = ref 0 and hintless = ref 0 in
   let k = ref 0 in
@@ -125,7 +124,7 @@ let shed_run ~seed =
     let before =
       Audit_mgmt.Site.(length site, next_seq site, quarantined_count site)
     in
-    match Audit_mgmt.Site.ingest_entries_admitted site ~now ~principal entries with
+    match Audit_mgmt.Site.ingest_entries_admitted adm site ~now ~principal entries with
     | Ok _ -> ()
     | Error r ->
       incr sheds;
@@ -152,7 +151,7 @@ let brownout_run () =
   let store = Hdb.Control_center.audit_store (Prima_system.System.control system) in
   Hdb.Audit_store.append_all store (Workload.Scenario.table1_entries ());
   Prima_system.System.set_budget_classes system
-    [ (* refine_admitted declares 256 rows: 200 covers half but not the
+    [ (* refine ~principal declares 256 rows: 200 covers half but not the
          strict bar, so every admit is a brownout. *)
       ("throttled", Adm.(class_config ~rows:(quota ~capacity:200 ~refill_per_s:200 ()) ()));
       ("gold", Adm.(class_config ~rows:(quota ~capacity:4096 ~refill_per_s:4096 ()) ()));
@@ -166,7 +165,7 @@ let brownout_run () =
   let ok = ref 0 and lower = ref 0 and with_brownout = ref 0 and errors = ref 0 in
   for _ = 1 to rounds do
     Prima_system.System.advance_clock system epoch_ms;
-    match Prima_system.System.refine_admitted system ~principal:throttled with
+    match Prima_system.System.refine system ~principal:throttled with
     | Error _ -> incr errors
     | Ok report ->
       incr ok;
@@ -179,7 +178,7 @@ let brownout_run () =
   done;
   Prima_system.System.advance_clock system epoch_ms;
   let control_exact =
-    match Prima_system.System.refine_admitted system ~principal:gold with
+    match Prima_system.System.refine system ~principal:gold with
     | Ok report -> report.Prima_core.Refinement.qualifier = Prima_core.Coverage.Exact
     | Error _ -> false
   in

@@ -497,7 +497,7 @@ let build_admitted_federation ~entries ~nsites ~seed ~p_unavailable ~p_timeout ~
       let principal =
         Audit_mgmt.Admission.principal ~tenant:e.Hdb.Audit_schema.user ()
       in
-      match Audit_mgmt.Site.ingest_entries_admitted site ~now:!clock ~principal [ e ] with
+      match Audit_mgmt.Site.ingest_entries_admitted adm site ~now:!clock ~principal [ e ] with
       | Ok n -> admitted := !admitted + n
       | Error r ->
         incr shed;

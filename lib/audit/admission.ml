@@ -63,8 +63,6 @@ type rejection = {
 
 type decision = Admitted of grant | Brownout of grant | Rejected of rejection
 
-exception Admission_rejected of rejection
-
 let rejection_to_string r =
   Printf.sprintf "admission rejected: tenant %s (class %s) over %s budget%s" r.r_tenant
     r.r_class

@@ -100,9 +100,6 @@ type decision =
   | Brownout of grant
   | Rejected of rejection
 
-exception Admission_rejected of rejection
-(** Typed, retryable shed signal for callers that prefer exceptions. *)
-
 val rejection_to_string : rejection -> string
 
 type pressure = {

@@ -57,8 +57,8 @@ type t = {
      archived per (site, time-range) shard, and a site whose live fetch
      fails is served stale from its shards instead of being skipped. *)
   mutable archive : Shard_store.t option;
-  (* Tenant admission controller (optional), shared with every member
-     site's ingestion gate. *)
+  (* Tenant admission controller (optional); the system's query gate and
+     every gated site ingest read it from here. *)
   mutable admission : Admission.t option;
   mutable consolidations : int;
   mutable last : position option; (* the latest consolidation *)
@@ -79,9 +79,7 @@ let create ?(retry = Retry.default) ?(seed = 0) () =
 let member ?fault ?breaker site =
   { msite = site; fault; breaker = Breaker.create ?config:breaker (); cursor = None }
 
-let add_member t m =
-  t.members <- t.members @ [ m ];
-  Site.set_admission m.msite t.admission
+let add_member t m = t.members <- t.members @ [ m ]
 
 let add_site t site = add_member t (member site)
 
@@ -115,7 +113,6 @@ let reseat_site t name site =
   match find_member t name with
   | Some m ->
     m.msite <- site;
-    Site.set_admission site t.admission;
     Option.iter (fun f -> Fault.reseat f site) m.fault
   | None -> invalid_arg (Printf.sprintf "Federation.reseat_site: unknown site %s" name)
 
@@ -123,26 +120,26 @@ let attach_archive t archive = t.archive <- Some archive
 
 let archive t = t.archive
 
-(* {2 Tenant admission} — one controller shared by every member site's
-   ingestion gate, its backpressure fed from the federation's own health
-   signals. *)
+(* {2 Tenant admission} — the one controller, and the one definition of
+   the backpressure it reads. *)
 
-let set_admission t admission =
-  t.admission <- admission;
-  List.iter (fun m -> Site.set_admission m.msite admission) t.members
+let set_admission t admission = t.admission <- admission
 
 let admission t = t.admission
 
-(* The live overload signals backpressure is derived from: un-synced
-   site-WAL records, degraded archive shards, and open breakers. *)
+(* The live overload signals backpressure is derived from: the unsynced
+   records of every log the federation reaches — each member's op WAL and
+   its store's own log (the central audit WAL is the store log of the
+   member [System] registers as clinical-db), and the transit
+   quarantine's log — plus degraded archive shards and open breakers. *)
 let pressure_signals t =
+  let pending = function Some log -> Durable.Log.pending_records log | None -> 0 in
   let wal_backlog =
     List.fold_left
       (fun acc m ->
-        match Site.wal m.msite with
-        | None -> acc
-        | Some log -> acc + Durable.Log.pending_records log)
-      0 t.members
+        acc + pending (Site.wal m.msite) + pending (Hdb.Audit_store.log (Site.store m.msite)))
+      (pending (Quarantine.log t.transit))
+      t.members
   in
   let degraded_shards =
     match t.archive with None -> 0 | Some a -> Shard_store.shards_degraded a

@@ -47,20 +47,22 @@ val attach_archive : t -> Shard_store.t -> unit
 val archive : t -> Shard_store.t option
 
 val set_admission : t -> Admission.t option -> unit
-(** Attach (or detach) a tenant admission controller, sharing it with
-    every member site's ingestion gate — including sites added or
-    reseated later.  The federation owns the gate: joining a federation
-    replaces whatever controller a site carried. *)
+(** Attach (or detach) the tenant admission controller.  The federation
+    holds the only reference: the system's query gate and every caller of
+    {!Site.ingest_entries_admitted} read it through {!admission}. *)
 
 val admission : t -> Admission.t option
 
 val pressure_signals : t -> Admission.pressure
-(** The live overload signals: un-synced site-WAL records, degraded
-    archive shards, open breakers. *)
+(** The live overload signals, the only definition of backpressure: the
+    unsynced records of every log the federation reaches (each member's
+    op WAL and its store's own log — which includes the central audit
+    WAL — and the transit quarantine's log), degraded archive shards, and
+    open breakers. *)
 
 val refresh_pressure : t -> unit
 (** Re-derive {!pressure_signals} into the attached controller (no-op
-    without one).  {!consolidated_result} does this implicitly. *)
+    without one).  {!consolidated_result} does this first. *)
 
 val heal_all : t -> unit
 (** {!Fault.heal} every member — the recovery step of the convergence

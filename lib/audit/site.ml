@@ -34,9 +34,6 @@ type t = {
   (* A lossy or tampered recovery leaves the site degraded until the
      feed acknowledges it has replayed the lost suffix. *)
   mutable replay_pending : bool;
-  (* Tenant admission gate for the ingestion path (optional, shared
-     across the federation). *)
-  mutable admission : Admission.t option;
 }
 
 (* Op record codec.  One byte of opcode, then u32-prefixed strings and
@@ -141,7 +138,6 @@ let of_store ?(mapping = Mapping.identity) ?quarantine ~name store =
     recovery = None;
     undecodable = 0;
     replay_pending = false;
-    admission = None;
   }
 
 let create ?mapping ?quarantine ~name () =
@@ -248,28 +244,17 @@ let ingest_raw_all t raws = ingest_raw_batch t raws
    out: either the whole batch is admitted (and then ingests exactly as
    the un-gated path would), or it is shed with a typed, retryable
    rejection before ANY state — store, ledger, quarantine, WAL — is
-   touched.  With no controller attached the gate is a no-op. *)
+   touched.  The gate reads the controller's last backpressure reading;
+   it does not refresh it. *)
 
-let set_admission t admission = t.admission <- admission
-
-let admission t = t.admission
-
-let admission_gate t ~now ~principal ~batch_rows =
-  match t.admission with
-  | None -> Ok ()
-  | Some adm -> (
-      let cost = Admission.cost ~rows:batch_rows () in
-      match Admission.admit adm ~now ~kind:Admission.Mutation principal cost with
-      | Admission.Admitted _ -> Ok ()
-      | Admission.Brownout _ -> assert false (* mutations are never browned out *)
-      | Admission.Rejected r -> Error r)
-
-let ingest_entries_admitted t ~now ~principal entries =
-  match admission_gate t ~now ~principal ~batch_rows:(List.length entries) with
-  | Error _ as e -> e
-  | Ok () ->
-      ingest_entries t entries;
-      Ok (List.length entries)
+let ingest_entries_admitted adm t ~now ~principal entries =
+  let rows = List.length entries in
+  match Admission.admit adm ~now ~kind:Admission.Mutation principal (Admission.cost ~rows ()) with
+  | Admission.Admitted _ ->
+    ingest_entries t entries;
+    Ok rows
+  | Admission.Brownout _ -> assert false (* mutations are never browned out *)
+  | Admission.Rejected r -> Error r
 
 (* Push the site's quarantined records back through the (possibly fixed)
    mapping; records that still fail return to quarantine.  Original seqs are

@@ -68,16 +68,13 @@ val ingest_raw_all : t -> (string * string) list list -> ingest_summary
     un-gated path would, or it is shed with a typed retryable rejection
     before any state (store, ledger, quarantine, WAL) is touched. *)
 
-val set_admission : t -> Admission.t option -> unit
-(** Attach (or detach) the shared admission controller. *)
-
-val admission : t -> Admission.t option
-
 val ingest_entries_admitted :
-  t -> now:int -> principal:Admission.principal -> Hdb.Audit_schema.entry list ->
-  (int, Admission.rejection) result
-(** All-or-nothing: [Ok n] ingested the whole batch of [n] entries;
-    [Error r] shed it whole. *)
+  Admission.t -> t -> now:int -> principal:Admission.principal ->
+  Hdb.Audit_schema.entry list -> (int, Admission.rejection) result
+(** [ingest_entries_admitted adm site] gates the batch through [adm] (the
+    federation's controller, {!Federation.admission}) at its last
+    backpressure reading.  All-or-nothing: [Ok n] ingested the whole
+    batch of [n] entries; [Error r] shed it whole. *)
 
 val reprocess_quarantined : t -> ingest_summary
 (** Push quarantined records back through the (possibly fixed) mapping;

@@ -345,7 +345,7 @@ let reapply_config h sys =
   Sys_.set_group_commit sys h.group_commit;
   Option.iter (Sys_.set_completeness_threshold sys) h.threshold;
   if h.auto_checkpoint then Sys_.set_auto_checkpoint sys true;
-  Sys_.set_admission sys (Some h.admission)
+  Audit_mgmt.Federation.set_admission (Sys_.federation sys) (Some h.admission)
 
 (* ---------- the foreign raw dialect ---------- *)
 
@@ -1166,7 +1166,7 @@ let run_overload_storm h ti rate =
   let storm = ti mod nt in
   let adm = h.admission in
   (* the gate must see the freshest overload signals *)
-  Sys_.refresh_pressure h.sys;
+  Audit_mgmt.Federation.refresh_pressure (Sys_.federation h.sys);
   let level = Adm.pressure_level adm in
   let now = Audit_mgmt.Federation.clock (Sys_.federation h.sys) in
   let one_row = Adm.cost ~rows:1 () in
@@ -1257,7 +1257,7 @@ let run_overload_storm h ti rate =
   let len0 = Site.length site in
   let seq0 = Site.next_seq site in
   let q0 = Site.quarantined_count site in
-  (match Site.ingest_entries_admitted site ~now ~principal:p_storm oversized with
+  (match Site.ingest_entries_admitted adm site ~now ~principal:p_storm oversized with
   | Ok n ->
     violate "admission-fairness" "oversized batch (%d rows over capacity %d) admitted %d"
       (cap + 1) cap n
@@ -1276,7 +1276,7 @@ let run_overload_storm h ti rate =
   (match take_pool h 1 with
   | [] -> ()
   | es1 -> (
-    match Site.ingest_entries_admitted site ~now ~principal:p_storm es1 with
+    match Site.ingest_entries_admitted adm site ~now ~principal:p_storm es1 with
     | Ok _ ->
       if expect_one = 0 then
         violate "admission-fairness" "gated batch admitted from a drained bucket";
@@ -1535,7 +1535,7 @@ let run_actions ?(nsites = 2) ?defect ?trace ?pool ~seed ~actions () =
   (* the multi-tenant admission gate, client-owned so it survives system
      rebuilds, and its pure token-bucket mirror in the model *)
   let admission = make_admission () in
-  Sys_.set_admission sys (Some admission);
+  Audit_mgmt.Federation.set_admission (Sys_.federation sys) (Some admission);
   let model = Model.create ~vocab ~p_ps ~nsites in
   Model.set_tenant_classes model
     (List.map (fun (cap, rate, _) -> (cap, rate)) (Array.to_list initial_classes));

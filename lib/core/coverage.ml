@@ -25,35 +25,22 @@ type stats = {
 let ratio overlap denominator =
   if denominator = 0 then 1.0 else float_of_int overlap /. float_of_int denominator
 
-(* Algorithm 1, set semantics.  When the caller does not need the
-   uncovered listing ([~uncovered:false]), Range(P_y) and the overlap are
-   only *counted* — streamed in one pass through Range.count_ground_rules —
-   never materialised, which is what lets coverage run in the refinement
-   inner loop. *)
-let compute ?(uncovered = true) vocab ~p_x ~p_y : stats =
+(* Algorithm 1, set semantics.  One partitioning sweep over Range(P_y)
+   yields both the overlap count and the uncovered listing — no
+   intersection or difference tables. *)
+let compute vocab ~p_x ~p_y : stats =
   let range_x = Range.of_policy vocab p_x in
-  if uncovered then begin
-    let range_y = Range.of_policy vocab p_y in
-    (* One partitioning sweep over Range(P_y) yields both the overlap count
-       and the uncovered listing — no intersection or difference tables. *)
-    let overlap, uncov =
-      Range.fold
-        (fun g (n, uncov) ->
-          if Range.mem g range_x then (n + 1, uncov) else (n, g :: uncov))
-        range_y (0, [])
-    in
-    { overlap;
-      denominator = Range.cardinality range_y;
-      coverage = ratio overlap (Range.cardinality range_y);
-      uncovered = List.sort Rule.compare uncov;
-    }
-  end
-  else begin
-    let denominator, overlap =
-      Range.count_ground_rules ~within:range_x vocab (Policy.rules p_y)
-    in
-    { overlap; denominator; coverage = ratio overlap denominator; uncovered = [] }
-  end
+  let range_y = Range.of_policy vocab p_y in
+  let overlap, uncov =
+    Range.fold
+      (fun g (n, uncov) -> if Range.mem g range_x then (n + 1, uncov) else (n, g :: uncov))
+      range_y (0, [])
+  in
+  { overlap;
+    denominator = Range.cardinality range_y;
+    coverage = ratio overlap (Range.cardinality range_y);
+    uncovered = List.sort Rule.compare uncov;
+  }
 
 (* Bag semantics over P_y's rule sequence: each occurrence counts, as in the
    Section 5 walkthrough.  A rule is covered when its whole ground set lies
@@ -72,10 +59,10 @@ let compute_bag vocab ~p_x ~p_y : stats =
 
 (* Project both policies onto the attributes they share with the
    vocabulary's pattern dimensions before comparing. *)
-let aligned ?(bag = false) ?(uncovered = true) vocab ~attrs ~p_x ~p_y : stats =
+let aligned ?(bag = false) vocab ~attrs ~p_x ~p_y : stats =
   let p_x = Policy.project p_x ~attrs in
   let p_y = Policy.project p_y ~attrs in
-  if bag then compute_bag vocab ~p_x ~p_y else compute ~uncovered vocab ~p_x ~p_y
+  if bag then compute_bag vocab ~p_x ~p_y else compute vocab ~p_x ~p_y
 
 (* Definition 10. *)
 let complete vocab ~p_x ~p_y =

@@ -18,16 +18,10 @@ type stats = {
 val ratio : int -> int -> float
 (** [ratio overlap denominator], 1.0 when the denominator is 0. *)
 
-val compute : ?uncovered:bool -> Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Policy.t -> stats
+val compute : Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Policy.t -> stats
 (** Algorithm 1, set semantics.  Policies over different attribute sets
     never intersect (Definition 6 compares cardinalities) — align them with
-    {!Policy.project} or use {!aligned}.
-
-    [uncovered] (default [true]) controls whether the uncovered listing is
-    produced.  With [~uncovered:false] the [uncovered] field is [[]] and
-    Range(P_y) is only counted, never materialised
-    ({!Range.cardinality_of_rules}) — the fast path for monitoring loops
-    that only read the ratio. *)
+    {!Policy.project} or use {!aligned}. *)
 
 val compute_bag : Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Policy.t -> stats
 (** Bag semantics over P_y's rule sequence: a rule occurrence is covered
@@ -35,15 +29,13 @@ val compute_bag : Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Policy.t -> stats
 
 val aligned :
   ?bag:bool ->
-  ?uncovered:bool ->
   Vocabulary.Vocab.t ->
   attrs:string list ->
   p_x:Policy.t ->
   p_y:Policy.t ->
   stats
 (** Projects both policies onto [attrs] first, then computes coverage
-    ([bag] defaults to false; [uncovered] as in {!compute}, ignored under
-    bag semantics where the partition is a by-product). *)
+    ([bag] defaults to false). *)
 
 val complete : Vocabulary.Vocab.t -> p_x:Policy.t -> p_y:Policy.t -> bool
 (** Definition 10: Range(P_y) ⊆ Range(P_x). *)

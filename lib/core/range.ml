@@ -80,35 +80,6 @@ let covers vocab t rule = List.for_all (fun g -> mem g t) (Rule.ground_rules voc
 (* Does any ground instance of [rule] fall inside the range? *)
 let intersects vocab t rule = List.exists (fun g -> mem g t) (Rule.ground_rules vocab rule)
 
-(* Stream the ground rules of [rules] through a scratch dedup table that is
-   dropped on return, counting distinct ground rules and — when [within] is
-   given — how many of them fall inside that range.  A single pass gives
-   Algorithm 1's numerator and denominator without materialising Range(P_y)
-   or the overlap. *)
-let count_ground_rules ?within vocab rules : int * int =
-  let seen = Rule_tbl.create 1024 in
-  let overlap = ref 0 in
-  List.iter
-    (fun rule ->
-      List.iter
-        (fun g ->
-          if not (Rule_tbl.mem seen g) then begin
-            Rule_tbl.add seen g ();
-            match within with
-            | Some range when mem g range -> incr overlap
-            | Some _ | None -> ()
-          end)
-        (Rule.ground_rules vocab rule))
-    rules;
-  (Rule_tbl.length seen, !overlap)
-
-(* #Range of a rule list without retaining the range.  With [within], only
-   ground rules already inside that range are counted. *)
-let cardinality_of_rules ?within vocab rules =
-  match within with
-  | None -> fst (count_ground_rules vocab rules)
-  | Some _ -> snd (count_ground_rules ?within vocab rules)
-
 let pp ppf t =
   Fmt.pf ppf "range (%d ground rules):@." (cardinality t);
   List.iteri (fun i rule -> Fmt.pf ppf "  %d. %a@." (i + 1) Rule.pp rule) (elements t)

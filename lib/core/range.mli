@@ -42,19 +42,4 @@ val covers : Vocabulary.Vocab.t -> t -> Rule.t -> bool
 val intersects : Vocabulary.Vocab.t -> t -> Rule.t -> bool
 (** Some ground instance of the rule lies in the range. *)
 
-val count_ground_rules : ?within:t -> Vocabulary.Vocab.t -> Rule.t list -> int * int
-(** One streaming pass over the ground rules of [rules]:
-    [(distinct, overlap)] where [distinct] is the number of distinct ground
-    rules and [overlap] how many of them lie inside [?within] (0 when
-    [within] is omitted).  Nothing is materialised beyond a scratch dedup
-    table — this is Algorithm 1's denominator and numerator in one sweep,
-    used by {!Coverage.compute} when the uncovered listing is not
-    requested. *)
-
-val cardinality_of_rules : ?within:t -> Vocabulary.Vocab.t -> Rule.t list -> int
-(** [cardinality_of_rules vocab rules] is
-    [cardinality (of_rules vocab rules)] without materialising the range;
-    with [?within] it counts only the ground rules that lie inside that
-    range (the Algorithm 1 numerator). *)
-
 val pp : Format.formatter -> t -> unit

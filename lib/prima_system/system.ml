@@ -62,21 +62,24 @@ let recovery_reasons log (r : Durable.Recovery.t) ~undecodable =
     [ Prima_core.Coverage.Wal_tail_lost log ]
   | _ -> []
 
+(* Install a pattern as an enforcement permit rule, so accesses matching
+   it are regular, not exception-based; a rule without the three pattern
+   attributes installs nothing. *)
+let install_pattern control rule =
+  match
+    ( Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.data,
+      Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.purpose,
+      Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.authorized )
+  with
+  | Some data, Some purpose, Some authorized ->
+    Hdb.Control_center.permit control ~data ~purpose ~authorized
+  | _ -> ()
+
 let create ?(training_minimum = 0) ?(completeness_threshold = 0.9) ?config ?storage ~vocab
     ~p_ps () =
   let control = Hdb.Control_center.create ~vocab () in
   (* Seed the enforcement rule base from the initial policy store. *)
-  List.iter
-    (fun rule ->
-      match
-        ( Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.data,
-          Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.purpose,
-          Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.authorized )
-      with
-      | Some data, Some purpose, Some authorized ->
-        Hdb.Control_center.permit control ~data ~purpose ~authorized
-      | _ -> ())
-    (Prima_core.Policy.rules p_ps);
+  List.iter (install_pattern control) (Prima_core.Policy.rules p_ps);
   let federation = Audit_mgmt.Federation.create () in
   (* Open-or-recover the durable state before anything writes: the audit
      store replays its WAL into the control center's (still empty) columns,
@@ -316,18 +319,6 @@ let coverage_qualified t : qualified_coverage =
     health;
   }
 
-(* Install an adopted pattern as an enforcement rule so subsequent accesses
-   matching it are regular, not exception-based. *)
-let install_pattern t rule =
-  match
-    ( Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.data,
-      Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.purpose,
-      Prima_core.Rule.find_attr rule Vocabulary.Audit_attrs.authorized )
-  with
-  | Some data, Some purpose, Some authorized ->
-    Hdb.Control_center.permit t.control ~data ~purpose ~authorized
-  | _ -> ()
-
 (* Coverage trend over the consolidated trail, judged against the current
    store; [drifting] on its result signals a refinement run is due. *)
 let trend t ~window =
@@ -347,7 +338,7 @@ let trend t ~window =
    P_PS and enforcement on evidence that may be contradicted by the
    missing records.  Recover the sites (or reprocess the quarantine) and
    retry, or lower the threshold deliberately. *)
-let refine_with t reasons : (Prima_core.Refinement.epoch_report, string) result =
+let epoch t reasons : (Prima_core.Refinement.epoch_report, string) result =
   let health = sync_audit t in
   let c = health.Audit_mgmt.Health.completeness in
   let floor = effective_threshold_for t ~window:health.Audit_mgmt.Health.total in
@@ -373,51 +364,80 @@ let refine_with t reasons : (Prima_core.Refinement.epoch_report, string) result 
           (function Prima_core.Coverage.Budget_truncated _ -> true | _ -> false)
           (Prima_core.Coverage.reasons report.Prima_core.Refinement.qualifier)
       then t.degraded_epochs <- t.degraded_epochs + 1;
-      List.iter (install_pattern t) report.Prima_core.Refinement.accepted;
+      List.iter (install_pattern t.control) report.Prima_core.Refinement.accepted;
       Ok report
-
-let refine t = refine_with t []
 
 (* --- multi-tenant admission: budget classes on both request paths --- *)
 
 module Admission = Audit_mgmt.Admission
 
-let admission t = Audit_mgmt.Federation.admission t.federation
-
-let set_admission t adm = Audit_mgmt.Federation.set_admission t.federation adm
-
-(* Declare the budget classes and install a fresh controller over them,
-   shared with every member site's ingestion gate.  The controller's
-   buckets start full at the federation's current clock reading. *)
+(* Declare the budget classes and install a fresh controller over them in
+   the federation.  The controller's buckets start full at the
+   federation's current clock reading. *)
 let set_budget_classes t classes =
-  let adm =
-    Admission.create ~now:(Audit_mgmt.Federation.clock t.federation) classes
-  in
-  set_admission t (Some adm)
+  let adm = Admission.create ~now:(Audit_mgmt.Federation.clock t.federation) classes in
+  Audit_mgmt.Federation.set_admission t.federation (Some adm)
 
 let assign_tenant t ~tenant ~class_name =
-  match admission t with
+  match Audit_mgmt.Federation.admission t.federation with
   | None -> invalid_arg "System.assign_tenant: no budget classes installed"
   | Some adm -> Admission.assign adm ~tenant class_name
 
-(* Backpressure: the federation's own signals plus the central WAL pair's
-   sync lag.  Raises (or lowers) the admission bar; no-op ungated. *)
-let refresh_pressure t =
-  match admission t with
-  | None -> ()
-  | Some adm ->
-    let p = Audit_mgmt.Federation.pressure_signals t.federation in
-    let pending = function
-      | Some log -> Durable.Log.pending_records log
-      | None -> 0
+(* The admission gate of both request paths: a [Query] admitted at the
+   federation clock under freshly derived backpressure.  A shed is
+   counted and returned.  A grant's limits compose tightest-wins with the
+   standing query limits; [run] executes under them in the grant's mode
+   and returns its result with what it used, which settles back against
+   the class, so an underestimated cost declaration is charged
+   eventually. *)
+let gate t adm ~principal ~cost run =
+  Audit_mgmt.Federation.refresh_pressure t.federation;
+  let now = Audit_mgmt.Federation.clock t.federation in
+  match Admission.admit adm ~now ~kind:Admission.Query principal cost with
+  | Admission.Rejected r ->
+    t.shed_requests <- t.shed_requests + 1;
+    Error r
+  | Admission.Admitted grant | Admission.Brownout grant ->
+    let limits =
+      match query_limits t with
+      | None -> grant.Admission.g_limits
+      | Some l -> Relational.Budget.limits_min l grant.Admission.g_limits
     in
-    let central =
-      pending (Hdb.Audit_store.log (Hdb.Control_center.audit_store t.control))
-      + pending
-          (Audit_mgmt.Quarantine.log (Audit_mgmt.Federation.transit_quarantine t.federation))
+    let result, used = run grant limits in
+    Option.iter (Admission.settle adm ~now principal ~declared:cost) used;
+    Ok result
+
+let browned_out (grant : Admission.grant) = grant.Admission.g_mode = Relational.Budget.Partial
+
+let refine_cost = Admission.cost ~rows:256 ~ticks:65536 ()
+
+(* With a principal and a controller, the epoch passes the gate: a shed
+   returns the typed rejection message, and a granted epoch runs with the
+   grant's limits standing in for the configured ones until it returns or
+   raises.  A brownout epoch carries a [Brownout] reason — the run was
+   deliberately truncated, so its readings must not claim exactness even
+   if the tightened budget never fired. *)
+let refine ?principal ?(cost = refine_cost) t =
+  match (principal, Audit_mgmt.Federation.admission t.federation) with
+  | None, _ | _, None -> epoch t []
+  | Some principal, Some adm -> (
+    let run grant limits =
+      let saved = query_limits t in
+      set_query_limits t (Some limits);
+      let result =
+        Fun.protect
+          ~finally:(fun () -> set_query_limits t saved)
+          (fun () -> epoch t (if browned_out grant then [ Prima_core.Coverage.Brownout ] else []))
+      in
+      match result with
+      | Ok report ->
+        if browned_out grant then t.brownout_epochs <- t.brownout_epochs + 1;
+        (result, Some report.Prima_core.Refinement.budget_stats)
+      | Error _ -> (result, None)
     in
-    Admission.set_pressure adm
-      { p with Admission.wal_backlog = p.Admission.wal_backlog + central }
+    match gate t adm ~principal ~cost run with
+    | Ok result -> result
+    | Error r -> Error (Admission.rejection_to_string r))
 
 type admitted_outcome = {
   outcome : Hdb.Enforcement.outcome;
@@ -429,75 +449,30 @@ type admitted_error =
   | Shed of Admission.rejection (* rejected at the gate; retryable *)
   | Query_failed of Hdb.Enforcement.error
 
-(* An enforcement query through the admission gate.  The grant's limits
-   compose tightest-wins with the standing query limits; a brownout grant
-   runs the budget in Partial mode, so the outcome is an honest prefix.
-   Actual consumption settles back against the class, so an
-   underestimated cost declaration is charged eventually. *)
-let enforce_admitted ?(cost = Admission.cost ~rows:64 ~ticks:4096 ()) ?break_glass t
-    ~principal ~user ~role ~purpose sql =
-  match admission t with
+let query_cost = Admission.cost ~rows:64 ~ticks:4096 ()
+
+(* An enforcement query through the admission gate; a brownout grant runs
+   the budget in Partial mode, so the outcome is an honest prefix. *)
+let enforce_admitted ?(cost = query_cost) ?break_glass t ~principal ~user ~role ~purpose sql =
+  let query ?budget () =
+    Hdb.Control_center.query ?break_glass ?budget t.control ~user ~role ~purpose sql
+  in
+  match Audit_mgmt.Federation.admission t.federation with
   | None -> (
-    match Hdb.Control_center.query ?break_glass t.control ~user ~role ~purpose sql with
+    match query () with
     | Ok outcome -> Ok { outcome; admitted_class = "(ungated)"; browned_out = false }
     | Error e -> Error (Query_failed e))
   | Some adm -> (
-    refresh_pressure t;
-    let now = Audit_mgmt.Federation.clock t.federation in
-    match Admission.admit adm ~now ~kind:Admission.Query principal cost with
-    | Admission.Rejected r ->
-      t.shed_requests <- t.shed_requests + 1;
-      Error (Shed r)
-    | Admission.Admitted grant | Admission.Brownout grant ->
-      let browned_out = grant.Admission.g_mode = Relational.Budget.Partial in
-      let limits =
-        match query_limits t with
-        | None -> grant.Admission.g_limits
-        | Some l -> Relational.Budget.limits_min l grant.Admission.g_limits
-      in
+    let run (grant : Admission.grant) limits =
       let budget = Relational.Budget.create ~mode:grant.Admission.g_mode limits in
       let result =
-        Hdb.Control_center.query ?break_glass ~budget t.control ~user ~role ~purpose sql
+        match query ~budget () with
+        | Ok outcome ->
+          Ok { outcome; admitted_class = grant.Admission.g_class; browned_out = browned_out grant }
+        | Error e -> Error (Query_failed e)
       in
-      Admission.settle adm ~now principal ~declared:cost (Relational.Budget.stats budget);
-      (match result with
-      | Ok outcome ->
-        Ok { outcome; admitted_class = grant.Admission.g_class; browned_out }
-      | Error e -> Error (Query_failed e)))
-
-(* One refinement cycle through the admission gate.  A shed returns the
-   typed rejection message; a brownout composes the grant's limits over
-   the standing ones and hands the epoch a [Brownout] reason — the run
-   was deliberately truncated, so its readings must not claim exactness
-   even if the tightened budget never fired. *)
-let refine_admitted ?(cost = Admission.cost ~rows:256 ~ticks:65536 ()) t ~principal =
-  match admission t with
-  | None -> refine t
-  | Some adm -> (
-    refresh_pressure t;
-    let now = Audit_mgmt.Federation.clock t.federation in
-    match Admission.admit adm ~now ~kind:Admission.Query principal cost with
-    | Admission.Rejected r ->
-      t.shed_requests <- t.shed_requests + 1;
-      Error (Admission.rejection_to_string r)
-    | Admission.Admitted grant | Admission.Brownout grant ->
-      let browned_out = grant.Admission.g_mode = Relational.Budget.Partial in
-      let saved = query_limits t in
-      let limits =
-        match saved with
-        | None -> grant.Admission.g_limits
-        | Some l -> Relational.Budget.limits_min l grant.Admission.g_limits
-      in
-      set_query_limits t (Some limits);
-      let result =
-        Fun.protect
-          ~finally:(fun () -> set_query_limits t saved)
-          (fun () -> refine_with t (if browned_out then [ Prima_core.Coverage.Brownout ] else []))
-      in
-      Result.iter
-        (fun (report : Prima_core.Refinement.epoch_report) ->
-          Admission.settle adm ~now principal ~declared:cost
-            report.Prima_core.Refinement.budget_stats;
-          if browned_out then t.brownout_epochs <- t.brownout_epochs + 1)
-        result;
-      result)
+      (result, Some (Relational.Budget.stats budget))
+    in
+    match gate t adm ~principal ~cost run with
+    | Ok result -> result
+    | Error r -> Error (Shed r))

@@ -194,16 +194,24 @@ val coverage_qualified : t -> qualified_coverage
     consolidation's evidence joined with {!standing_reasons}: [Exact]
     only when neither carries a reason. *)
 
-val install_pattern : t -> Prima_core.Rule.t -> unit
-(** Install a pattern as an enforcement permit rule (no-op for rules
-    without the three pattern attributes). *)
-
 val trend : t -> window:int -> Prima_core.Trend.point list
 (** Coverage trend of the consolidated trail against the current store;
     {!Prima_core.Trend.drifting} on the result signals a refinement run is
     due. *)
 
-val refine : t -> (Prima_core.Refinement.epoch_report, string) result
+(** {1 Refinement and multi-tenant admission}
+
+    Budget classes gate both request paths (see {!Audit_mgmt.Admission}).
+    The controller lives in the federation ({!Audit_mgmt.Federation.admission}),
+    which also holds the only definition of its backpressure
+    ({!Audit_mgmt.Federation.pressure_signals}); both paths here pass one
+    gate, which re-derives that backpressure before each decision. *)
+
+val refine :
+  ?principal:Audit_mgmt.Admission.principal ->
+  ?cost:Audit_mgmt.Admission.cost ->
+  t ->
+  (Prima_core.Refinement.epoch_report, string) result
 (** One full cycle: consolidate logs, run Algorithm 2 with the configured
     acceptance, embed accepted patterns into enforcement.  [Error] during
     the training period — and [Error] when consolidation completeness is
@@ -212,32 +220,27 @@ val refine : t -> (Prima_core.Refinement.epoch_report, string) result
     them may simply not have arrived.  The epoch's evidence is the
     consolidation's and {!standing_reasons}, plus
     {!Prima_core.Coverage.Budget_truncated} when extraction hits its
-    budget. *)
+    budget.
 
-(** {1 Multi-tenant admission}
-
-    Budget classes on both request paths (see {!Audit_mgmt.Admission}).
-    Once installed, the controller is shared with every member site's
-    ingestion gate, its backpressure fed from the federation's health
-    signals plus the central WAL pair's sync lag. *)
+    With a [principal] and budget classes installed, the epoch first
+    passes the admission gate as a query declaring [cost] (default 256
+    rows, 65,536 ticks).  A shed epoch returns the typed rejection
+    message; a granted one runs under the grant's limits composed
+    tightest-wins with the standing {!query_limits}, which are restored
+    when it returns or raises.  A brownout epoch also carries a
+    {!Prima_core.Coverage.Brownout} reason, so it always reports
+    [Lower_bound] — the run was deliberately truncated, so its readings
+    never claim exactness.  Without a principal or without classes it is
+    the plain cycle. *)
 
 val set_budget_classes :
   t -> (string * Audit_mgmt.Admission.class_config) list -> unit
-(** Declare the budget classes and install a fresh controller over them,
-    buckets full at the federation's current clock reading. *)
-
-val set_admission : t -> Audit_mgmt.Admission.t option -> unit
-(** Install (or remove) an externally owned controller — e.g. one that
-    must survive a system rebuild after a crash. *)
-
-val admission : t -> Audit_mgmt.Admission.t option
+(** Declare the budget classes and install a fresh controller over them
+    in the federation, buckets full at the federation's current clock
+    reading. *)
 
 val assign_tenant : t -> tenant:string -> class_name:string -> unit
 (** @raise Invalid_argument without a controller or on an unknown class. *)
-
-val refresh_pressure : t -> unit
-(** Re-derive backpressure into the controller (no-op ungated).  The
-    admitted paths do this before every decision. *)
 
 type admitted_outcome = {
   outcome : Hdb.Enforcement.outcome;
@@ -264,15 +267,5 @@ val enforce_admitted :
 (** An enforcement query through the admission gate.  The grant's limits
     compose tightest-wins with the standing {!query_limits}; actual
     consumption settles back against the class.  [cost] defaults to a
-    64-row, 4096-tick declaration. *)
-
-val refine_admitted :
-  ?cost:Audit_mgmt.Admission.cost ->
-  t ->
-  principal:Audit_mgmt.Admission.principal ->
-  (Prima_core.Refinement.epoch_report, string) result
-(** {!refine} through the admission gate.  A shed epoch returns the typed
-    rejection message; a brownout epoch runs under the tightened grant
-    with a {!Prima_core.Coverage.Brownout} reason, so it always reports
-    [Lower_bound] — the run was deliberately truncated, so its readings
-    never claim exactness. *)
+    64-row, 4096-tick declaration.  Without budget classes the query runs
+    ungated. *)

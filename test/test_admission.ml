@@ -203,20 +203,19 @@ let test_shed_batch_leaves_site_untouched () =
   let adm = Adm.create ~now:0 [ ("tight", rows_class ~cap:5 ~rate:5 ()) ] in
   Adm.assign adm ~tenant:"clinic" "tight";
   let site = Site.create ~name:"gated" () in
-  Site.set_admission site (Some adm);
   let principal = Adm.principal ~tenant:"clinic" () in
-  (match Site.ingest_entries_admitted site ~now:0 ~principal [ entry 1; entry 2 ] with
+  (match Site.ingest_entries_admitted adm site ~now:0 ~principal [ entry 1; entry 2 ] with
   | Ok n -> check_int "affordable batch ingests whole" 2 n
   | Error _ -> Alcotest.fail "setup batch shed");
   let before = (Site.length site, Site.next_seq site, Site.quarantined_count site) in
   let oversized = List.init 4 (fun i -> entry (10 + i)) in
-  (match Site.ingest_entries_admitted site ~now:0 ~principal oversized with
+  (match Site.ingest_entries_admitted adm site ~now:0 ~principal oversized with
   | Error r ->
     check_bool "retryable" true (r.Adm.retry_after_ms <> None);
     check_bool "site untouched by the shed" true
       (before = (Site.length site, Site.next_seq site, Site.quarantined_count site))
   | Ok _ -> Alcotest.fail "oversized batch admitted");
-  match Site.ingest_entries_admitted site ~now:2000 ~principal oversized with
+  match Site.ingest_entries_admitted adm site ~now:2000 ~principal oversized with
   | Ok n ->
     check_int "same batch whole after refill" 4 n;
     check_int "nothing double-ingested" 6 (Site.length site)
@@ -273,13 +272,13 @@ let make_system () =
    runs as a brownout and must label its coverage Lower_bound with a
    Brownout reason — and, the tightened budget never firing, no
    Budget_truncated one. *)
-let test_refine_admitted_brownout_lower_bound () =
+let test_refine_brownout_lower_bound () =
   let system = make_system () in
   Prima_system.System.set_budget_classes system
     [ ("throttled", rows_class ~cap:200 ~rate:200 ()) ];
   Prima_system.System.assign_tenant system ~tenant:"analyst" ~class_name:"throttled";
   let principal = Adm.principal ~tenant:"analyst" () in
-  (match Prima_system.System.refine_admitted system ~principal with
+  (match Prima_system.System.refine system ~principal with
   | Ok report ->
     check_bool "brownout epoch is a lower bound over the whole window" true
       (match report.Prima_core.Refinement.qualifier with
@@ -310,7 +309,7 @@ let test_refine_admitted_brownout_lower_bound () =
 (* An epoch that raises (here the privacy officer's acceptance step) must not
    leave the grant's limits installed: every later refinement and
    enforcement query would run under them. *)
-let test_refine_admitted_restores_limits () =
+let test_refine_restores_limits () =
   let system = make_system () in
   Prima_system.System.set_budget_classes system [ ("gold", rows_class ~cap:4096 ~rate:4096 ()) ];
   Prima_system.System.assign_tenant system ~tenant:"analyst" ~class_name:"gold";
@@ -321,7 +320,7 @@ let test_refine_admitted_restores_limits () =
         Prima_core.Refinement.Oracle (fun _ -> failwith "privacy officer unavailable")
     };
   (match
-     Prima_system.System.refine_admitted system ~principal:(Adm.principal ~tenant:"analyst" ())
+     Prima_system.System.refine system ~principal:(Adm.principal ~tenant:"analyst" ())
    with
   | _ -> Alcotest.fail "the acceptance step was never reached"
   | exception Failure _ -> ());
@@ -358,6 +357,47 @@ let test_enforce_admitted_shed_and_exact () =
   let gov = Prima_system.System.governance system in
   check_int "shed counted" 1 gov.Prima_system.System.shed_requests
 
+(* Backpressure has one definition, whichever decision refreshed it
+   last.  With group commit on, 70 unsynced central audit records put the
+   backlog over its 64-record threshold, so after a consolidation the
+   level is 1: a gated 600-row ingest from a fresh 1,000-row class, which
+   at level 1 needs 1,200 rows of headroom, is shed on pressure alone. *)
+let test_consolidation_counts_central_backlog () =
+  let storage =
+    { Prima_system.System.audit_log = Durable.Log.create ~seed:3 ();
+      quarantine_log = Durable.Log.create ~seed:4 ();
+    }
+  in
+  let system =
+    Prima_system.System.create ~storage ~vocab:(Vocabulary.Samples.figure1 ())
+      ~p_ps:(Workload.Scenario.policy_store ()) ()
+  in
+  Prima_system.System.set_group_commit system true;
+  let central = Hdb.Control_center.audit_store (Prima_system.System.control system) in
+  for _ = 1 to 7 do
+    Hdb.Audit_store.append_all central (Workload.Scenario.table1_entries ())
+  done;
+  let ward = Site.create ~name:"ward" () in
+  Prima_system.System.add_site system ward;
+  Prima_system.System.set_budget_classes system [ ("feed", rows_class ~cap:1000 ~rate:1000 ()) ];
+  Prima_system.System.assign_tenant system ~tenant:"feed" ~class_name:"feed";
+  let fed = Prima_system.System.federation system in
+  let adm = Option.get (Audit_mgmt.Federation.admission fed) in
+  ignore (Prima_system.System.coverage_qualified system);
+  (match
+     Site.ingest_entries_admitted adm ward ~now:(Audit_mgmt.Federation.clock fed)
+       ~principal:(Adm.principal ~tenant:"feed" ())
+       (List.init 600 entry)
+   with
+  | Error r ->
+    check_bool "shed on pressure alone: retry at the next tick" true
+      (r.Adm.retry_after_ms = Some 1);
+    check_int "nothing ingested" 0 (Site.length ward)
+  | Ok _ -> Alcotest.fail "600 rows admitted from a 1,000-row class at level 1");
+  check_int "the consolidation counted the central backlog" 1 (Adm.pressure_level adm);
+  Audit_mgmt.Federation.refresh_pressure fed;
+  check_int "an explicit refresh reads the same" 1 (Adm.pressure_level adm)
+
 let () =
   Alcotest.run "admission"
     [ ( "refill-boundary",
@@ -388,10 +428,12 @@ let () =
         [ Alcotest.test_case "limits_min tightest wins" `Quick test_limits_min_tightest_wins ] );
       ( "system",
         [ Alcotest.test_case "refine brownout lower bound" `Quick
-            test_refine_admitted_brownout_lower_bound;
+            test_refine_brownout_lower_bound;
           Alcotest.test_case "enforce shed and exact" `Quick
             test_enforce_admitted_shed_and_exact;
           Alcotest.test_case "a raising epoch restores the limits" `Quick
-            test_refine_admitted_restores_limits;
+            test_refine_restores_limits;
+          Alcotest.test_case "a consolidation counts the central backlog" `Quick
+            test_consolidation_counts_central_backlog;
         ] );
     ]
