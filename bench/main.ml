@@ -626,14 +626,15 @@ let e11 () =
   check "hash-based coverage >= 5x faster on the largest sweep point" ~paper:">= 5x"
     ~measured:(if largest_size >= 5.0 then ">= 5x" else Printf.sprintf "%.1fx" largest_size)
 
-(* The two sides of a tight overhead gate (governed queries, 5%), timed
-   in alternation: every iteration runs both, the side that goes first
-   alternating, so drift, cache state and collector debt fall on both
-   alike.  Each side keeps its minimum over iterations, not the mean — the
-   per-row cost under test is a handful of integer ops, so scheduler noise
-   would otherwise dominate the measurement.  Each timed call starts on an
-   empty minor heap, so neither side pays for collecting what the other
-   (or the set-up) allocated.  Milliseconds. *)
+(* The two sides of a tight overhead gate (E12's hash chain, 15%; E13's
+   governed queries, 5%), timed in alternation: every iteration runs
+   both, the side that goes first alternating, so drift, cache state and
+   collector debt fall on both alike.  Each side keeps its minimum over
+   iterations, not the mean — the per-row cost under test is a handful of
+   integer ops, so scheduler noise would otherwise dominate the
+   measurement.  Each timed call starts on an empty minor heap, so neither
+   side pays for collecting what the other (or the set-up) allocated.
+   Milliseconds. *)
 let min_times_interleaved ~iterations f g =
   ignore (f ());
   ignore (g ());
@@ -789,26 +790,16 @@ let e12 () =
     let r = Durable.Recovery.run ~verify_chain ~wal:chain_wal ~snapshot:chain_snap () in
     if not (Durable.Recovery.clean r) then failwith "chained replay not clean"
   in
-  (* interleaved min-of-7: measuring the two scans back to back in each
-     iteration keeps heap drift from the earlier experiments (both scans
-     allocate the same ~16k payload strings) from landing on one side of
-     the comparison *)
+  (* interleaved min-of-7: both scans allocate the same ~16k payload
+     strings, so each starts on an empty minor heap and the one that goes
+     first alternates; heap drift from the earlier experiments is
+     collected first *)
   Gc.full_major ();
-  replay_scan ~verify_chain:false ();
-  replay_scan ~verify_chain:true ();
-  let t_crc = ref infinity in
-  let t_chained = ref infinity in
-  for _ = 1 to 7 do
-    let t0 = now () in
-    replay_scan ~verify_chain:false ();
-    let t1 = now () in
-    replay_scan ~verify_chain:true ();
-    let t2 = now () in
-    if t1 -. t0 < !t_crc then t_crc := t1 -. t0;
-    if t2 -. t1 < !t_chained then t_chained := t2 -. t1
-  done;
-  let t_crc = 1000. *. !t_crc in
-  let t_chained = 1000. *. !t_chained in
+  let t_crc, t_chained =
+    min_times_interleaved ~iterations:7
+      (replay_scan ~verify_chain:false)
+      (replay_scan ~verify_chain:true)
+  in
   let chain_overhead = (t_chained -. t_crc) /. t_crc *. 100. in
   Fmt.pr "@.Hash-chained replay overhead (16000 entries, min of 7):@.";
   Fmt.pr "  CRC-only scan:    %.2f ms@." t_crc;

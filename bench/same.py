@@ -7,26 +7,39 @@ Run from the root of a checkout (or through `make same`):
 
 `git archive`s REV and copies this working tree (tracked files and
 untracked ones that are not ignored, without build outputs) into two
-temporary directories, builds both, and runs the deterministic sweeps in
-each: `bench/chaos_sweep.exe`, `bench/tamper_sweep.exe`, `bench/fuzz.exe`
-and `bench/overload_sweep.exe`.  Each sweep's standard output must match
-byte for byte, and its exit code too; every output difference is printed
-as a unified diff.  The exit code is 1 when any sweep differs, 0
-otherwise.
-The sweeps run inside the copies, so the `BENCH_*.json` files they rewrite
-are the copies', never this checkout's.  The temporary directories are
-removed on exit.
+temporary directories, builds both, and runs the same checks in each:
+
+- the deterministic sweeps `bench/chaos_sweep.exe`, `bench/tamper_sweep.exe`,
+  `bench/fuzz.exe` and `bench/overload_sweep.exe`;
+- `bench/shrink_sweep.exe`, with the trailing wall-clock seconds of each
+  per-repro line masked (the only part of its output that is not
+  deterministic);
+- `prima chaos --replay FILE` for every committed repro under
+  `test/chaos_corpus/`, so a reworded violation message shows.
+
+Each check's standard output must match byte for byte, and its exit code
+too; every output difference is printed as a unified diff.  The exit code
+is 1 when any check differs, 0 otherwise.
+The checks run inside the copies, so the `BENCH_*.json` files the sweeps
+rewrite are the copies', never this checkout's.  The temporary directories
+are removed on exit.
 """
 
 import argparse
 import difflib
+import glob
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 
-SWEEPS = ["chaos_sweep", "tamper_sweep", "fuzz", "overload_sweep"]
+SWEEPS = ["chaos_sweep", "tamper_sweep", "fuzz", "overload_sweep", "shrink_sweep"]
+CORPUS = os.path.join("test", "chaos_corpus")
+CLI = os.path.join("bin", "prima_cli.exe")
+# The wall-clock seconds that end each shrink-sweep row ("<n> candidates, 1.4s").
+SHRINK_SECONDS = re.compile(r"(candidates, )\d+\.\ds")
 
 
 def copy_working_tree(dest):
@@ -44,16 +57,29 @@ def copy_working_tree(dest):
 
 
 def build(checkout):
-    targets = [os.path.join("bench", s + ".exe") for s in SWEEPS]
+    targets = [os.path.join("bench", s + ".exe") for s in SWEEPS] + [CLI]
     subprocess.run(["dune", "build", "--root", "."] + targets, cwd=checkout, check=True)
 
 
-def run(checkout, sweep):
-    """(exit code, stdout) of one sweep run inside [checkout]."""
-    exe = os.path.join(checkout, "_build", "default", "bench", sweep + ".exe")
-    proc = subprocess.run([exe], cwd=checkout, stdout=subprocess.PIPE,
+def run(checkout, exe, *args):
+    """(exit code, stdout) of one built executable run inside [checkout],
+    with the shrink sweep's seconds masked."""
+    proc = subprocess.run([os.path.join(checkout, "_build", "default", exe), *args],
+                          cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
-    return proc.returncode, proc.stdout
+    return proc.returncode, SHRINK_SECONDS.sub(r"\1<s>s", proc.stdout)
+
+
+def checks(sides):
+    """(name, executable, arguments) of every check: each sweep, then a
+    replay of each repro either copy commits."""
+    for sweep in SWEEPS:
+        yield sweep, os.path.join("bench", sweep + ".exe"), []
+    repros = sorted({os.path.relpath(path, side)
+                     for side in sides.values()
+                     for path in glob.glob(os.path.join(side, CORPUS, "*.repro"))})
+    for repro in repros:
+        yield os.path.basename(repro), CLI, ["chaos", "--replay", repro]
 
 
 def main():
@@ -73,22 +99,22 @@ def main():
         for path in sides.values():
             build(path)
         different = []
-        for sweep in SWEEPS:
+        for name, exe, exe_args in checks(sides):
             (base_code, base_out), (change_code, change_out) = (
-                run(sides["base"], sweep), run(sides["change"], sweep))
+                run(sides["base"], exe, *exe_args), run(sides["change"], exe, *exe_args))
             same = base_out == change_out and base_code == change_code
-            print(f"{sweep:<16} {'same' if same else 'DIFFERENT'}"
+            print(f"{name:<40} {'same' if same else 'DIFFERENT'}"
                   f" ({len(base_out.splitlines())} lines; exit {base_code} at {args.base},"
                   f" {change_code} here)")
             if not same:
-                different.append(sweep)
+                different.append(name)
                 sys.stdout.writelines(difflib.unified_diff(
                     base_out.splitlines(keepends=True), change_out.splitlines(keepends=True),
-                    fromfile=f"{sweep} at {args.base}", tofile=f"{sweep} here"))
+                    fromfile=f"{name} at {args.base}", tofile=f"{name} here"))
         if different:
             print("different: " + ", ".join(different))
             sys.exit(1)
-        print("all sweeps print the same bytes")
+        print("every check prints the same bytes")
     finally:
         shutil.rmtree(root, ignore_errors=True)
 

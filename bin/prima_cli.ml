@@ -96,10 +96,8 @@ let run_refine vocab_name policy_path audit_path min_frequency use_mining max_ro
     | rows, tuples, ticks, wall_ms ->
       Some (Relational.Budget.limits ?rows ?tuples ?ticks ?wall_ms ())
   in
-  let config =
-    { Prima_core.Refinement.default_config with Prima_core.Refinement.backend; limits }
-  in
-  let report = Prima_core.Refinement.run_epoch ~config ~vocab ~p_ps ~p_al () in
+  let config = { Prima_core.Refinement.default_config with Prima_core.Refinement.backend } in
+  let report = Prima_core.Refinement.run_epoch ~config ?limits ~vocab ~p_ps ~p_al () in
   Prima_core.Report.pp_epoch Fmt.stdout report;
   0
 
@@ -461,8 +459,9 @@ let parse_tenant_spec s =
 (* The admission-gated twin of [build_faulty_federation]: the controller
    attaches first, then every entry passes through the tenant gate
    ([Site.ingest_entries_admitted], tenant = the entry's user) on its way
-   into its site.  Shed entries never reach the federation, so the health
-   report's completeness is honest about what admission dropped. *)
+   into its site.  Shed entries never reach the federation, so nothing
+   downstream counts them: the health report's completeness covers only
+   the admitted entries, and the caller must say what admission dropped. *)
 let build_admitted_federation ~entries ~nsites ~seed ~p_unavailable ~p_timeout ~p_flaky
     ~p_corrupt ~classes ~tenants =
   let nsites = max 1 nsites in
@@ -512,10 +511,11 @@ let run_federation_health audit_path nsites seed p_unavailable p_timeout p_flaky
     Fmt.epr "--tenant requires at least one --class@.";
     exit 2
   end;
-  let fed =
+  let fed, shed =
     if class_specs = [] then
-      build_faulty_federation ~entries ~nsites ~seed ~p_unavailable ~p_timeout ~p_flaky
-        ~p_corrupt
+      ( build_faulty_federation ~entries ~nsites ~seed ~p_unavailable ~p_timeout ~p_flaky
+          ~p_corrupt,
+        0 )
     else begin
       let classes = List.map parse_class_spec class_specs in
       let tenants = List.map parse_tenant_spec tenant_specs in
@@ -534,9 +534,13 @@ let run_federation_health audit_path nsites seed p_unavailable p_timeout p_flaky
         (List.length entries) shed;
       (match last_reject with
       | Some r when shed > 0 ->
-        Fmt.pr "  last shed: %s@." (Audit_mgmt.Admission.rejection_to_string r)
+        Fmt.pr "  last shed: %s@." (Audit_mgmt.Admission.rejection_to_string r);
+        Fmt.pr
+          "  the %d shed entries never reached a site: every reading below, healed or not, \
+           is a lower bound on the trail@."
+          shed
       | _ -> ());
-      fed
+      (fed, shed)
     end
   in
   let archive_store =
@@ -560,12 +564,14 @@ let run_federation_health audit_path nsites seed p_unavailable p_timeout p_flaky
     Fmt.pr "@.after heal:@.%a" Audit_mgmt.Health.pp
       recovered.Audit_mgmt.Federation.health
   end;
-  if result.Audit_mgmt.Federation.health.Audit_mgmt.Health.completeness < 1.0 then begin
+  let completeness = result.Audit_mgmt.Federation.health.Audit_mgmt.Health.completeness in
+  if completeness < 1.0 || shed > 0 then
     Fmt.pr
       "@.note: coverage computed from this window is a LOWER BOUND (completeness \
-       %.1f%%); do not prune or auto-accept patterns from it@."
-      (100. *. result.Audit_mgmt.Federation.health.Audit_mgmt.Health.completeness)
-  end;
+       %.1f%%%s); do not prune or auto-accept patterns from it@."
+      (100. *. completeness)
+      (if shed = 0 then ""
+       else Printf.sprintf " of the admitted entries, %d more shed at admission" shed);
   0
 
 (* --- cmdliner wiring --- *)

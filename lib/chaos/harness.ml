@@ -131,30 +131,30 @@ let defect_of_string s =
 type report = {
   seed : int;
   steps : int;
-  actions_run : int;
-  appended : int;  (** workload entries fed to the system (and model) *)
-  crashes : int;
-  site_crashes : int;  (** power cuts to a remote site's own WAL *)
-  site_recovered : int;  (** entries the crashed sites replayed from their WALs *)
-  site_replayed : int;  (** lost-suffix entries the feed re-sent after site crashes *)
-  consolidations : int;
-  refines_ok : int;
-  refines_rejected : int;  (** completeness below the adaptive floor *)
-  degraded_epochs : int;  (** governed extractions that hit their budget *)
-  enforce_trips : int;  (** typed budget/cancel trips on the enforcement path *)
-  tampers : int;  (** bit-flips injected into accepted (stable) records *)
-  tampers_detected : int;  (** of those, reported as [Tamper_detected] *)
-  raw_ingested : int;  (** raw foreign-dialect records mapped and ingested *)
-  raw_quarantined : int;  (** raw records a broken mapping sent to quarantine *)
-  reprocessed : int;  (** quarantined records re-ingested after a mapping fix *)
-  workflows : int;  (** purpose-workflow plan instances appended *)
-  twisted_workflows : int;  (** of those, plan-implausible (twisted) ones *)
-  vocab_edits : int;  (** mid-run vocabulary edits adopted *)
-  storms : int;  (** overload bursts driven through the admission gate *)
-  storm_admitted : int;  (** storm + probe requests the gate admitted *)
-  storm_shed : int;  (** storm + probe requests shed, all-or-nothing *)
-  events : string list;  (** step-by-step fault log, oldest first *)
-  violation : violation option;
+  mutable actions_run : int;
+  mutable appended : int;  (** workload entries fed to the system (and model) *)
+  mutable crashes : int;
+  mutable site_crashes : int;  (** power cuts to a remote site's own WAL *)
+  mutable site_recovered : int;  (** entries the crashed sites replayed from their WALs *)
+  mutable site_replayed : int;  (** lost-suffix entries the feed re-sent after site crashes *)
+  mutable consolidations : int;
+  mutable refines_ok : int;
+  mutable refines_rejected : int;  (** completeness below the adaptive floor *)
+  mutable degraded_epochs : int;  (** governed extractions that hit their budget *)
+  mutable enforce_trips : int;  (** typed budget/cancel trips on the enforcement path *)
+  mutable tampers : int;  (** bit-flips injected into accepted (stable) records *)
+  mutable tampers_detected : int;  (** of those, reported as [Tamper_detected] *)
+  mutable raw_ingested : int;  (** raw foreign-dialect records mapped and ingested *)
+  mutable raw_quarantined : int;  (** raw records a broken mapping sent to quarantine *)
+  mutable reprocessed : int;  (** quarantined records re-ingested after a mapping fix *)
+  mutable workflows : int;  (** purpose-workflow plan instances appended *)
+  mutable twisted_workflows : int;  (** of those, plan-implausible (twisted) ones *)
+  mutable vocab_edits : int;  (** mid-run vocabulary edits adopted *)
+  mutable storms : int;  (** overload bursts driven through the admission gate *)
+  mutable storm_admitted : int;  (** storm + probe requests the gate admitted *)
+  mutable storm_shed : int;  (** storm + probe requests shed, all-or-nothing *)
+  mutable events : string list;  (** step-by-step fault log, oldest first once returned *)
+  mutable violation : violation option;
 }
 
 let passed r = r.violation = None
@@ -164,8 +164,7 @@ exception Violation of string * string  (** (invariant, detail) *)
 (* ---------- internal state ---------- *)
 
 type t = {
-  seed : int;
-  mutable vocab : Vocabulary.Vocab.t;  (** current, including mid-run edits *)
+  report : report;  (** the counters, event log and verdict, updated in place *)
   model : Model.t;
   mutable sys : Sys_.t;
   archive : Audit_mgmt.Shard_store.t;  (** the durable consolidated archive *)
@@ -187,33 +186,11 @@ type t = {
   mapping_correct : bool array;
   mutable clinical_seen : int;  (** clinical appends so far (for [Eat_entry]) *)
   mutable replay_dropped : bool;  (** [Drop_replay] already fired *)
-  mutable events : string list;  (** newest first *)
-  mutable appended : int;
-  mutable crashes : int;
-  mutable site_crashes : int;
-  mutable site_recovered : int;
-  mutable site_replayed : int;
-  mutable consolidations : int;
-  mutable refines_ok : int;
-  mutable refines_rejected : int;
-  mutable degraded_epochs : int;
-  mutable enforce_trips : int;
-  mutable tampers : int;
-  mutable tampers_detected : int;
-  mutable raw_ingested : int;
-  mutable raw_quarantined : int;
-  mutable reprocessed : int;
-  mutable workflows : int;
-  mutable twisted_workflows : int;
-  mutable vocab_edits : int;
   admission : Adm.t;
       (** the shared tenant gate — owned by the harness (the client side),
           so it survives system rebuilds: a crash must not refill anyone's
           bucket *)
   tenant_quota : (int * int) array;  (** current (capacity, refill/s) per tenant *)
-  mutable storms : int;
-  mutable storm_admitted : int;
-  mutable storm_shed : int;
   trace : (string -> unit) option;
 }
 
@@ -254,7 +231,7 @@ let make_admission () =
 let event h fmt =
   Printf.ksprintf
     (fun line ->
-      h.events <- line :: h.events;
+      h.report.events <- line :: h.report.events;
       match h.trace with Some f -> f line | None -> ())
     fmt
 
@@ -287,6 +264,9 @@ let rec has_dup = function
   | a :: (b :: _ as tl) -> a = b || has_dup tl
   | _ -> false
 
+let same_entries a b =
+  List.length a = List.length b && List.for_all2 Hdb.Audit_schema.equal a b
+
 (* Every entry the harness appends anywhere is restamped off one global
    clock, so times stay strictly increasing in append order across the
    clinical stream, the remotes, raw batches and workflow plans alike —
@@ -301,12 +281,13 @@ let take_pool h n =
   let n = min n avail in
   let es = Array.to_list (Array.sub h.pool h.next_entry n) in
   h.next_entry <- h.next_entry + n;
-  h.appended <- h.appended + n;
+  h.report.appended <- h.report.appended + n;
   List.map (stamp h) es
 
-(* All clinical-store writes funnel through here so the [Eat_entry] defect
-   has one switch to throw. *)
-let append_clinical_sys h es =
+(* Every fresh clinical append goes to the system and the model in one
+   call, so the [Eat_entry] defect has one switch to throw: it swallows the
+   entry on the system side only. *)
+let append_clinical h es =
   let store = audit_store h in
   List.iter
     (fun e ->
@@ -315,7 +296,8 @@ let append_clinical_sys h es =
         match h.defect with Some (Eat_entry k) -> h.clinical_seen = k | _ -> false
       in
       if not eaten then Hdb.Audit_store.append store e)
-    es
+    es;
+  Model.append_clinical h.model es
 
 let sync_q_floor h =
   let q = transit h.sys in
@@ -455,14 +437,13 @@ let run_vocab_edit h pick =
   let parent, purpose, role =
     vocab_edit_targets.(pick mod Array.length vocab_edit_targets)
   in
-  let leaf = Printf.sprintf "chaos-%s-%d" parent h.vocab_edits in
+  let leaf = Printf.sprintf "chaos-%s-%d" parent h.report.vocab_edits in
   let vocab' =
-    Vocabulary.Vocab.with_leaf h.vocab ~attr:Vocabulary.Audit_attrs.data ~parent
-      ~value:leaf
+    Vocabulary.Vocab.with_leaf (Model.vocab h.model) ~attr:Vocabulary.Audit_attrs.data
+      ~parent ~value:leaf
   in
-  h.vocab <- vocab';
   h.edits <- h.edits @ [ (parent, leaf) ];
-  h.vocab_edits <- h.vocab_edits + 1;
+  h.report.vocab_edits <- h.report.vocab_edits + 1;
   (* the [Stale_vocab] defect: the model and the workload adopt the edit,
      the system never hears of it *)
   (match h.defect with
@@ -476,13 +457,12 @@ let run_vocab_edit h pick =
       (Hdb.Audit_schema.entry ~time:0 ~op:Hdb.Audit_schema.Allow ~user:(role ^ "-01")
          ~data:leaf ~purpose ~authorized:role ~status:Hdb.Audit_schema.Regular)
   in
-  append_clinical_sys h [ e ];
-  Model.append_clinical h.model [ e ];
-  h.appended <- h.appended + 1;
+  append_clinical h [ e ];
+  h.report.appended <- h.report.appended + 1;
   check_cache_coherence h;
   (* the fresh stamp itself is a process-global counter — don't log it, or
      event logs stop being deterministic across runs in one process *)
-  Printf.sprintf "leaf %s under %s (edit %d)" leaf parent h.vocab_edits
+  Printf.sprintf "leaf %s under %s (edit %d)" leaf parent h.report.vocab_edits
 
 (* ---------- purpose workflows (invariant 9) ---------- *)
 
@@ -507,12 +487,11 @@ let run_workflow h pick twist =
       template.Workload.Purpose.name
       (Workload.Purpose.twist_to_string tw)
   | _ -> ());
-  append_clinical_sys h entries;
-  Model.append_clinical h.model entries;
+  append_clinical h entries;
   let n = List.length entries in
-  h.appended <- h.appended + n;
-  h.workflows <- h.workflows + 1;
-  if twist <> None then h.twisted_workflows <- h.twisted_workflows + 1;
+  h.report.appended <- h.report.appended + n;
+  h.report.workflows <- h.report.workflows + 1;
+  if twist <> None then h.report.twisted_workflows <- h.report.twisted_workflows + 1;
   Printf.sprintf "%s: %d step(s), %s" template.Workload.Purpose.name n
     (match twist with
     | None -> "plausible"
@@ -539,10 +518,10 @@ let run_raw_append h i n =
             n' s.Site.quarantined;
         (* round-trip: the mapped entries equal the originals, in order *)
         let got = last_n (Site.entries site) (Site.length site - before) in
-        if List.length got <> n' || not (List.for_all2 Hdb.Audit_schema.equal got es) then
+        if not (same_entries got es) then
           violate "mapping-coherence" "raw round-trip at site %d altered the records" i;
         Model.append_remote h.model i es;
-        h.raw_ingested <- h.raw_ingested + n';
+        h.report.raw_ingested <- h.report.raw_ingested + n';
         Printf.sprintf "%d raw record(s) mapped" n'
       end
       else begin
@@ -551,7 +530,7 @@ let run_raw_append h i n =
             "broken mapping at site %d ingested %d, quarantined %d/%d" i s.Site.ingested
             s.Site.quarantined n';
         h.pending.(i) <- h.pending.(i) @ es;
-        h.raw_quarantined <- h.raw_quarantined + n';
+        h.report.raw_quarantined <- h.report.raw_quarantined + n';
         Printf.sprintf "%d raw record(s) quarantined (broken mapping)" n'
       end
     in
@@ -575,11 +554,11 @@ let run_set_mapping h i correct =
     (* reprocessing walks the quarantine in seq order: the re-ingested
        records are the backlog, byte for byte, in arrival order *)
     let got = last_n (Site.entries site) (Site.length site - before) in
-    if List.length got <> np || not (List.for_all2 Hdb.Audit_schema.equal got pending)
-    then violate "mapping-coherence" "reprocess at site %d reordered or altered the backlog" i;
+    if not (same_entries got pending) then
+      violate "mapping-coherence" "reprocess at site %d reordered or altered the backlog" i;
     Model.append_remote h.model i pending;
     h.pending.(i) <- [];
-    h.reprocessed <- h.reprocessed + np;
+    h.report.reprocessed <- h.report.reprocessed + np;
     sync_site_floor h i;
     Printf.sprintf "correct mapping, reprocessed %d" np
   end
@@ -644,7 +623,7 @@ let check_readings h invariant (qc : Sys_.qualified_coverage) =
    the lower-bound labelling discipline (invariants 1-3), and cache
    coherence against a from-scratch vocabulary (invariant 8). *)
 let check_consolidate h =
-  h.consolidations <- h.consolidations + 1;
+  h.report.consolidations <- h.report.consolidations + 1;
   let qc = Sys_.coverage_qualified h.sys in
   let health = qc.Sys_.health in
   (* invariant 2: every input record is accounted for exactly once *)
@@ -692,11 +671,11 @@ let check_refine h =
   let limits = Sys_.query_limits h.sys in
   match Sys_.refine h.sys with
   | Error reason ->
-    h.refines_rejected <- h.refines_rejected + 1;
+    h.report.refines_rejected <- h.report.refines_rejected + 1;
     sync_q_floor h;
     Printf.sprintf "rejected (%s)" reason
   | Ok report ->
-    h.refines_ok <- h.refines_ok + 1;
+    h.report.refines_ok <- h.report.refines_ok + 1;
     (* the budget oracle: the same governed extraction, re-run over the
        window the epoch saw *)
     let truncated =
@@ -712,7 +691,7 @@ let check_refine h =
           if g.Prima_core.Data_analysis.degraded then Some g.Prima_core.Data_analysis.stats
           else None)
     in
-    if truncated <> None then h.degraded_epochs <- h.degraded_epochs + 1;
+    if truncated <> None then h.report.degraded_epochs <- h.report.degraded_epochs + 1;
     let model_epoch = Model.epoch h.model in
     let accepted = report.Prima_core.Refinement.accepted in
     if
@@ -735,44 +714,93 @@ let check_refine h =
 
 (* ---------- crash + recovery (invariants 1, 2, 4) ---------- *)
 
-let crash_and_recover h point =
-  h.crashes <- h.crashes + 1;
-  let sys = h.sys in
-  let audit_log =
-    match Hdb.Audit_store.log (Hdb.Control_center.audit_store (Sys_.control sys)) with
-    | Some l -> l
-    | None -> violate "no-loss" "audit store lost its durable log"
+(* The durable log behind [what], or a violation of [invariant]. *)
+let durable_log invariant what = function
+  | Some l -> l
+  | None -> violate invariant "%s lost its durable log" what
+
+(* The central pair's four devices: the audit WAL and snapshot, then the
+   transit quarantine's.  [invariant] names the violation a missing audit
+   log counts against. *)
+let central_devices h invariant =
+  let audit = durable_log invariant "audit store" (Hdb.Audit_store.log (audit_store h)) in
+  let q =
+    durable_log "quarantine-exactly-once" "transit quarantine" (Q.log (transit h.sys))
   in
-  let q_log =
-    match Q.log (transit sys) with
-    | Some l -> l
-    | None -> violate "quarantine-exactly-once" "transit quarantine lost its durable log"
-  in
-  let awal = Durable.Log.wal_device audit_log in
-  let asnap = Durable.Log.snapshot_device audit_log in
-  let qwal = Durable.Log.wal_device q_log in
-  let qsnap = Durable.Log.snapshot_device q_log in
-  (* Power cut: the drawn point hits the audit WAL; the other devices take
-     a clean loss of their unsynced tails (all four lose power together).
-     The quarantine WAL is synced after every mutation batch, so its
-     recovered state must equal the floor exactly. *)
+  Durable.Log.(wal_device audit, snapshot_device audit, wal_device q, snapshot_device q)
+
+(* Power cut: [point] hits the audit WAL; the other devices take a clean
+   loss of their unsynced tails (all four lose power together). *)
+let power_cut (awal, asnap, qwal, qsnap) point =
   Durable.Device.crash awal ~point;
-  Durable.Device.crash asnap ~point:Durable.Device.Clean_loss;
-  Durable.Device.crash qwal ~point:Durable.Device.Clean_loss;
-  Durable.Device.crash qsnap ~point:Durable.Device.Clean_loss;
-  let p_ps = Prima_core.Prima.policy_store (Sys_.prima sys) in
-  let rebuild () =
-    let storage =
-      {
-        Sys_.audit_log = Durable.Log.of_devices ~wal:awal ~snapshot:asnap;
-        quarantine_log = Durable.Log.of_devices ~wal:qwal ~snapshot:qsnap;
-      }
-    in
-    Sys_.create ~storage ~vocab:h.vocab ~p_ps ()
+  List.iter
+    (fun d -> Durable.Device.crash d ~point:Durable.Device.Clean_loss)
+    [ asnap; qwal; qsnap ]
+
+(* A system recovered from the central devices, keeping the live policy
+   store and vocabulary. *)
+let rebuild h (awal, asnap, qwal, qsnap) =
+  let storage =
+    {
+      Sys_.audit_log = Durable.Log.of_devices ~wal:awal ~snapshot:asnap;
+      quarantine_log = Durable.Log.of_devices ~wal:qwal ~snapshot:qsnap;
+    }
   in
+  let p_ps = Prima_core.Prima.policy_store (Sys_.prima h.sys) in
+  Sys_.create ~storage ~vocab:(Model.vocab h.model) ~p_ps ()
+
+(* Invariants 1 and 7: a recovered store holds no more entries than the
+   model's [stream], is a prefix of it, and is not shorter than its durable
+   [floor] unless the crash point was the lying-fsync [Truncated_sync].
+   [site] names a remote's store (invariant 7), else it is the clinical one;
+   [store] names it in the prefix message.  Returns the recovered length. *)
+let check_prefix ?site ?(store = "recovered store") ~floor ~point got stream =
+  let invariant, who =
+    match site with
+    | None -> ("no-loss", "")
+    | Some name -> ("site-local-recovery", "site " ^ name ^ " ")
+  in
+  let clinical = site = None in
+  let k = List.length got and n = List.length stream in
+  if k > n then
+    violate invariant "%srecovered %d entries but only %d %s" who k n
+      (if clinical then "were ever appended" else "were ingested");
+  if point <> Durable.Device.Truncated_sync && k < floor then
+    violate invariant "%srecovered %d entries, below %s durable floor of %d (point %s)" who k
+      (if clinical then "the" else "its")
+      floor
+      (Durable.Device.crash_point_to_string point);
+  if not (same_entries got (List.filteri (fun i _ -> i < k) stream)) then
+    violate invariant "%s%s is not a prefix of %s" who store
+      (if clinical then "the appended entries" else "its stream");
+  k
+
+(* Resume on a rebuilt system: re-wire the fault plane, the archive, the
+   operator config and the enforcement table, and make it the live one. *)
+let resume h sys =
+  Array.iter (fun f -> Sys_.add_faulty_site sys f) h.faults;
+  Sys_.attach_archive sys h.archive;
+  reapply_config h sys;
+  setup_enforcement sys;
+  h.sys <- sys
+
+(* The client replays the clinical entries past the [k] recovered ones
+   (at-least-once delivery), unless [drop] forgets to; the recovered prefix
+   sits on stable storage and the replayed tail is the new unsynced region.
+   Returns how many entries were replayed. *)
+let replay_lost ?(drop = false) h k =
+  let lost = List.filteri (fun i _ -> i >= k) (Model.clinical h.model) in
+  if not drop then List.iter (Hdb.Audit_store.append (audit_store h)) lost;
+  Model.set_synced h.model k;
+  if drop then 0 else List.length lost
+
+let crash_and_recover h point =
+  h.report.crashes <- h.report.crashes + 1;
+  let devices = central_devices h "no-loss" in
+  power_cut devices point;
   (* invariant 4: recovery is idempotent — run it twice over the same
      devices and demand identical state with nothing newly dropped *)
-  let sys_a = rebuild () in
+  let sys_a = rebuild h devices in
   (* invariant 6 (zero false positives): crash damage, however ugly, lands
      in the unsynced tail — it must read as a torn tail, never tampering *)
   let tampered sys =
@@ -783,15 +811,14 @@ let crash_and_recover h point =
       (Durable.Device.crash_point_to_string point);
   let entries_a = store_entries sys_a in
   let qitems_a = q_items sys_a in
-  let sys_b = rebuild () in
+  let sys_b = rebuild h devices in
   if tampered sys_b then
     violate "tamper-evidence" "second recovery after crash point %s reports tampering"
       (Durable.Device.crash_point_to_string point);
   let entries_b = store_entries sys_b in
   let qitems_b = q_items sys_b in
-  if List.length entries_a <> List.length entries_b
-     || not (List.for_all2 Hdb.Audit_schema.equal entries_a entries_b)
-  then violate "recovery-idempotent" "second recovery produced a different store";
+  if not (same_entries entries_a entries_b) then
+    violate "recovery-idempotent" "second recovery produced a different store";
   if qitems_a <> qitems_b then
     violate "recovery-idempotent" "second recovery produced a different quarantine";
   (match Sys_.recovery sys_b with
@@ -800,46 +827,20 @@ let crash_and_recover h point =
     if Durable.Recovery.dropped_tail r.Sys_.audit
        || Durable.Recovery.dropped_tail r.Sys_.quarantine
     then violate "recovery-idempotent" "second recovery still dropping WAL bytes");
-  (* invariant 1: prefix + durable floor *)
-  let k = List.length entries_b in
-  let model_all = Model.clinical h.model in
   let model_len = Model.clinical_length h.model in
-  if k > model_len then
-    violate "no-loss" "recovered %d entries but only %d were ever appended" k model_len;
-  if point <> Durable.Device.Truncated_sync && k < Model.synced h.model then
-    violate "no-loss" "recovered %d entries, below the durable floor of %d (point %s)" k
-      (Model.synced h.model)
-      (Durable.Device.crash_point_to_string point);
-  let prefix = List.filteri (fun i _ -> i < k) model_all in
-  if not (List.for_all2 Hdb.Audit_schema.equal entries_b prefix) then
-    violate "no-loss" "recovered store is not a prefix of the appended entries";
-  (* invariant 2: the quarantine comes back exactly as last synced *)
+  let k =
+    check_prefix ~floor:(Model.synced h.model) ~point entries_b (Model.clinical h.model)
+  in
+  (* invariant 2: the quarantine WAL is synced after every mutation batch,
+     so the quarantine comes back exactly as last synced *)
   if qitems_b <> h.q_floor then
     violate "quarantine-exactly-once"
       "recovered quarantine (%d items) differs from the synced floor (%d items)"
       (List.length qitems_b) (List.length h.q_floor);
-  (* resume: re-wire the fault plane, enforcement table and operator
-     config, then have the client replay the lost unsynced suffix
-     (at-least-once delivery) *)
-  Array.iter (fun f -> Sys_.add_faulty_site sys_b f) h.faults;
-  Sys_.attach_archive sys_b h.archive;
-  reapply_config h sys_b;
-  setup_enforcement sys_b;
-  h.sys <- sys_b;
-  let lost = List.filteri (fun i _ -> i >= k) model_all in
-  let dropped =
-    h.defect = Some Drop_replay && not h.replay_dropped && lost <> []
-  in
-  if dropped then h.replay_dropped <- true
-  else begin
-    let store = Hdb.Control_center.audit_store (Sys_.control sys_b) in
-    List.iter (Hdb.Audit_store.append store) lost
-  end;
-  (* everything recovered sits on stable storage; the replayed tail is the
-     new unsynced region *)
-  Model.set_synced h.model k;
-  Printf.sprintf "recovered %d/%d, replayed %d" k model_len
-    (if dropped then 0 else List.length lost)
+  resume h sys_b;
+  let drop = h.defect = Some Drop_replay && not h.replay_dropped && k < model_len in
+  if drop then h.replay_dropped <- true;
+  Printf.sprintf "recovered %d/%d, replayed %d" k model_len (replay_lost ~drop h k)
 
 (* ---------- site-local crash + recovery (invariant 7) ---------- *)
 
@@ -849,7 +850,7 @@ let crash_and_recover h point =
    the lost suffix.  The clinical pair and every other site are untouched:
    the blast radius of a site-local crash is exactly one site. *)
 let site_crash_and_recover h i point =
-  h.site_crashes <- h.site_crashes + 1;
+  h.report.site_crashes <- h.report.site_crashes + 1;
   let fault = h.faults.(i) in
   let old_site = Audit_mgmt.Fault.site fault in
   let name = Site.name old_site in
@@ -888,27 +889,15 @@ let site_crash_and_recover h i point =
       (Durable.Device.crash_point_to_string point);
   if Durable.Recovery.dropped_tail report_b then
     violate "site-local-recovery" "second site recovery still dropping WAL bytes";
-  let entries_b = Site.entries site_b in
-  if List.length entries <> List.length entries_b
-     || not (List.for_all2 Hdb.Audit_schema.equal entries entries_b)
-  then violate "site-local-recovery" "second site recovery produced a different store";
+  if not (same_entries entries (Site.entries site_b)) then
+    violate "site-local-recovery" "second site recovery produced a different store";
   (* prefix + durable floor, against the model's fault-free remote stream *)
-  let k = List.length entries in
   let model_all = Model.remote h.model i in
   let model_len = Model.remote_length h.model i in
-  if k > model_len then
-    violate "site-local-recovery" "site %s recovered %d entries but only %d were ingested"
-      name k model_len;
-  if point <> Durable.Device.Truncated_sync && k < Model.remote_synced h.model i then
-    violate "site-local-recovery"
-      "site %s recovered %d entries, below its durable floor of %d (point %s)" name k
-      (Model.remote_synced h.model i)
-      (Durable.Device.crash_point_to_string point);
-  let prefix = List.filteri (fun j _ -> j < k) model_all in
-  if not (List.for_all2 Hdb.Audit_schema.equal entries prefix) then
-    violate "site-local-recovery" "site %s recovered store is not a prefix of its stream"
-      name;
-  h.site_recovered <- h.site_recovered + k;
+  let k =
+    check_prefix ~site:name ~floor:(Model.remote_synced h.model i) ~point entries model_all
+  in
+  h.report.site_recovered <- h.report.site_recovered + k;
   (* a site with auto-compaction enabled keeps it across the restart *)
   if h.auto_checkpoint then Site.enable_auto_checkpoint site';
   (* swap the rebuilt site back in; the member keeps its breaker history
@@ -951,7 +940,7 @@ let site_crash_and_recover h i point =
         else Some e)
       items;
   Model.set_remote_synced h.model i k;
-  h.site_replayed <- h.site_replayed + List.length lost;
+  h.report.site_replayed <- h.report.site_replayed + List.length lost;
   Printf.sprintf "recovered %d/%d, replayed %d" k model_len (List.length lost)
 
 (* ---------- tampering fault (invariant 6) ---------- *)
@@ -967,21 +956,7 @@ let site_crash_and_recover h i point =
    need.  The client then replays the amputated suffix, exactly as after
    a lossy crash. *)
 let tamper_and_verify h pick bit_pick =
-  let sys = h.sys in
-  let audit_log =
-    match Hdb.Audit_store.log (Hdb.Control_center.audit_store (Sys_.control sys)) with
-    | Some l -> l
-    | None -> violate "tamper-evidence" "audit store lost its durable log"
-  in
-  let q_log =
-    match Q.log (transit sys) with
-    | Some l -> l
-    | None -> violate "quarantine-exactly-once" "transit quarantine lost its durable log"
-  in
-  let awal = Durable.Log.wal_device audit_log in
-  let asnap = Durable.Log.snapshot_device audit_log in
-  let qwal = Durable.Log.wal_device q_log in
-  let qsnap = Durable.Log.snapshot_device q_log in
+  let ((awal, asnap, _, _) as devices) = central_devices h "tamper-evidence" in
   let image = Durable.Device.contents awal in
   let data_spans =
     List.filter
@@ -996,7 +971,7 @@ let tamper_and_verify h pick bit_pick =
     let pos = off + (bit_total / 8) in
     let bit = bit_total mod 8 in
     Durable.Device.corrupt_stable awal ~pos ~bit;
-    h.tampers <- h.tampers + 1;
+    h.report.tampers <- h.report.tampers + 1;
     (* detection, at the exact frame offset, idempotently (read-only) *)
     let r1 = Durable.Recovery.run ~wal:awal ~snapshot:asnap () in
     let r2 = Durable.Recovery.run ~wal:awal ~snapshot:asnap () in
@@ -1019,48 +994,26 @@ let tamper_and_verify h pick bit_pick =
         (if r1.Durable.Recovery.wal_records > idx then "read back as accepted"
          else "took earlier records with it");
     (* power-cut all four devices and rebuild once over the tampered media *)
-    Durable.Device.crash awal ~point:Durable.Device.Clean_loss;
-    Durable.Device.crash asnap ~point:Durable.Device.Clean_loss;
-    Durable.Device.crash qwal ~point:Durable.Device.Clean_loss;
-    Durable.Device.crash qsnap ~point:Durable.Device.Clean_loss;
-    let p_ps = Prima_core.Prima.policy_store (Sys_.prima sys) in
-    let storage =
-      {
-        Sys_.audit_log = Durable.Log.of_devices ~wal:awal ~snapshot:asnap;
-        quarantine_log = Durable.Log.of_devices ~wal:qwal ~snapshot:qsnap;
-      }
-    in
-    let sys' = Sys_.create ~storage ~vocab:h.vocab ~p_ps () in
+    power_cut devices Durable.Device.Clean_loss;
+    let sys' = rebuild h devices in
     if not (List.mem (C.Tampered { log = "audit"; offset = off }) (Sys_.standing_reasons sys'))
     then violate "tamper-evidence" "rebuilt system does not report the tampering at %d" off;
-    (* invariant 1 still holds: the amputated store is a (shorter) prefix *)
-    let entries = store_entries sys' in
-    let k = List.length entries in
-    let model_all = Model.clinical h.model in
-    let model_len = Model.clinical_length h.model in
-    if k > model_len then
-      violate "no-loss" "recovered %d entries but only %d were ever appended" k model_len;
-    let prefix = List.filteri (fun i _ -> i < k) model_all in
-    if not (List.for_all2 Hdb.Audit_schema.equal entries prefix) then
-      violate "no-loss" "post-tamper recovered store is not a prefix of the appended entries";
+    (* invariant 1 still holds: the amputated store is a (shorter) prefix,
+       though the amputation may cut below the durable floor *)
+    let k =
+      check_prefix ~store:"post-tamper recovered store" ~floor:0
+        ~point:Durable.Device.Clean_loss (store_entries sys') (Model.clinical h.model)
+    in
     (* resume on the rebuilt system; the next coverage reading must be a
        Lower_bound naming the tamper even over a nominally complete
        window *)
-    Array.iter (fun f -> Sys_.add_faulty_site sys' f) h.faults;
-    Sys_.attach_archive sys' h.archive;
-    reapply_config h sys';
-    setup_enforcement sys';
-    h.sys <- sys';
+    resume h sys';
     check_readings h "tamper-evidence" (Sys_.coverage_qualified h.sys);
     sync_q_floor h;
-    (* the client replays everything the amputation cost (at-least-once) *)
-    let lost = List.filteri (fun i _ -> i >= k) model_all in
-    let store = Hdb.Control_center.audit_store (Sys_.control h.sys) in
-    List.iter (Hdb.Audit_store.append store) lost;
-    Model.set_synced h.model k;
-    h.tampers_detected <- h.tampers_detected + 1;
+    let replayed = replay_lost h k in
+    h.report.tampers_detected <- h.report.tampers_detected + 1;
     Printf.sprintf "bit %d of byte %d (record %d): detected at offset %d, replayed %d" bit
-      pos idx off (List.length lost)
+      pos idx off replayed
   end
 
 (* ---------- enforcement-path budget regimes ---------- *)
@@ -1090,7 +1043,7 @@ let run_enforce h kind =
     Sys_.set_query_limits h.sys None;
     match out with
     | `Trip ->
-      h.enforce_trips <- h.enforce_trips + 1;
+      h.report.enforce_trips <- h.report.enforce_trips + 1;
       "typed Budget_exceeded"
     | `Res (Ok (o : Hdb.Enforcement.outcome)) ->
       violate "enforce-strict" "over-quota query returned %d rows instead of raising"
@@ -1112,7 +1065,7 @@ let run_enforce h kind =
       full_rows "wall-governed query" res;
       "completed under wall deadline"
     | exception Relational.Errors.Budget_exceeded (Relational.Errors.Time, _) ->
-      h.enforce_trips <- h.enforce_trips + 1;
+      h.report.enforce_trips <- h.report.enforce_trips + 1;
       "wall deadline tripped (typed)"
     | exception Relational.Errors.Budget_exceeded (r, _) ->
       violate "enforce-strict" "wall-governed query tripped on %s, not Time"
@@ -1127,7 +1080,7 @@ let run_enforce h kind =
       full_rows "cancellable query" res;
       "completed before cancellation"
     | exception Relational.Errors.Cancelled _ ->
-      h.enforce_trips <- h.enforce_trips + 1;
+      h.report.enforce_trips <- h.report.enforce_trips + 1;
       "cancelled (typed)")
 
 (* ---------- overload storms (invariant 10) ---------- *)
@@ -1172,7 +1125,7 @@ let run_overload_storm h ti rate =
   let one_row = Adm.cost ~rows:1 () in
   let principal t =
     Adm.principal ~tenant:(tenant_name t)
-      ~session:(Printf.sprintf "storm-%d" (h.storms + 1))
+      ~session:(Printf.sprintf "storm-%d" (h.report.storms + 1))
       ~request:(Printf.sprintf "step-%d" now) ()
   in
   let burst t n = List.init n (fun _ -> (principal t, one_row, Adm.Mutation)) in
@@ -1286,9 +1239,9 @@ let run_overload_storm h ti rate =
         violate "admission-fairness"
           "gated single-entry batch shed though the mirror holds %d token(s)"
           (Model.tenant_tokens h.model ~tenant:storm ~now)));
-  h.storms <- h.storms + 1;
-  h.storm_admitted <- h.storm_admitted + total_admitted;
-  h.storm_shed <- h.storm_shed + Array.fold_left ( + ) 0 shed;
+  h.report.storms <- h.report.storms + 1;
+  h.report.storm_admitted <- h.report.storm_admitted + total_admitted;
+  h.report.storm_shed <- h.report.storm_shed + Array.fold_left ( + ) 0 shed;
   let probe_sum =
     String.concat "+"
       (List.filter_map
@@ -1317,8 +1270,7 @@ let run_action h step action =
       let es = take_pool h n in
       if es = [] then "pool dry"
       else begin
-        append_clinical_sys h es;
-        Model.append_clinical h.model es;
+        append_clinical h es;
         Printf.sprintf "%d entries" (List.length es)
       end
     | Schedule.Append_remote (i, n) ->
@@ -1374,8 +1326,7 @@ let run_action h step action =
          sound for the window it actually saw *)
       ignore (check_consolidate h);
       let es = take_pool h n in
-      append_clinical_sys h es;
-      Model.append_clinical h.model es;
+      append_clinical h es;
       let msg = check_refine h in
       Printf.sprintf "%s (%d raced in)" msg (List.length es)
     | Schedule.Set_threshold pct ->
@@ -1412,7 +1363,7 @@ let epilogue h =
     (fun i f ->
       Audit_mgmt.Federation.set_fault fed (site_name i)
         (Some
-           (Audit_mgmt.Fault.wrap ~config:Audit_mgmt.Fault.no_faults ~seed:(h.seed + i)
+           (Audit_mgmt.Fault.wrap ~config:Audit_mgmt.Fault.no_faults ~seed:(h.report.seed + i)
               (Audit_mgmt.Fault.site f))))
     h.faults;
   (* let every breaker cooldown elapse, then consolidate twice: the first
@@ -1452,7 +1403,7 @@ let epilogue h =
   (match Sys_.refine h.sys with
   | Error reason -> violate "convergence" "final refine refused on a healed trail: %s" reason
   | Ok report ->
-    h.refines_ok <- h.refines_ok + 1;
+    h.report.refines_ok <- h.report.refines_ok + 1;
     let accepted = report.Prima_core.Refinement.accepted in
     if rule_keys accepted <> rule_keys model_epoch.Prima_core.Refinement.accepted then
       violate "convergence"
@@ -1467,17 +1418,17 @@ let epilogue h =
      tampering — trivially so for a zero-tamper run, and equally after
      tampers, whose evidence was consumed when the log was truncated and
      resealed at rebuild *)
-  match Hdb.Audit_store.log (audit_store h) with
-  | None -> violate "tamper-evidence" "audit store lost its durable log"
-  | Some log ->
-    let r =
-      Durable.Recovery.run ~wal:(Durable.Log.wal_device log)
-        ~snapshot:(Durable.Log.snapshot_device log) ()
-    in
-    if Durable.Recovery.tampered r then
-      violate "tamper-evidence" "%d tamper(s) injected yet the final trail verifies as %s"
-        h.tampers
-        (Durable.Recovery.verdict_to_string r.Durable.Recovery.verdict)
+  let log =
+    durable_log "tamper-evidence" "audit store" (Hdb.Audit_store.log (audit_store h))
+  in
+  let r =
+    Durable.Recovery.run ~wal:(Durable.Log.wal_device log)
+      ~snapshot:(Durable.Log.snapshot_device log) ()
+  in
+  if Durable.Recovery.tampered r then
+    violate "tamper-evidence" "%d tamper(s) injected yet the final trail verifies as %s"
+      h.report.tampers
+      (Durable.Recovery.verdict_to_string r.Durable.Recovery.verdict)
 
 (* ---------- entry points ---------- *)
 
@@ -1539,10 +1490,39 @@ let run_actions ?(nsites = 2) ?defect ?trace ?pool ~seed ~actions () =
   let model = Model.create ~vocab ~p_ps ~nsites in
   Model.set_tenant_classes model
     (List.map (fun (cap, rate, _) -> (cap, rate)) (Array.to_list initial_classes));
-  let h =
+  let report =
     {
       seed;
-      vocab;
+      steps;
+      actions_run = 0;
+      appended = 0;
+      crashes = 0;
+      site_crashes = 0;
+      site_recovered = 0;
+      site_replayed = 0;
+      consolidations = 0;
+      refines_ok = 0;
+      refines_rejected = 0;
+      degraded_epochs = 0;
+      enforce_trips = 0;
+      tampers = 0;
+      tampers_detected = 0;
+      raw_ingested = 0;
+      raw_quarantined = 0;
+      reprocessed = 0;
+      workflows = 0;
+      twisted_workflows = 0;
+      vocab_edits = 0;
+      storms = 0;
+      storm_admitted = 0;
+      storm_shed = 0;
+      events = [];
+      violation = None;
+    }
+  in
+  let h =
+    {
+      report;
       model;
       sys;
       archive;
@@ -1562,89 +1542,34 @@ let run_actions ?(nsites = 2) ?defect ?trace ?pool ~seed ~actions () =
       mapping_correct = Array.make nsites true;
       clinical_seen = 0;
       replay_dropped = false;
-      events = [];
-      appended = 0;
-      crashes = 0;
-      site_crashes = 0;
-      site_recovered = 0;
-      site_replayed = 0;
-      consolidations = 0;
-      refines_ok = 0;
-      refines_rejected = 0;
-      degraded_epochs = 0;
-      enforce_trips = 0;
-      tampers = 0;
-      tampers_detected = 0;
-      raw_ingested = 0;
-      raw_quarantined = 0;
-      reprocessed = 0;
-      workflows = 0;
-      twisted_workflows = 0;
-      vocab_edits = 0;
       admission;
       tenant_quota = Array.map (fun (cap, rate, _) -> (cap, rate)) initial_classes;
-      storms = 0;
-      storm_admitted = 0;
-      storm_shed = 0;
       trace;
     }
   in
-  let violation = ref None in
-  let actions_run = ref 0 in
   let guard step action f =
     try f () with
-    | Violation (invariant, detail) ->
-      violation :=
-        Some { step; action = Schedule.to_string action; invariant; detail }
     | e ->
-      violation :=
-        Some
-          {
-            step;
-            action = Schedule.to_string action;
-            invariant = "harness-error";
-            detail = Printexc.to_string e;
-          }
+      let invariant, detail =
+        match e with
+        | Violation (invariant, detail) -> (invariant, detail)
+        | e -> ("harness-error", Printexc.to_string e)
+      in
+      report.violation <- Some { step; action = Schedule.to_string action; invariant; detail }
   in
   (let rec loop step = function
      | [] -> ()
      | action :: rest ->
        guard step action (fun () ->
            run_action h step action;
-           incr actions_run);
-       if !violation = None then loop (step + 1) rest
+           report.actions_run <- report.actions_run + 1);
+       if report.violation = None then loop (step + 1) rest
    in
    loop 1 actions);
-  if !violation = None then
+  if report.violation = None then
     guard (steps + 1) Schedule.Consolidate (fun () -> epilogue h);
-  {
-    seed;
-    steps;
-    actions_run = !actions_run;
-    appended = h.appended;
-    crashes = h.crashes;
-    site_crashes = h.site_crashes;
-    site_recovered = h.site_recovered;
-    site_replayed = h.site_replayed;
-    consolidations = h.consolidations;
-    refines_ok = h.refines_ok;
-    refines_rejected = h.refines_rejected;
-    degraded_epochs = h.degraded_epochs;
-    enforce_trips = h.enforce_trips;
-    tampers = h.tampers;
-    tampers_detected = h.tampers_detected;
-    raw_ingested = h.raw_ingested;
-    raw_quarantined = h.raw_quarantined;
-    reprocessed = h.reprocessed;
-    workflows = h.workflows;
-    twisted_workflows = h.twisted_workflows;
-    vocab_edits = h.vocab_edits;
-    storms = h.storms;
-    storm_admitted = h.storm_admitted;
-    storm_shed = h.storm_shed;
-    events = List.rev h.events;
-    violation = !violation;
-  }
+  report.events <- List.rev report.events;
+  report
 
 let run ?(nsites = 2) ?defect ?trace ~seed ~steps () =
   let actions = Schedule.generate ~nsites ~seed ~steps () in

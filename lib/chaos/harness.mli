@@ -79,33 +79,34 @@ val defect_to_string : defect -> string
 val defect_of_string : string -> defect option
 (** Total inverse of {!defect_to_string}; [None] on anything else. *)
 
-type report = {
+(** What a run did and found, filled in by the harness; callers only read it. *)
+type report = private {
   seed : int;
   steps : int;
-  actions_run : int;
-  appended : int;
-  crashes : int;
-  site_crashes : int;  (** power cuts to a remote site's own WAL *)
-  site_recovered : int;  (** entries the crashed sites replayed from their WALs *)
-  site_replayed : int;  (** lost-suffix entries the feed re-sent after site crashes *)
-  consolidations : int;
-  refines_ok : int;
-  refines_rejected : int;
-  degraded_epochs : int;
-  enforce_trips : int;
-  tampers : int;  (** bit-flips injected into accepted (stable) records *)
-  tampers_detected : int;  (** of those, reported as [Tamper_detected] *)
-  raw_ingested : int;  (** raw foreign-dialect records mapped and ingested *)
-  raw_quarantined : int;  (** raw records a broken mapping sent to quarantine *)
-  reprocessed : int;  (** quarantined records re-ingested after a mapping fix *)
-  workflows : int;  (** purpose-workflow plan instances appended *)
-  twisted_workflows : int;  (** of those, plan-implausible (twisted) ones *)
-  vocab_edits : int;  (** mid-run vocabulary edits adopted *)
-  storms : int;  (** overload bursts driven through the admission gate *)
-  storm_admitted : int;  (** storm + probe requests the gate admitted *)
-  storm_shed : int;  (** storm + probe requests shed, all-or-nothing *)
-  events : string list;  (** step-by-step fault log, oldest first *)
-  violation : violation option;
+  mutable actions_run : int;
+  mutable appended : int;
+  mutable crashes : int;
+  mutable site_crashes : int;  (** power cuts to a remote site's own WAL *)
+  mutable site_recovered : int;  (** entries the crashed sites replayed from their WALs *)
+  mutable site_replayed : int;  (** lost-suffix entries the feed re-sent after site crashes *)
+  mutable consolidations : int;
+  mutable refines_ok : int;
+  mutable refines_rejected : int;
+  mutable degraded_epochs : int;
+  mutable enforce_trips : int;
+  mutable tampers : int;  (** bit-flips injected into accepted (stable) records *)
+  mutable tampers_detected : int;  (** of those, reported as [Tamper_detected] *)
+  mutable raw_ingested : int;  (** raw foreign-dialect records mapped and ingested *)
+  mutable raw_quarantined : int;  (** raw records a broken mapping sent to quarantine *)
+  mutable reprocessed : int;  (** quarantined records re-ingested after a mapping fix *)
+  mutable workflows : int;  (** purpose-workflow plan instances appended *)
+  mutable twisted_workflows : int;  (** of those, plan-implausible (twisted) ones *)
+  mutable vocab_edits : int;  (** mid-run vocabulary edits adopted *)
+  mutable storms : int;  (** overload bursts driven through the admission gate *)
+  mutable storm_admitted : int;  (** storm + probe requests the gate admitted *)
+  mutable storm_shed : int;  (** storm + probe requests shed, all-or-nothing *)
+  mutable events : string list;  (** step-by-step fault log, oldest first *)
+  mutable violation : violation option;
 }
 
 val run :

@@ -203,7 +203,10 @@ let max_site_index actions =
 
 (* ---------- the driver ---------- *)
 
-let shrink ?(max_rounds = 10) r =
+(* Passes run to a fixpoint, but never more than this many rounds. *)
+let max_rounds = 10
+
+let shrink r =
   let original = List.length r.actions in
   let candidates = ref 0 in
   let current = ref r in

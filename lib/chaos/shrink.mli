@@ -48,9 +48,9 @@ type stats = {
   rounds : int;  (** ddmin+pass fixpoint iterations *)
 }
 
-val shrink : ?max_rounds:int -> repro -> repro * stats
+val shrink : repro -> repro * stats
 (** Minimize: ddmin to 1-minimality, then the simplification passes, to a
-    fixpoint (at most [max_rounds], default 10).  The result still fails
+    fixpoint (at most 10 rounds).  The result still fails
     the recorded invariant; its [step] is updated to the violation step of
     the minimal schedule.  Deterministic in the input repro. *)
 

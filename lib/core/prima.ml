@@ -61,16 +61,17 @@ let in_training t = Trail.length t.trail < t.training_minimum
 
 (* Run one refinement pass over everything collected so far; the accepted
    patterns extend the policy store in place.  [Error] while the training
-   period has not accumulated enough log.  [evidence] is what the caller
-   knows about P_AL (a partial or unverified consolidation, a brownout). *)
-let refine ?evidence t : (Refinement.epoch_report, string) result =
+   period has not accumulated enough log.  [limits] budgets the epoch's
+   extraction; [evidence] is what the caller knows about P_AL (a partial or
+   unverified consolidation, a brownout). *)
+let refine ?limits ?evidence t : (Refinement.epoch_report, string) result =
   if in_training t then
     Error
       (Printf.sprintf "training period: %d/%d audit entries collected"
          (Trail.length t.trail) t.training_minimum)
   else begin
     let report =
-      Refinement.run_trail_epoch ~config:t.refinement_config ?evidence ~vocab:t.vocab
+      Refinement.run_trail_epoch ~config:t.refinement_config ?limits ?evidence ~vocab:t.vocab
         ~p_ps:t.p_ps t.trail
     in
     t.p_ps <- report.Refinement.p_ps';

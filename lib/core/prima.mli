@@ -63,11 +63,16 @@ val coverage : t -> coverage_report
 
 val in_training : t -> bool
 
-val refine : ?evidence:Coverage.evidence -> t -> (Refinement.epoch_report, string) result
+val refine :
+  ?limits:Relational.Budget.limits ->
+  ?evidence:Coverage.evidence ->
+  t ->
+  (Refinement.epoch_report, string) result
 (** One refinement pass over everything collected so far
-    ({!Refinement.run_trail_epoch} with the refinement config and
-    [evidence]); accepted patterns extend the store in place.  [Error]
-    during the training period.  [evidence] (default {!Coverage.exact})
+    ({!Refinement.run_trail_epoch} with the refinement config, [limits]
+    and [evidence]); accepted patterns extend the store in place.  [Error]
+    during the training period.  [limits] (default: ungoverned) budgets
+    the extraction query.  [evidence] (default {!Coverage.exact})
     qualifies the epoch's readings when P_AL came from a partial or
     unverified consolidation. *)
 

@@ -22,21 +22,18 @@ type config = {
   backend : Extract_patterns.backend;
   keep_prohibitions : bool;
   acceptance : acceptance;
-  limits : Relational.Budget.limits option;
-      (* resource budget for the pattern-extraction query; None = ungoverned *)
 }
 
 let default_config =
   { backend = Extract_patterns.default_backend;
     keep_prohibitions = false;
     acceptance = Accept_all;
-    limits = None;
   }
 
-(* Pattern extraction under the config's budget (if any); the ungoverned
+(* Pattern extraction under the epoch's budget (if any); the ungoverned
    path is wrapped as an exact result so the epoch logic is uniform. *)
-let extract config practice : Data_analysis.governed =
-  match config.limits with
+let extract config limits practice : Data_analysis.governed =
+  match limits with
   | None -> Data_analysis.exact (Extract_patterns.run ~backend:config.backend practice)
   | Some limits -> Extract_patterns.run_governed ~backend:config.backend ~limits practice
 
@@ -106,23 +103,23 @@ let pattern_attrs = Vocabulary.Audit_attrs.pattern
    rules as the first plus the accepted patterns, so it runs almost
    entirely out of the grounding memo.  This is the reference the coded
    epoch below must agree with. *)
-let run_epoch ?(config = default_config) ~vocab ~p_ps ~p_al () : epoch_report =
+let run_epoch ?(config = default_config) ?limits ~vocab ~p_ps ~p_al () : epoch_report =
   let practice = Filter.run ~keep_prohibitions:config.keep_prohibitions p_al in
   let p_al_proj = Policy.project p_al ~attrs:pattern_attrs in
   conclude config ~evidence:Coverage.exact ~vocab ~p_ps
     ~practice_size:(Policy.cardinality practice)
     ~coverage:(fun p_x ->
       Coverage.compute_bag vocab ~p_x:(Policy.project p_x ~attrs:pattern_attrs) ~p_y:p_al_proj)
-    (extract config practice)
+    (extract config limits practice)
 
-(* The Algorithm 5 settings the fused pass computes exactly: ungoverned
-   SQL grouping by the pattern attributes, with no HAVING conjunct beyond
-   the paper's distinct-user condition, over a trail whose every entry
-   has one term per grouped column and one user. *)
+(* The Algorithm 5 settings the fused pass computes exactly: SQL grouping
+   by the pattern attributes, with no HAVING conjunct beyond the paper's
+   distinct-user condition, over a trail whose every entry has one term
+   per grouped column and one user.  The epoch must also be ungoverned. *)
 let fusable config trail =
   let same_set a b = List.sort_uniq String.compare a = List.sort_uniq String.compare b in
   match config with
-  | { limits = None; backend = Extract_patterns.Sql analysis; _ }
+  | { backend = Extract_patterns.Sql analysis; _ }
     when same_set analysis.Data_analysis.attributes pattern_attrs
          && (analysis.Data_analysis.condition = None
             || analysis.Data_analysis.condition = Data_analysis.default_config.condition)
@@ -132,15 +129,16 @@ let fusable config trail =
 
 let fuses config trail = Option.is_some (fusable config trail)
 
-(* The same epoch over a coded trail.  Where [fusable] holds, Filter and
-   the GROUP BY run as one pass over the codes; otherwise the trail's
-   rules take the reference path.  Coverage reads the codes either way. *)
-let run_trail_epoch ?(config = default_config) ?(evidence = Coverage.exact) ~vocab ~p_ps trail
-    : epoch_report =
+(* The same epoch over a coded trail.  Where the epoch is ungoverned and
+   [fusable] holds, Filter and the GROUP BY run as one pass over the codes;
+   otherwise the trail's rules take the reference path.  Coverage reads the
+   codes either way. *)
+let run_trail_epoch ?(config = default_config) ?limits ?(evidence = Coverage.exact) ~vocab
+    ~p_ps trail : epoch_report =
   let keep_prohibitions = config.keep_prohibitions in
   let practice_size, extraction =
-    match fusable config trail with
-    | Some analysis ->
+    match (limits, fusable config trail) with
+    | None, Some analysis ->
       let f = analysis.Data_analysis.min_frequency in
       let frequent =
         match analysis.Data_analysis.comparator with
@@ -152,9 +150,9 @@ let run_trail_epoch ?(config = default_config) ?(evidence = Coverage.exact) ~voc
           ~distinct_users:(analysis.Data_analysis.condition <> None)
       in
       (practice_size, Data_analysis.exact patterns)
-    | None ->
+    | _ ->
       let practice = Filter.run ~keep_prohibitions (Trail.policy trail) in
-      (Policy.cardinality practice, extract config practice)
+      (Policy.cardinality practice, extract config limits practice)
   in
   conclude config ~evidence ~vocab ~p_ps ~practice_size
     ~coverage:(fun p_x ->

@@ -20,16 +20,11 @@ type config = {
   backend : Extract_patterns.backend;
   keep_prohibitions : bool;
   acceptance : acceptance;
-  limits : Relational.Budget.limits option;
-      (** resource budget for the pattern-extraction query; [None] (the
-          default) runs ungoverned.  When the budget fires, extraction
-          degrades to a lower-bound pattern set and the epoch's qualifier
-          carries {!Coverage.Budget_truncated}. *)
 }
 
 val default_config : config
 (** SQL backend with the paper's defaults, prohibitions dropped,
-    accept-all, no resource budget. *)
+    accept-all. *)
 
 val accept : acceptance -> Rule.t list -> Rule.t list
 
@@ -52,6 +47,7 @@ type epoch_report = {
 
 val run_epoch :
   ?config:config ->
+  ?limits:Relational.Budget.limits ->
   vocab:Vocabulary.Vocab.t ->
   p_ps:Policy.t ->
   p_al:Policy.t ->
@@ -60,11 +56,15 @@ val run_epoch :
 (** One epoch over a policy: {!Filter.run}, {!Extract_patterns}, Prune,
     acceptance, and bag coverage before and after over P_AL's projection
     onto the pattern attributes.  This is the reference {!run_trail_epoch}
-    must agree with.  P_AL is taken as complete: the qualifier is [Exact]
-    unless extraction hit its budget. *)
+    must agree with.  [limits] budgets the pattern-extraction query
+    (default: ungoverned); when it fires, extraction degrades to a
+    lower-bound pattern set.  P_AL is taken as complete: the qualifier is
+    [Exact] unless extraction hit its budget, and then carries
+    {!Coverage.Budget_truncated}. *)
 
 val run_trail_epoch :
   ?config:config ->
+  ?limits:Relational.Budget.limits ->
   ?evidence:Coverage.evidence ->
   vocab:Vocabulary.Vocab.t ->
   p_ps:Policy.t ->
@@ -77,7 +77,7 @@ val run_trail_epoch :
     partial or unverified window, a brownout; the epoch adds
     {!Coverage.Budget_truncated} to it when extraction degrades.  Filter
     and Algorithm 5 run as one pass over the codes
-    ({!Trail.frequent_groups}) when all of these hold: [config.limits] is
+    ({!Trail.frequent_groups}) when all of these hold: [limits] is
     [None]; the backend is [Sql c] with
     [c.attributes] equal to the pattern attributes as a set; [c.condition]
     is [None] or {!Data_analysis.default_config}'s; and the trail is
@@ -87,8 +87,8 @@ val run_trail_epoch :
     the codes either way. *)
 
 val fuses : config -> Trail.t -> bool
-(** Whether {!run_trail_epoch} takes the fused pass for this config and
-    trail. *)
+(** Whether an ungoverned {!run_trail_epoch} takes the fused pass for this
+    config and trail. *)
 
 val run_epochs :
   ?config:config ->

@@ -153,18 +153,12 @@ let prima t = t.prima
 
 (* --- query governance --- *)
 
-(* Budget applied to the refinement loop's pattern-extraction query; lives
-   in the refinement config so Prima-level callers see the same limits.
-   The same limits govern the enforcement query path (strict budgets in
-   [Control_center.query]): one knob for the whole system's SQL. *)
-let query_limits t =
-  (Prima_core.Prima.refinement_config t.prima).Prima_core.Refinement.limits
-
-let set_query_limits t limits =
-  let config = Prima_core.Prima.refinement_config t.prima in
-  Prima_core.Prima.set_refinement_config t.prima
-    { config with Prima_core.Refinement.limits };
-  Hdb.Control_center.set_query_limits t.control limits
+(* The standing limits live in the Control Center, which applies them to
+   the enforcement query path (strict budgets in [Control_center.query]);
+   each refinement epoch receives them as its extraction budget: one knob
+   for the whole system's SQL. *)
+let query_limits t = Hdb.Control_center.query_limits t.control
+let set_query_limits t limits = Hdb.Control_center.set_query_limits t.control limits
 
 type governance = {
   limits : Relational.Budget.limits option;
@@ -330,15 +324,16 @@ let trend t ~window =
     ~window ()
 
 (* One full refinement cycle: consolidate logs, run Algorithm 2 with the
-   configured acceptance, embed accepted patterns into enforcement.  The
-   epoch's evidence is the window's plus the caller's [reasons].
+   configured acceptance under [limits], embed accepted patterns into
+   enforcement.  The epoch's evidence is the window's plus the caller's
+   [reasons].
 
    Refuses to run when the consolidation completeness is below the
    threshold: patterns mined from a partial window would be folded into
    P_PS and enforcement on evidence that may be contradicted by the
    missing records.  Recover the sites (or reprocess the quarantine) and
    retry, or lower the threshold deliberately. *)
-let epoch t reasons : (Prima_core.Refinement.epoch_report, string) result =
+let epoch t limits reasons : (Prima_core.Refinement.epoch_report, string) result =
   let health = sync_audit t in
   let c = health.Audit_mgmt.Health.completeness in
   let floor = effective_threshold_for t ~window:health.Audit_mgmt.Health.total in
@@ -352,10 +347,10 @@ let epoch t reasons : (Prima_core.Refinement.epoch_report, string) result =
          (100. *. t.completeness_threshold)
          health.Audit_mgmt.Health.total)
   else
-    match Prima_core.Prima.refine ~evidence:(evidence t health reasons) t.prima with
+    match Prima_core.Prima.refine ?limits ~evidence:(evidence t health reasons) t.prima with
     | Error _ as e -> e
     | Ok report ->
-      if query_limits t <> None then begin
+      if limits <> None then begin
         t.governed_epochs <- t.governed_epochs + 1;
         t.last_budget_stats <- Some report.Prima_core.Refinement.budget_stats
       end;
@@ -412,22 +407,18 @@ let browned_out (grant : Admission.grant) = grant.Admission.g_mode = Relational.
 let refine_cost = Admission.cost ~rows:256 ~ticks:65536 ()
 
 (* With a principal and a controller, the epoch passes the gate: a shed
-   returns the typed rejection message, and a granted epoch runs with the
-   grant's limits standing in for the configured ones until it returns or
-   raises.  A brownout epoch carries a [Brownout] reason — the run was
-   deliberately truncated, so its readings must not claim exactness even
-   if the tightened budget never fired. *)
-let refine ?principal ?(cost = refine_cost) t =
+   returns the typed rejection message, and a granted epoch runs under the
+   grant's composed limits, which it receives as its own; the standing
+   limits are never touched.  A brownout epoch carries a [Brownout] reason
+   — the run was deliberately truncated, so its readings must not claim
+   exactness even if the tightened budget never fired. *)
+let refine ?principal t =
   match (principal, Audit_mgmt.Federation.admission t.federation) with
-  | None, _ | _, None -> epoch t []
+  | None, _ | _, None -> epoch t (query_limits t) []
   | Some principal, Some adm -> (
     let run grant limits =
-      let saved = query_limits t in
-      set_query_limits t (Some limits);
       let result =
-        Fun.protect
-          ~finally:(fun () -> set_query_limits t saved)
-          (fun () -> epoch t (if browned_out grant then [ Prima_core.Coverage.Brownout ] else []))
+        epoch t (Some limits) (if browned_out grant then [ Prima_core.Coverage.Brownout ] else [])
       in
       match result with
       | Ok report ->
@@ -435,7 +426,7 @@ let refine ?principal ?(cost = refine_cost) t =
         (result, Some report.Prima_core.Refinement.budget_stats)
       | Error _ -> (result, None)
     in
-    match gate t adm ~principal ~cost run with
+    match gate t adm ~principal ~cost:refine_cost run with
     | Ok result -> result
     | Error r -> Error (Admission.rejection_to_string r))
 
@@ -453,7 +444,7 @@ let query_cost = Admission.cost ~rows:64 ~ticks:4096 ()
 
 (* An enforcement query through the admission gate; a brownout grant runs
    the budget in Partial mode, so the outcome is an honest prefix. *)
-let enforce_admitted ?(cost = query_cost) ?break_glass t ~principal ~user ~role ~purpose sql =
+let enforce_admitted ?break_glass t ~principal ~user ~role ~purpose sql =
   let query ?budget () =
     Hdb.Control_center.query ?break_glass ?budget t.control ~user ~role ~purpose sql
   in
@@ -473,6 +464,6 @@ let enforce_admitted ?(cost = query_cost) ?break_glass t ~principal ~user ~role 
       in
       (result, Some (Relational.Budget.stats budget))
     in
-    match gate t adm ~principal ~cost run with
+    match gate t adm ~principal ~cost:query_cost run with
     | Ok result -> result
     | Error r -> Error (Shed r))

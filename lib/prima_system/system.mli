@@ -61,13 +61,14 @@ val prima : t -> Prima_core.Prima.t
     partial consolidation window. *)
 
 val query_limits : t -> Relational.Budget.limits option
-(** The budget currently applied to refinement queries (None = ungoverned). *)
+(** The standing budget, held by the Control Center (None = ungoverned). *)
 
 val set_query_limits : t -> Relational.Budget.limits option -> unit
 (** One knob for the whole system's SQL: the limits govern both the
-    refinement extraction query (graceful degradation to a lower bound)
-    and the enforcement query path ({!Hdb.Control_center.query}, strict —
-    over quota raises the typed [Budget_exceeded]). *)
+    enforcement query path ({!Hdb.Control_center.query}, strict — over
+    quota raises the typed [Budget_exceeded]) and, passed to each epoch,
+    the refinement extraction query (graceful degradation to a lower
+    bound). *)
 
 type governance = {
   limits : Relational.Budget.limits option;
@@ -209,7 +210,6 @@ val trend : t -> window:int -> Prima_core.Trend.point list
 
 val refine :
   ?principal:Audit_mgmt.Admission.principal ->
-  ?cost:Audit_mgmt.Admission.cost ->
   t ->
   (Prima_core.Refinement.epoch_report, string) result
 (** One full cycle: consolidate logs, run Algorithm 2 with the configured
@@ -223,15 +223,14 @@ val refine :
     budget.
 
     With a [principal] and budget classes installed, the epoch first
-    passes the admission gate as a query declaring [cost] (default 256
-    rows, 65,536 ticks).  A shed epoch returns the typed rejection
-    message; a granted one runs under the grant's limits composed
-    tightest-wins with the standing {!query_limits}, which are restored
-    when it returns or raises.  A brownout epoch also carries a
-    {!Prima_core.Coverage.Brownout} reason, so it always reports
-    [Lower_bound] — the run was deliberately truncated, so its readings
-    never claim exactness.  Without a principal or without classes it is
-    the plain cycle. *)
+    passes the admission gate as a query declaring 256 rows and 65,536
+    ticks.  A shed epoch returns the typed rejection message; a granted
+    one runs under the grant's limits composed tightest-wins with the
+    standing {!query_limits}, which it leaves as they were.  A brownout
+    epoch also carries a {!Prima_core.Coverage.Brownout} reason, so it
+    always reports [Lower_bound] — the run was deliberately truncated, so
+    its readings never claim exactness.  Without a principal or without
+    classes it is the plain cycle, under the standing limits. *)
 
 val set_budget_classes :
   t -> (string * Audit_mgmt.Admission.class_config) list -> unit
@@ -255,7 +254,6 @@ type admitted_error =
   | Query_failed of Hdb.Enforcement.error
 
 val enforce_admitted :
-  ?cost:Audit_mgmt.Admission.cost ->
   ?break_glass:bool ->
   t ->
   principal:Audit_mgmt.Admission.principal ->
@@ -266,6 +264,5 @@ val enforce_admitted :
   (admitted_outcome, admitted_error) result
 (** An enforcement query through the admission gate.  The grant's limits
     compose tightest-wins with the standing {!query_limits}; actual
-    consumption settles back against the class.  [cost] defaults to a
-    64-row, 4096-tick declaration.  Without budget classes the query runs
-    ungated. *)
+    consumption settles back against the class.  It declares 64 rows and
+    4096 ticks.  Without budget classes the query runs ungated. *)

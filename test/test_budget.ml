@@ -196,9 +196,9 @@ let test_extract_patterns_governed_mining_exact () =
 
 let test_epoch_degrades_to_lower_bound () =
   let vocab = S.vocab () in
-  let config = { Ref.default_config with Ref.limits = Some (B.limits ~tuples:3 ()) } in
   let report =
-    Ref.run_epoch ~config ~vocab ~p_ps:(S.policy_store ()) ~p_al:(S.table1_audit_policy ()) ()
+    Ref.run_epoch ~limits:(B.limits ~tuples:3 ()) ~vocab ~p_ps:(S.policy_store ())
+      ~p_al:(S.table1_audit_policy ()) ()
   in
   check_bool "budget stats recorded" true (report.Ref.budget_stats.E.ticks > 0);
   (match report.Ref.qualifier with
@@ -210,9 +210,9 @@ let test_epoch_degrades_to_lower_bound () =
   | Prima_core.Coverage.Exact ->
     Alcotest.fail "a degraded extraction must downgrade coverage to Lower_bound");
   (* The same epoch under a generous budget is exact. *)
-  let config = { Ref.default_config with Ref.limits = Some (B.limits ~ticks:1_000_000 ()) } in
   let report =
-    Ref.run_epoch ~config ~vocab ~p_ps:(S.policy_store ()) ~p_al:(S.table1_audit_policy ()) ()
+    Ref.run_epoch ~limits:(B.limits ~ticks:1_000_000 ()) ~vocab ~p_ps:(S.policy_store ())
+      ~p_al:(S.table1_audit_policy ()) ()
   in
   check_bool "exact qualifier" true (report.Ref.qualifier = Prima_core.Coverage.Exact)
 

@@ -164,16 +164,12 @@ let test_undecodable_central_records () =
 
 let test_epoch_appends_budget_reason () =
   let caller = { C.completeness = 0.5; reasons = [ C.Site_dark { site = "icu"; lag = 5 } ] } in
-  let config =
-    { Prima_core.Refinement.default_config with
-      Prima_core.Refinement.limits = Some (Relational.Budget.limits ~tuples:3 ());
-    }
-  in
   let trail = Prima_core.Trail.create () in
   Prima_core.Trail.append_rules trail
     (Prima_core.Policy.rules (Workload.Scenario.table1_audit_policy ()));
   let report =
-    Prima_core.Refinement.run_trail_epoch ~config ~evidence:caller
+    Prima_core.Refinement.run_trail_epoch ~limits:(Relational.Budget.limits ~tuples:3 ())
+      ~evidence:caller
       ~vocab:(Workload.Scenario.vocab ()) ~p_ps:(Workload.Scenario.policy_store ()) trail
   in
   match report.Prima_core.Refinement.qualifier with

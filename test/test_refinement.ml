@@ -384,18 +384,18 @@ let degraded_cases = ref 0
 
 (* The coded epoch and coverage readings against the references over the
    trail's rules, which must be [rules] in order. *)
-let agrees ~fused config trail rules =
+let agrees ~fused ?limits config trail rules =
   let p_ps = S.policy_store () in
   let p_al = T.policy trail in
-  let coded = Ref.run_trail_epoch ~config ~vocab ~p_ps trail in
-  let reference = Ref.run_epoch ~config ~vocab ~p_ps ~p_al () in
+  let coded = Ref.run_trail_epoch ~config ?limits ~vocab ~p_ps trail in
+  let reference = Ref.run_epoch ~config ?limits ~vocab ~p_ps ~p_al () in
   let aligned bag =
     C.aligned ~bag vocab ~attrs:Vocabulary.Audit_attrs.pattern ~p_x:p_ps ~p_y:p_al
   in
   let p_x = P.project p_ps ~attrs:Vocabulary.Audit_attrs.pattern in
   incr (if fused then fused_cases else reference_cases);
   if coded.Ref.qualifier <> C.Exact then incr degraded_cases;
-  if Ref.fuses config trail <> fused then
+  if (limits = None && Ref.fuses config trail) <> fused then
     QCheck2.Test.fail_reportf "expected the %s path" (if fused then "fused" else "reference");
   rules_equal (P.rules p_al) rules
   && epoch_equal coded reference
@@ -415,8 +415,7 @@ let gen_fused_config =
   let condition = if with_condition then DA.default_config.DA.condition else None in
   let comparator = if strict then DA.More_than else DA.At_least in
   return
-    { Ref.default_config with
-      Ref.backend = EP.Sql { DA.attributes; min_frequency; comparator; condition };
+    { Ref.backend = EP.Sql { DA.attributes; min_frequency; comparator; condition };
       keep_prohibitions;
       acceptance = (if reject then Ref.Reject_all else Ref.Accept_all);
     }
@@ -431,8 +430,7 @@ let describe_config (config : Ref.config) =
         (Option.value c.DA.condition ~default:"-")
     | EP.Mining m -> Printf.sprintf "mining support=%d" m.EP.min_support
   in
-  Printf.sprintf "%s keep_prohibitions=%b limits=%b" backend config.Ref.keep_prohibitions
-    (config.Ref.limits <> None)
+  Printf.sprintf "%s keep_prohibitions=%b" backend config.Ref.keep_prohibitions
 
 let print_entries entries = String.concat "; " (List.map (Fmt.str "%a" E.pp) entries)
 
@@ -499,10 +497,8 @@ let twist_config twist (config : Ref.config) =
     match config.Ref.backend with EP.Sql c -> c | EP.Mining _ -> DA.default_config
   in
   match twist with
-  | No_user | No_pattern_attr _ | Duplicate_term -> config
+  | No_user | No_pattern_attr _ | Duplicate_term | Governed _ -> config
   | Condition c -> { config with Ref.backend = EP.Sql { sql_config with DA.condition = Some c } }
-  | Governed tuples ->
-    { config with Ref.limits = Some (Relational.Budget.limits ~tuples ()) }
   | Mining (distinct_users, algorithm) ->
     { config with
       Ref.backend =
@@ -533,7 +529,12 @@ let prop_fallback_epoch_matches_reference =
           code_entries coding entries
         | _ -> code_rules coding rules
       in
-      agrees ~fused:false config trail rules)
+      let limits =
+        match twist with
+        | Governed tuples -> Some (Relational.Budget.limits ~tuples ())
+        | _ -> None
+      in
+      agrees ~fused:false ?limits config trail rules)
 
 let test_both_paths_exercised () =
   check_int "cases on the fused pass" 400 !fused_cases;
