@@ -91,9 +91,11 @@ overload:
 # Behaviour check against a revision: `make same BASE=<rev>`.  Builds BASE
 # (git archive) and a copy of this working tree in temporary directories
 # under $TMPDIR, runs the chaos, tamper, fuzz, overload and shrink sweeps
-# (shrink seconds masked) and `prima chaos --replay` of every committed
-# corpus repro in each, and fails if any check's output or exit code
-# differs (bench/same.py).  The sweeps' BENCH_*.json rewrites land in the
+# (shrink seconds masked), `prima generate` plus two `prima
+# federation-health` reports over its trail (with and without budget
+# classes) and `prima chaos --replay` of every committed corpus repro in
+# each, and fails if any check's output or exit code differs
+# (bench/same.py).  The sweeps' BENCH_*.json rewrites land in the
 # copies, not here.
 same:
 	@test -n "$(BASE)" || { echo "usage: make same BASE=<rev>" >&2; exit 2; }

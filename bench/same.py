@@ -14,6 +14,10 @@ temporary directories, builds both, and runs the same checks in each:
 - `bench/shrink_sweep.exe`, with the trailing wall-clock seconds of each
   per-repro line masked (the only part of its output that is not
   deterministic);
+- `prima generate --accesses 600 --seed 5` into the copy, then `prima
+  federation-health` over that trail twice, with budget classes and
+  without: the only checks that print an admission rejection and its
+  retry hint (the sweeps print counts);
 - `prima chaos --replay FILE` for every committed repro under
   `test/chaos_corpus/`, so a reworded violation message shows.
 
@@ -40,6 +44,13 @@ CORPUS = os.path.join("test", "chaos_corpus")
 CLI = os.path.join("bin", "prima_cli.exe")
 # The wall-clock seconds that end each shrink-sweep row ("<n> candidates, 1.4s").
 SHRINK_SECONDS = re.compile(r"(candidates, )\d+\.\ds")
+# One generated trail per copy, then its federation health report with the
+# tenant admission gate in front of the sites and without it.
+TRAIL = ["generate", "--accesses", "600", "--seed", "5",
+         "--audit-out", "same-audit.csv", "--policy-out", "same-policy.txt"]
+GATE = ["--class", "gold=50:5:3", "--class", "standard=20:2:1", "--tenant", "mark=gold"]
+FAULTS = ["--archive", "--heal", "--corrupt", "0.05", "--flaky", "0.3"]
+HEALTH = ["federation-health", "--audit", "same-audit.csv"]
 
 
 def copy_working_tree(dest):
@@ -71,10 +82,14 @@ def run(checkout, exe, *args):
 
 
 def checks(sides):
-    """(name, executable, arguments) of every check: each sweep, then a
-    replay of each repro either copy commits."""
+    """(name, executable, arguments) of every check: each sweep, the
+    generated trail and its two health reports, then a replay of each
+    repro either copy commits."""
     for sweep in SWEEPS:
         yield sweep, os.path.join("bench", sweep + ".exe"), []
+    yield "generate", CLI, TRAIL
+    yield "federation-health --class", CLI, HEALTH + GATE + FAULTS
+    yield "federation-health", CLI, HEALTH + FAULTS
     repros = sorted({os.path.relpath(path, side)
                      for side in sides.values()
                      for path in glob.glob(os.path.join(side, CORPUS, "*.repro"))})

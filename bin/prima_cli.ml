@@ -352,19 +352,18 @@ let run_analyze vocab_name policy_path =
 
 (* --- faulty federations (trend, federation-health) --- *)
 
-(* Split an audit trail round-robin across N sites and wrap every site in
-   a seeded fault injector.  The same seed replays the same failure
-   schedule, so every report printed from it is reproducible evidence. *)
-let build_faulty_federation ~entries ~nsites ~seed ~p_unavailable ~p_timeout ~p_flaky
+(* Split an audit trail round-robin across N sites, each entry entering
+   its site through [ingest], and wrap every site in a seeded fault
+   injector.  The same seed replays the same failure schedule, so every
+   report printed from it is reproducible evidence. *)
+let build_faulty_federation ~ingest ~entries ~nsites ~seed ~p_unavailable ~p_timeout ~p_flaky
     ~p_corrupt =
   let nsites = max 1 nsites in
   let sites =
     List.init nsites (fun i ->
         Audit_mgmt.Site.create ~name:(Printf.sprintf "site-%d" (i + 1)) ())
   in
-  List.iteri
-    (fun i e -> Audit_mgmt.Site.ingest_entry (List.nth sites (i mod nsites)) e)
-    entries;
+  List.iteri (fun i e -> ingest (List.nth sites (i mod nsites)) e) entries;
   let fed = Audit_mgmt.Federation.create ~seed () in
   let config =
     { Audit_mgmt.Fault.no_faults with
@@ -396,8 +395,8 @@ let run_trend vocab_name policy_path audit_path window nsites seed p_unavailable
     if nsites <= 0 then Audit_mgmt.To_policy.policy_of_entries entries
     else begin
       let fed =
-        build_faulty_federation ~entries ~nsites ~seed ~p_unavailable ~p_timeout ~p_flaky
-          ~p_corrupt
+        build_faulty_federation ~ingest:Audit_mgmt.Site.ingest_entry ~entries ~nsites ~seed
+          ~p_unavailable ~p_timeout ~p_flaky ~p_corrupt
       in
       let result = Audit_mgmt.Federation.consolidated_result fed in
       let health = result.Audit_mgmt.Federation.health in
@@ -456,54 +455,6 @@ let parse_tenant_spec s =
     Fmt.epr "bad --tenant %S (expected USER=CLASS)@." s;
     exit 2
 
-(* The admission-gated twin of [build_faulty_federation]: the controller
-   attaches first, then every entry passes through the tenant gate
-   ([Site.ingest_entries_admitted], tenant = the entry's user) on its way
-   into its site.  Shed entries never reach the federation, so nothing
-   downstream counts them: the health report's completeness covers only
-   the admitted entries, and the caller must say what admission dropped. *)
-let build_admitted_federation ~entries ~nsites ~seed ~p_unavailable ~p_timeout ~p_flaky
-    ~p_corrupt ~classes ~tenants =
-  let nsites = max 1 nsites in
-  let sites =
-    List.init nsites (fun i ->
-        Audit_mgmt.Site.create ~name:(Printf.sprintf "site-%d" (i + 1)) ())
-  in
-  let adm = Audit_mgmt.Admission.create ~now:0 classes in
-  List.iter (fun (tenant, cls) -> Audit_mgmt.Admission.assign adm ~tenant cls) tenants;
-  let fed = Audit_mgmt.Federation.create ~seed () in
-  Audit_mgmt.Federation.set_admission fed (Some adm);
-  let config =
-    { Audit_mgmt.Fault.no_faults with
-      Audit_mgmt.Fault.p_unavailable;
-      p_timeout;
-      p_flaky;
-      p_corrupt;
-    }
-  in
-  List.iteri
-    (fun i site ->
-      Audit_mgmt.Federation.add_faulty_site fed
-        (Audit_mgmt.Fault.wrap ~config ~seed:(seed + i + 1) site))
-    sites;
-  let admitted = ref 0 and shed = ref 0 and last_reject = ref None in
-  let clock = ref 0 in
-  List.iteri
-    (fun i e ->
-      (* The trail's own logical timestamps drive the refill clock. *)
-      clock := max !clock e.Hdb.Audit_schema.time;
-      let site = List.nth sites (i mod nsites) in
-      let principal =
-        Audit_mgmt.Admission.principal ~tenant:e.Hdb.Audit_schema.user ()
-      in
-      match Audit_mgmt.Site.ingest_entries_admitted adm site ~now:!clock ~principal [ e ] with
-      | Ok n -> admitted := !admitted + n
-      | Error r ->
-        incr shed;
-        last_reject := Some r)
-    entries;
-  (fed, adm, !admitted, !shed, !last_reject)
-
 let run_federation_health audit_path nsites seed p_unavailable p_timeout p_flaky p_corrupt
     archive heal class_specs tenant_specs =
   let entries = parse_audit_file audit_path in
@@ -511,11 +462,12 @@ let run_federation_health audit_path nsites seed p_unavailable p_timeout p_flaky
     Fmt.epr "--tenant requires at least one --class@.";
     exit 2
   end;
+  let build ingest =
+    build_faulty_federation ~ingest ~entries ~nsites ~seed ~p_unavailable ~p_timeout ~p_flaky
+      ~p_corrupt
+  in
   let fed, shed =
-    if class_specs = [] then
-      ( build_faulty_federation ~entries ~nsites ~seed ~p_unavailable ~p_timeout ~p_flaky
-          ~p_corrupt,
-        0 )
+    if class_specs = [] then (build Audit_mgmt.Site.ingest_entry, 0)
     else begin
       let classes = List.map parse_class_spec class_specs in
       let tenants = List.map parse_tenant_spec tenant_specs in
@@ -526,13 +478,31 @@ let run_federation_health audit_path nsites seed p_unavailable p_timeout p_flaky
             exit 2
           end)
         tenants;
-      let fed, _adm, admitted, shed, last_reject =
-        build_admitted_federation ~entries ~nsites ~seed ~p_unavailable ~p_timeout ~p_flaky
-          ~p_corrupt ~classes ~tenants
+      let adm = Audit_mgmt.Admission.create ~now:0 classes in
+      List.iter (fun (tenant, cls) -> Audit_mgmt.Admission.assign adm ~tenant cls) tenants;
+      (* Every entry enters its site through the tenant gate (tenant = the
+         entry's user), the trail's own logical timestamps driving the
+         refill clock.  Shed entries never reach a site, so nothing
+         downstream counts them: the health report's completeness covers
+         only the admitted entries, and what admission dropped is said
+         here. *)
+      let admitted = ref 0 and shed = ref 0 and last_reject = ref None and clock = ref 0 in
+      let fed =
+        build (fun site e ->
+            clock := max !clock e.Hdb.Audit_schema.time;
+            let principal = Audit_mgmt.Admission.principal ~tenant:e.Hdb.Audit_schema.user () in
+            match
+              Audit_mgmt.Site.ingest_entries_admitted adm site ~now:!clock ~principal [ e ]
+            with
+            | Ok n -> admitted := !admitted + n
+            | Error r ->
+              incr shed;
+              last_reject := Some r)
       in
-      Fmt.pr "admission: %d/%d entries admitted, %d shed@." admitted
-        (List.length entries) shed;
-      (match last_reject with
+      Audit_mgmt.Federation.set_admission fed (Some adm);
+      let shed = !shed in
+      Fmt.pr "admission: %d/%d entries admitted, %d shed@." !admitted (List.length entries) shed;
+      (match !last_reject with
       | Some r when shed > 0 ->
         Fmt.pr "  last shed: %s@." (Audit_mgmt.Admission.rejection_to_string r);
         Fmt.pr

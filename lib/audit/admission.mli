@@ -4,16 +4,17 @@
     Every request entering the federation — an ingestion batch or an
     enforcement/refinement query — carries a {!principal} (tenant, user,
     and the PR 6 provenance session/request ids).  Principals map to
-    {e budget classes}: per-class token buckets over the same four
-    resources the query governor meters (rows, tuples, ticks, wall
-    milliseconds), refilled on the simulated millisecond clock.  The
-    refill boundary is {e closed}: a token owed at exactly-now is granted
-    at that tick, mirroring {!Retry.deadline_reached}'s [>=] treatment of
-    the retry deadline.  A zero-capacity class never admits and its
-    rejections carry no retry hint ([retry_after_ms = None]).
+    {e budget classes}: each class holds at most one token bucket, over
+    result rows, refilled on the simulated millisecond clock.  A
+    request's declared ticks are not metered: they pass through as its
+    grant's deadline.  The refill boundary is {e closed}: a token owed at
+    exactly-now is granted at that tick, mirroring
+    {!Retry.deadline_reached}'s [>=] treatment of the retry deadline.  A
+    zero-capacity class never admits and its rejections carry no retry
+    hint ([retry_after_ms = None]).
 
     Decisions are all-or-nothing with respect to state: an {!Admitted}
-    or {!Brownout} grant debits the class buckets; a {!Rejected} request
+    or {!Brownout} grant debits the class bucket; a {!Rejected} request
     debits nothing and must leave every store untouched.  Brownout — a
     downgrade to {!Relational.Budget.Partial} execution whose results are
     honest lower bounds — is only ever offered to [Query] requests;
@@ -46,7 +47,7 @@ val principal :
 (** [user] defaults to [tenant]; [session]/[request] default to [""]. *)
 
 type quota = {
-  capacity : int;  (** bucket size; 0 = this class never admits the resource *)
+  capacity : int;  (** bucket size; 0 = this class never admits a request for rows *)
   refill_per_s : int;  (** tokens credited per simulated second *)
 }
 
@@ -56,25 +57,23 @@ val quota : ?refill_per_s:int -> capacity:int -> unit -> quota
 type class_config = {
   weight : int;  (** fair-share weight for {!drain}; must be >= 1 *)
   rows : quota option;  (** [None] = unlimited *)
-  tuples : quota option;
-  ticks : quota option;
-  wall_ms : quota option;
 }
 
-val class_config :
-  ?weight:int -> ?rows:quota -> ?tuples:quota -> ?ticks:quota -> ?wall_ms:quota -> unit ->
-  class_config
-(** Omitted resources are unlimited; [weight] defaults to 1.
+val class_config : ?weight:int -> ?rows:quota -> unit -> class_config
+(** Omitted rows are unlimited; [weight] defaults to 1.
     @raise Invalid_argument on [weight < 1]. *)
 
-type cost = { c_rows : int; c_tuples : int; c_ticks : int; c_wall_ms : int }
+type cost = {
+  c_rows : int;  (** result rows, metered against the class bucket *)
+  c_ticks : int;  (** work ticks, unmetered: the grant's deadline *)
+}
 
-val cost : ?rows:int -> ?tuples:int -> ?ticks:int -> ?wall_ms:int -> unit -> cost
+val cost : ?rows:int -> ?ticks:int -> unit -> cost
 (** Omitted components are 0. *)
 
 val cost_scalar : cost -> int
 (** Service weight of a request for fair-share accounting:
-    [max 1 (rows + tuples + ticks)]. *)
+    [max 1 (rows + ticks)]. *)
 
 type kind =
   | Mutation  (** state-changing (ingestion); never browned out *)
@@ -83,13 +82,17 @@ type kind =
 type grant = {
   g_class : string;
   g_mode : Relational.Budget.mode;  (** [Strict] for admits, [Partial] for brownouts *)
-  g_limits : Relational.Budget.limits;  (** ceiling actually granted *)
+  g_limits : Relational.Budget.limits;
+      (** ceiling actually granted: the granted rows and the declared
+          ticks as the deadline *)
 }
 
 type rejection = {
   r_tenant : string;
   r_class : string;
-  r_resource : Relational.Errors.resource;  (** the binding resource *)
+  r_resource : Relational.Errors.resource;
+      (** [Rows] when the bucket is short; [Time] when only the pressure
+          bar or the drain's server capacity failed *)
   retry_after_ms : int option;
       (** earliest simulated-ms delay after which the plain cost could be
           admitted; [None] when it never can (zero capacity or rate) *)
@@ -127,8 +130,9 @@ val create : ?default_class:string -> ?now:int -> (string * class_config) list -
     (default 0) seeds every bucket full at that clock reading. *)
 
 val set_class : t -> string -> class_config -> unit
-(** Add or replace a class.  Existing bucket levels are clamped to the
-    new capacities; counters and deficit are preserved. *)
+(** Add or replace a class.  An existing bucket level is clamped to the
+    new capacity; counters and deficit are preserved.  A bucket the class
+    gains starts full at clock 0. *)
 
 val assign : t -> tenant:string -> string -> unit
 (** Map a tenant to a class.  @raise Invalid_argument on unknown class. *)
@@ -144,17 +148,17 @@ val pressure_level : t -> int
     degraded shard, any open breaker). *)
 
 val admit : t -> now:int -> kind:kind -> principal -> cost -> decision
-(** Refill the principal's class buckets at [now], then decide:
-    strict admit needs [(1 + pressure_level) * cost] on every metered
-    resource; a [Query] covering the plain cost — or at least half of it,
-    with a floor of one token per requested resource — is browned out to
-    the affordable grant; anything else is shed with a retry hint for the
-    plain cost.  Grants debit the cost actually granted; sheds debit
-    nothing. *)
+(** Refill the principal's class bucket at [now], then decide: strict
+    admit needs [(1 + pressure_level) * rows] tokens; a [Query] covering
+    the plain rows — or at least half of them, rounded up — is browned out
+    to the affordable grant; anything else is shed with a retry hint for
+    the plain rows.  Grants debit the rows actually granted; sheds debit
+    nothing.  A class without a rows quota, or a request declaring no
+    rows, is always admitted. *)
 
 val settle : t -> now:int -> principal -> declared:cost -> Relational.Errors.budget_stats -> unit
-(** Charge the overrun of actual consumption beyond the declared cost
-    against the admitted class (the declared part was debited at
+(** Charge the overrun of the actual result rows beyond the declared
+    rows against the admitted class (the declared part was debited at
     {!admit} time).  Buckets may go into bounded debt, delaying the
     class's next admit. *)
 

@@ -118,26 +118,25 @@ let exact patterns =
    The partial run computes the groups over a prefix of the practice table,
    so the returned pattern set is a *lower bound* on the real one —
    [degraded] tells the caller to qualify anything derived from it
-   ([Coverage.Lower_bound] in the refinement loop).  Cancellation is not a
-   degradation: [Errors.Cancelled] propagates from either attempt. *)
-let run_governed ?cancel engine ~table_name ~limits config : governed =
-  let budget = Relational.Budget.create ?cancel limits in
+   ([Coverage.Lower_bound] in the refinement loop). *)
+let run_governed engine ~table_name ~limits config : governed =
+  let budget = Relational.Budget.create limits in
   match run ~budget engine ~table_name config with
   | patterns ->
     { patterns; degraded = false; stats = Relational.Budget.stats budget }
   | exception Relational.Errors.Budget_exceeded _ ->
-    let budget = Relational.Budget.create ~mode:Relational.Budget.Partial ?cancel limits in
+    let budget = Relational.Budget.create ~mode:Relational.Budget.Partial limits in
     let patterns = run ~budget engine ~table_name config in
     { patterns;
       degraded = Relational.Budget.truncated budget;
       stats = Relational.Budget.stats budget;
     }
 
-let analyse_governed ?(config = default_config) ?cancel ~limits (practice : Policy.t) :
+let analyse_governed ?(config = default_config) ~limits (practice : Policy.t) :
     governed =
   if Policy.cardinality practice = 0 then exact []
   else
   let engine = Relational.Engine.create () in
   let table_name = "practice" in
   let _ = materialize engine ~table_name practice in
-  run_governed ?cancel engine ~table_name ~limits config
+  run_governed engine ~table_name ~limits config

@@ -58,7 +58,6 @@ val exact : Rule.t list -> governed
 (** Wraps an ungoverned result: [degraded = false], zero stats. *)
 
 val run_governed :
-  ?cancel:Relational.Budget.cancel ->
   Relational.Engine.t ->
   table_name:string ->
   limits:Relational.Budget.limits ->
@@ -66,12 +65,10 @@ val run_governed :
   governed
 (** Budgeted Algorithm 5: strict attempt first; when a quota fires, the
     same limits are retried in partial mode and the truncated pattern set
-    is returned with [degraded = true].  Cancellation propagates as
-    {!Relational.Errors.Cancelled} from either attempt. *)
+    is returned with [degraded = true]. *)
 
 val analyse_governed :
   ?config:config ->
-  ?cancel:Relational.Budget.cancel ->
   limits:Relational.Budget.limits ->
   Policy.t ->
   governed

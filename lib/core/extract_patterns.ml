@@ -84,10 +84,10 @@ let run ?(backend = default_backend) (practice : Policy.t) : Rule.t list =
    {!Data_analysis.run_governed}).  The mining backend works in-memory
    outside the relational engine, so it is not governed: its result is
    always exact. *)
-let run_governed ?(backend = default_backend) ?cancel ~limits (practice : Policy.t) :
+let run_governed ?(backend = default_backend) ~limits (practice : Policy.t) :
     Data_analysis.governed =
   match backend with
-  | Sql config -> Data_analysis.analyse_governed ~config ?cancel ~limits practice
+  | Sql config -> Data_analysis.analyse_governed ~config ~limits practice
   | Mining config -> Data_analysis.exact (run_mining config practice)
 
 (* Beyond patterns: association rules across attribute pairs — the "bit more

@@ -35,7 +35,6 @@ val run : ?backend:backend -> Policy.t -> Rule.t list
 
 val run_governed :
   ?backend:backend ->
-  ?cancel:Relational.Budget.cancel ->
   limits:Relational.Budget.limits ->
   Policy.t ->
   Data_analysis.governed

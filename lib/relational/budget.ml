@@ -19,9 +19,9 @@
               qualify it as a lower bound (the refinement loop's
               degradation path).
 
-   Cancellation is cooperative: the token is checked at every tick and
-   always raises [Errors.Cancelled], in both modes — a user abort is not a
-   degradation.  The deadline counts simulated time in ticks, making
+   Cancellation is fixed when the budget is made: the tick that reaches
+   [cancel_at] raises [Errors.Cancelled], in both modes — a user abort is
+   not a degradation.  The deadline counts simulated time in ticks, making
    timeout tests deterministic; a query consuming exactly [deadline] ticks
    completes, one more tick raises. *)
 
@@ -56,12 +56,6 @@ type mode =
   | Strict
   | Partial
 
-type cancel = { mutable cancelled : bool }
-
-let cancel_token () = { cancelled = false }
-let cancel c = c.cancelled <- true
-let is_cancelled c = c.cancelled
-
 type t = {
   mode : mode;
   max_rows : int;
@@ -70,8 +64,7 @@ type t = {
   wall_limit_ms : float;  (* [infinity] when no wall deadline is set *)
   now : unit -> float;  (* milliseconds; injectable for determinism *)
   start_ms : float;  (* [now] at creation, 0. when no wall deadline *)
-  cancel : cancel;
-  trip_at : int;  (* test hook: auto-cancel when ticks reach this *)
+  cancel_at : int;  (* abort when ticks reach this; [max_int] = never *)
   mutable rows_out : int;
   mutable tuples : int;
   mutable ticks : int;
@@ -82,7 +75,7 @@ let of_option = function Some n -> max n 0 | None -> max_int
 
 let wall_clock_ms () = Unix.gettimeofday () *. 1000.
 
-let create ?(mode = Strict) ?cancel ?(cancel_at = max_int) ?now (limits : limits) =
+let create ?(mode = Strict) ?(cancel_at = max_int) ?now (limits : limits) =
   let now = match now with Some f -> f | None -> wall_clock_ms in
   let wall_limit_ms, start_ms =
     match limits.max_wall_ms with
@@ -96,8 +89,7 @@ let create ?(mode = Strict) ?cancel ?(cancel_at = max_int) ?now (limits : limits
     wall_limit_ms;
     now;
     start_ms;
-    cancel = (match cancel with Some c -> c | None -> cancel_token ());
-    trip_at = cancel_at;
+    cancel_at;
     rows_out = 0;
     tuples = 0;
     ticks = 0;
@@ -126,10 +118,7 @@ let trip t resource =
    when the deadline has passed and the operator should stop consuming. *)
 let step t =
   t.ticks <- t.ticks + 1;
-  if t.cancel.cancelled || t.ticks >= t.trip_at then begin
-    t.cancel.cancelled <- true;
-    raise (Errors.Cancelled (stats t))
-  end;
+  if t.ticks >= t.cancel_at then raise (Errors.Cancelled (stats t));
   if t.ticks > t.deadline then trip t Errors.Time
   else if t.wall_limit_ms < infinity && t.now () -. t.start_ms > t.wall_limit_ms then
     trip t Errors.Time

@@ -1,5 +1,5 @@
 (** Per-query resource governor: quotas, a simulated-time deadline, and a
-    cooperative cancellation token, charged at operator boundaries.
+    cancellation tick, charged at operator boundaries.
 
     Create one {!t} per top-level statement (Engine does this for you via
     its [?budget] arguments) and the executor charges it as it works:
@@ -37,19 +37,14 @@ type mode =
   | Strict  (** raise on exhaustion *)
   | Partial  (** truncate input on exhaustion; result is a lower bound *)
 
-type cancel
-(** Cooperative cancellation token, shareable across queries. *)
-
-val cancel_token : unit -> cancel
-val cancel : cancel -> unit
-val is_cancelled : cancel -> bool
-
 type t
 
-val create :
-  ?mode:mode -> ?cancel:cancel -> ?cancel_at:int -> ?now:(unit -> float) -> limits -> t
-(** [cancel_at] is a deterministic test hook: the token trips when the
-    tick counter reaches it.  [now] supplies the wall clock in
+val create : ?mode:mode -> ?cancel_at:int -> ?now:(unit -> float) -> limits -> t
+(** [cancel_at] is the one way to cancel (default: never): the first
+    tick that brings the counter to [cancel_at] or past it raises
+    {!Errors.Cancelled}, so [~cancel_at:0] aborts the query at its first
+    tick.  The engine runs one query at a time, so a cancellation is
+    decided before the query starts.  [now] supplies the wall clock in
     milliseconds for [max_wall_ms] (default [Unix.gettimeofday]-based);
     inject a fake clock to make wall-deadline tests deterministic.  The
     clock is read once at creation and then on every tick while a wall
@@ -75,7 +70,7 @@ val truncated : t -> bool
 val step : t -> bool
 (** Charge one work tick.  [true] to continue; [false] (Partial only) when
     a deadline (simulated or wall-clock) passed.
-    @raise Errors.Cancelled when the token is pulled.
+    @raise Errors.Cancelled when the tick counter reaches [cancel_at].
     @raise Errors.Budget_exceeded (Strict) when a deadline passes. *)
 
 val admit : t -> bool

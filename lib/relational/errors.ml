@@ -5,7 +5,7 @@
      Sql_error       classic phase-tagged failure (plan/execute/catalog)
      Parse_error     lex/parse failure carrying the offending token position
      Budget_exceeded a resource governor quota fired (see Budget)
-     Cancelled       the query's cancellation token was pulled
+     Cancelled       the query reached its budget's cancellation tick
      Internal        an engine invariant broke (a bug, not bad input) *)
 
 type phase =

@@ -39,8 +39,9 @@ exception Budget_exceeded of resource * budget_stats
     of exhaustion. *)
 
 exception Cancelled of budget_stats
-(** The query's cancellation token was pulled.  Raised in every budget
-    mode: cancellation is a user abort, not a degradation. *)
+(** The query reached its budget's cancellation tick ([Budget.create
+    ~cancel_at]).  Raised in every budget mode: cancellation is a user
+    abort, not a degradation. *)
 
 exception Internal of string
 (** An engine invariant broke — a bug, not bad input. *)

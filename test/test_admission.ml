@@ -1,6 +1,7 @@
 (* Multi-tenant admission control: the token-bucket refill boundary, shed
    and brownout semantics, deficit-round-robin fairness, all-or-nothing
-   gated ingestion, and the admitted paths through the assembled system.
+   gated ingestion, the rows-only controller against the four-resource
+   one it replaced, and the admitted paths through the assembled system.
 
    The refill boundary is CLOSED, mirroring Retry.deadline_reached's [>=]
    treatment of the retry deadline: a token owed at exactly-now is
@@ -398,6 +399,244 @@ let test_consolidation_counts_central_backlog () =
   Audit_mgmt.Federation.refresh_pressure fed;
   check_int "an explicit refresh reads the same" 1 (Adm.pressure_level adm)
 
+(* --- the rows-only controller against the four-resource reference --- *)
+
+(* Every caller configures a rows quota only, so the controller meters
+   rows alone.  [Admission_reference] is the controller as it was when it
+   kept a bucket per resource; driven through the same random program —
+   rows-only classes (unmetered, zero capacity and zero rate among them),
+   assignments, reconfigurations, pressure, clock steps, admits, settles
+   and drains — both must take every decision and keep every counter
+   alike. *)
+
+module Ref = Test_support.Admission_reference
+
+(* A class: its weight and, when metered, its rows quota (capacity,
+   refill per second). *)
+type spec = int * (int * int) option
+
+(* A request: tenant, query (or mutation), declared rows and ticks. *)
+type request = int * bool * int * int
+
+type op =
+  | Assign of int * int  (** tenant, class *)
+  | Set_class of int * spec  (** adds class 3; removes or resizes a quota *)
+  | Pressure of int * int * int  (** WAL backlog, degraded shards, open breakers *)
+  | Clock of int  (** milliseconds forward *)
+  | Admit of request
+  | Settle of request * int  (** the declared request, actual rows out *)
+  | Drain of request list * int option  (** the burst, serve limit *)
+
+let class_name i = Printf.sprintf "c%d" i
+let tenant_name i = Printf.sprintf "t%d" i
+
+let gen_spec =
+  let open QCheck2.Gen in
+  let* weight = int_range 1 3
+  and* rows =
+    option ~ratio:0.8 (pair (int_range 0 12) (oneofl [ 0; 1; 2; 3; 7; 250; 1000; 3000 ]))
+  in
+  return (weight, rows)
+
+let gen_request =
+  let open QCheck2.Gen in
+  let* tenant = int_range 0 3
+  and* query = bool
+  and* rows = frequency [ (1, return 0); (6, int_range 1 8); (1, int_range 9 20) ]
+  and* ticks = oneofl [ 0; 0; 1; 5; 16; 64 ] in
+  return (tenant, query, rows, ticks)
+
+let gen_admission_op =
+  let open QCheck2.Gen in
+  frequency
+    [ (2, map2 (fun t c -> Assign (t, c)) (int_range 0 3) (int_range 0 3));
+      (1, map2 (fun c spec -> Set_class (c, spec)) (int_range 0 3) gen_spec);
+      ( 2,
+        map3
+          (fun wal shards breakers -> Pressure (wal, shards, breakers))
+          (oneofl [ 0; 63; 64; 500 ]) (int_range 0 1) (int_range 0 1) );
+      (3, map (fun ms -> Clock ms) (oneofl [ 0; 1; 7; 333; 334; 999; 1000; 2500; 10_000 ]));
+      (8, map (fun r -> Admit r) gen_request);
+      (2, map2 (fun r rows_out -> Settle (r, rows_out)) gen_request (int_range 0 30));
+      ( 2,
+        map2
+          (fun burst limit -> Drain (burst, limit))
+          (list_size (int_range 0 12) gen_request)
+          (option (int_range 0 40)) );
+    ]
+
+let gen_admission_program =
+  let open QCheck2.Gen in
+  let* classes = list_size (int_range 1 3) gen_spec
+  and* default_standard = bool
+  and* start = oneofl [ 0; 5 ]
+  and* ops = list_size (int_range 1 40) gen_admission_op in
+  return (classes, default_standard, start, ops)
+
+let request_to_string (t, query, rows, ticks) =
+  Printf.sprintf "%s %s rows=%d ticks=%d" (tenant_name t) (if query then "query" else "mutation")
+    rows ticks
+
+let spec_to_string (weight, rows) =
+  Printf.sprintf "w%d %s" weight
+    (match rows with
+    | None -> "unmetered"
+    | Some (cap, rate) -> Printf.sprintf "%d@%d/s" cap rate)
+
+let admission_op_to_string = function
+  | Assign (t, c) -> Printf.sprintf "assign %s %s" (tenant_name t) (class_name c)
+  | Set_class (c, spec) -> Printf.sprintf "set %s %s" (class_name c) (spec_to_string spec)
+  | Pressure (wal, shards, breakers) -> Printf.sprintf "pressure %d/%d/%d" wal shards breakers
+  | Clock ms -> Printf.sprintf "+%dms" ms
+  | Admit r -> "admit " ^ request_to_string r
+  | Settle (r, rows_out) -> Printf.sprintf "settle %s out=%d" (request_to_string r) rows_out
+  | Drain (burst, limit) ->
+    Printf.sprintf "drain%s [%s]"
+      (match limit with None -> "" | Some l -> Printf.sprintf " limit=%d" l)
+      (String.concat "; " (List.map request_to_string burst))
+
+let admission_program_to_string (classes, default_standard, start, ops) =
+  Printf.sprintf "classes [%s] default=%s start=%d: %s"
+    (String.concat "; " (List.map spec_to_string classes))
+    (if default_standard then "standard" else class_name 0)
+    start
+    (String.concat "; " (List.map admission_op_to_string ops))
+
+let limits_to_string (l : Budget.limits) =
+  let o = function None -> "-" | Some n -> string_of_int n in
+  Printf.sprintf "rows=%s tuples=%s ticks=%s wall=%s" (o l.Budget.max_rows)
+    (o l.Budget.max_tuples) (o l.Budget.deadline) (o l.Budget.max_wall_ms)
+
+let grant_to_string verdict cls mode limits =
+  Printf.sprintf "%s %s %s %s" verdict cls
+    (match mode with Budget.Strict -> "strict" | Budget.Partial -> "partial")
+    (limits_to_string limits)
+
+let rejection_to_string tenant cls resource hint =
+  Printf.sprintf "shed %s %s %s %s" tenant cls
+    (match resource with
+    | Relational.Errors.Rows -> "rows"
+    | Relational.Errors.Tuples -> "tuples"
+    | Relational.Errors.Time -> "time")
+    (match hint with None -> "never" | Some ms -> Printf.sprintf "%dms" ms)
+
+let decision_to_string = function
+  | Adm.Admitted g -> grant_to_string "admitted" g.Adm.g_class g.Adm.g_mode g.Adm.g_limits
+  | Adm.Brownout g -> grant_to_string "brownout" g.Adm.g_class g.Adm.g_mode g.Adm.g_limits
+  | Adm.Rejected r ->
+    rejection_to_string r.Adm.r_tenant r.Adm.r_class r.Adm.r_resource r.Adm.retry_after_ms
+
+let reference_decision_to_string = function
+  | Ref.Admitted g -> grant_to_string "admitted" g.Ref.g_class g.Ref.g_mode g.Ref.g_limits
+  | Ref.Brownout g -> grant_to_string "brownout" g.Ref.g_class g.Ref.g_mode g.Ref.g_limits
+  | Ref.Rejected r ->
+    rejection_to_string r.Ref.r_tenant r.Ref.r_class r.Ref.r_resource r.Ref.retry_after_ms
+
+let stats_to_string (cls, weight, admitted, brownouts, shed) =
+  Printf.sprintf "%s w%d %d/%d/%d" cls weight admitted brownouts shed
+
+(* What a call printed, or the Invalid_argument it raised (assigning a
+   tenant to a class not yet added). *)
+let outcome f = match f () with lines -> lines | exception Invalid_argument m -> [ m ]
+
+let run_admission_program (classes, default_standard, start, ops) =
+  let config (weight, rows) =
+    Adm.class_config ~weight
+      ?rows:(Option.map (fun (capacity, refill_per_s) -> Adm.quota ~capacity ~refill_per_s ()) rows)
+      ()
+  in
+  let reference_config (weight, rows) =
+    Ref.class_config ~weight
+      ?rows:(Option.map (fun (capacity, refill_per_s) -> Ref.quota ~capacity ~refill_per_s ()) rows)
+      ()
+  in
+  let named f = List.mapi (fun i spec -> (class_name i, f spec)) classes in
+  let default_class = if default_standard then "standard" else class_name 0 in
+  let adm = Adm.create ~default_class ~now:start (named config) in
+  let reference = Ref.create ~default_class ~now:start (named reference_config) in
+  let now = ref start in
+  let principal i (t, _, _, _) = Adm.principal ~tenant:(tenant_name t) ~request:(string_of_int i) () in
+  let reference_principal i (t, _, _, _) =
+    Ref.principal ~tenant:(tenant_name t) ~request:(string_of_int i) ()
+  in
+  let kind (_, query, _, _) = if query then Adm.Query else Adm.Mutation in
+  let reference_kind (_, query, _, _) = if query then Ref.Query else Ref.Mutation in
+  let cost (_, _, rows, ticks) = Adm.cost ~rows ~ticks () in
+  let reference_cost (_, _, rows, ticks) = Ref.cost ~rows ~ticks () in
+  let served (p : Adm.principal) d = p.Adm.request ^ ": " ^ decision_to_string d in
+  let reference_served (p : Ref.principal) d =
+    p.Ref.request ^ ": " ^ reference_decision_to_string d
+  in
+  let step = function
+    | Assign (t, c) ->
+      ( outcome (fun () -> Adm.assign adm ~tenant:(tenant_name t) (class_name c); []),
+        outcome (fun () -> Ref.assign reference ~tenant:(tenant_name t) (class_name c); []) )
+    | Set_class (c, spec) ->
+      Adm.set_class adm (class_name c) (config spec);
+      Ref.set_class reference (class_name c) (reference_config spec);
+      ([], [])
+    | Pressure (wal_backlog, degraded_shards, open_breakers) ->
+      Adm.set_pressure adm { Adm.wal_backlog; degraded_shards; open_breakers };
+      Ref.set_pressure reference { Ref.wal_backlog; degraded_shards; open_breakers };
+      ([ string_of_int (Adm.pressure_level adm) ], [ string_of_int (Ref.pressure_level reference) ])
+    | Clock ms ->
+      now := !now + ms;
+      ([], [])
+    | Admit r ->
+      ( [ decision_to_string (Adm.admit adm ~now:!now ~kind:(kind r) (principal 0 r) (cost r)) ],
+        [ reference_decision_to_string
+            (Ref.admit reference ~now:!now ~kind:(reference_kind r) (reference_principal 0 r)
+               (reference_cost r));
+        ] )
+    | Settle (((_, _, _, ticks) as r), rows_out) ->
+      let used = { Relational.Errors.rows_out; tuples = 2 * rows_out; ticks = ticks + rows_out } in
+      Adm.settle adm ~now:!now (principal 0 r) ~declared:(cost r) used;
+      Ref.settle reference ~now:!now (reference_principal 0 r) ~declared:(reference_cost r) used;
+      ([], [])
+    | Drain (burst, serve_limit) ->
+      ( List.map
+          (fun (p, d) -> served p d)
+          (Adm.drain adm ~now:!now ?serve_limit
+             (List.mapi (fun i r -> (principal i r, cost r, kind r)) burst)),
+        List.map
+          (fun (p, d) -> reference_served p d)
+          (Ref.drain reference ~now:!now ?serve_limit
+             (List.mapi
+                (fun i r -> (reference_principal i r, reference_cost r, reference_kind r))
+                burst)) )
+  in
+  let stats () =
+    ( List.map
+        (fun (s : Adm.class_stats) ->
+          stats_to_string (s.Adm.cls, s.Adm.weight, s.Adm.admitted, s.Adm.brownouts, s.Adm.shed))
+        (Adm.stats adm),
+      List.map
+        (fun (s : Ref.class_stats) ->
+          stats_to_string (s.Ref.cls, s.Ref.weight, s.Ref.admitted, s.Ref.brownouts, s.Ref.shed))
+        (Ref.stats reference) )
+  in
+  let rec go i = function
+    | [] -> Ok ()
+    | op :: rest ->
+      let decided, expected = step op in
+      let counted, expected_counts = stats () in
+      if decided <> expected || counted <> expected_counts then
+        Error
+          (Printf.sprintf "step %d (%s): [%s] with counters [%s], the reference [%s] with [%s]" i
+             (admission_op_to_string op) (String.concat "; " decided)
+             (String.concat "; " counted) (String.concat "; " expected)
+             (String.concat "; " expected_counts))
+      else go (i + 1) rest
+  in
+  go 1 ops
+
+let prop_rows_only_matches_reference =
+  QCheck2.Test.make ~name:"rows-only admission = the four-resource reference" ~count:500
+    ~print:admission_program_to_string gen_admission_program (fun program ->
+      match run_admission_program program with
+      | Ok () -> true
+      | Error why -> QCheck2.Test.fail_report why)
+
 let () =
   Alcotest.run "admission"
     [ ( "refill-boundary",
@@ -426,6 +665,8 @@ let () =
         ] );
       ( "limits",
         [ Alcotest.test_case "limits_min tightest wins" `Quick test_limits_min_tightest_wins ] );
+      ( "reference",
+        [ QCheck_alcotest.to_alcotest ~long:false prop_rows_only_matches_reference ] );
       ( "system",
         [ Alcotest.test_case "refine brownout lower bound" `Quick
             test_refine_brownout_lower_bound;

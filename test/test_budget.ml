@@ -101,23 +101,20 @@ let test_cancel_during_aggregate () =
   let ungoverned = B.default () in
   ignore (result_csv engine (Some ungoverned) group_query);
   let mid = (B.stats ungoverned).E.ticks / 2 in
-  (* Trip the token halfway through the hash-aggregate build: strict and
-     partial mode must both abort — cancellation is never a degradation. *)
+  (* Cancel halfway through the hash-aggregate build: strict and partial
+     mode must both abort — cancellation is never a degradation. *)
   List.iter
     (fun mode ->
       match Eng.query ~budget:(B.create ~mode ~cancel_at:mid B.unlimited) engine group_query with
       | exception E.Cancelled stats ->
         check_bool "cancelled near the trip point" true (stats.E.ticks >= mid)
       | exception e -> Alcotest.failf "wrong exception: %s" (E.to_string e)
-      | _ -> Alcotest.fail "a tripped token must abort the query")
+      | _ -> Alcotest.fail "a cancelled query must abort")
     [ B.Strict; B.Partial ];
-  (* A token pulled before the query starts aborts immediately. *)
-  let token = B.cancel_token () in
-  B.cancel token;
-  check_bool "token reads cancelled" true (B.is_cancelled token);
-  match Eng.query ~budget:(B.create ~cancel:token B.unlimited) engine "SELECT id FROM t" with
-  | exception E.Cancelled _ -> ()
-  | _ -> Alcotest.fail "pre-cancelled token must abort"
+  (* A query cancelled before it starts aborts at its first tick. *)
+  match Eng.query ~budget:(B.create ~cancel_at:0 B.unlimited) engine "SELECT id FROM t" with
+  | exception E.Cancelled stats -> check_bool "aborted at the first tick" true (stats.E.ticks = 1)
+  | _ -> Alcotest.fail "a query cancelled at tick 0 must abort"
 
 let test_admit_list_strict_is_physical () =
   (* The strict fast path must not rebuild the list it admits. *)
