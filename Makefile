@@ -3,22 +3,29 @@
 build:
 	dune build
 
-# Line counts of lib/'s .ml and .mli files, the figures CHANGES.md
-# entries report for each change.  `make loc BASE=<rev>` also prints the
-# counts at that revision (read with git show, nothing checked out) and
-# the difference from the working tree.
+# Line counts of lib/'s .ml and .mli files, and the optional arguments
+# (`?name:`) its .mli files declare: the figures CHANGES.md entries report
+# for each change.  `make loc BASE=<rev>` also prints them at that
+# revision (read with git show, nothing checked out) and the difference
+# from the working tree.
+OPTIONALS = grep -o '?[a-z_0-9]*:' | wc -l
 loc:
 	@printf 'lib .ml  %s\n' "$$(find lib -name '*.ml' -exec cat {} + | wc -l)"
 	@printf 'lib .mli %s\n' "$$(find lib -name '*.mli' -exec cat {} + | wc -l)"
+	@printf 'lib .mli optional arguments %s\n' "$$(find lib -name '*.mli' -exec cat {} + | $(OPTIONALS))"
 	@if [ -n "$(BASE)" ]; then \
 	  git rev-parse -q --verify "$(BASE)^{commit}" > /dev/null \
 	    || { echo "make loc: $(BASE) is not a revision" >&2; exit 1; }; \
+	  base_files () { git ls-tree -r --name-only "$(BASE)" -- lib | grep "\.$$1\$$" \
+	    | while read -r f; do git show "$(BASE):$$f"; done; }; \
 	  for ext in ml mli; do \
 	    now=$$(find lib -name "*.$$ext" -exec cat {} + | wc -l); \
-	    base=$$(git ls-tree -r --name-only "$(BASE)" -- lib | grep "\.$$ext\$$" \
-	      | while read -r f; do git show "$(BASE):$$f"; done | wc -l); \
+	    base=$$(base_files $$ext | wc -l); \
 	    printf 'lib .%-3s %s at %s, %+d\n' "$$ext" "$$base" "$(BASE)" "$$((now - base))"; \
 	  done; \
+	  now=$$(find lib -name '*.mli' -exec cat {} + | $(OPTIONALS)); \
+	  base=$$(base_files mli | $(OPTIONALS)); \
+	  printf 'lib .mli optional arguments %s at %s, %+d\n' "$$base" "$(BASE)" "$$((now - base))"; \
 	fi
 
 test:
@@ -93,8 +100,9 @@ overload:
 # under $TMPDIR, runs the chaos, tamper, fuzz, overload and shrink sweeps
 # (shrink seconds masked), `prima generate` plus two `prima
 # federation-health` reports over its trail (with and without budget
-# classes) and `prima chaos --replay` of every committed corpus repro in
-# each, and fails if any check's output or exit code differs
+# classes), `prima recover` and `prima verify` over the WAL it writes,
+# and `prima chaos --replay` of every committed corpus repro in each, and
+# fails if any check's output or exit code differs
 # (bench/same.py).  The sweeps' BENCH_*.json rewrites land in the
 # copies, not here.
 same:

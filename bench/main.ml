@@ -705,7 +705,7 @@ let e12 () =
               ignore (Durable.Log.open_or_recover log);
               let store, _, _ = Hdb.Audit_store.open_durable log in
               List.iter (Hdb.Audit_store.append store) entries;
-              Hdb.Audit_store.sync store)
+              Durable.Log.sync log)
         in
         (* replay: CRC-verify the whole WAL and decode it back into a store *)
         let wal_log = populated_log entries in
@@ -724,8 +724,9 @@ let e12 () =
            from the snapshot path instead of the record-by-record WAL *)
         let snap_log = populated_log entries in
         let () =
-          let store, _, _ = Hdb.Audit_store.open_durable (reopen snap_log) in
-          Hdb.Audit_store.checkpoint store
+          let log = reopen snap_log in
+          ignore (Hdb.Audit_store.open_durable log);
+          Durable.Log.checkpoint log
         in
         let t_snap =
           time_per_call ~iterations (fun () ->
@@ -759,9 +760,9 @@ let e12 () =
         List.iteri
           (fun i e ->
             Hdb.Audit_store.append store e;
-            if i mod 100 = 99 then Hdb.Audit_store.sync store)
+            if i mod 100 = 99 then Durable.Log.sync log)
           gc_entries;
-        Hdb.Audit_store.sync store)
+        Durable.Log.sync log)
   in
   let t_plain = append_run ~group_commit:false in
   let t_batched = append_run ~group_commit:true in

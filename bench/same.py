@@ -18,6 +18,9 @@ temporary directories, builds both, and runs the same checks in each:
   federation-health` over that trail twice, with budget classes and
   without: the only checks that print an admission rejection and its
   retry hint (the sweeps print counts);
+- `prima recover` and `prima verify` over the WAL that `generate` wrote
+  beside the trail: the CLI's durable commands, and the only checks that
+  open a log through `Audit_store.open_durable`;
 - `prima chaos --replay FILE` for every committed repro under
   `test/chaos_corpus/`, so a reworded violation message shows.
 
@@ -44,10 +47,12 @@ CORPUS = os.path.join("test", "chaos_corpus")
 CLI = os.path.join("bin", "prima_cli.exe")
 # The wall-clock seconds that end each shrink-sweep row ("<n> candidates, 1.4s").
 SHRINK_SECONDS = re.compile(r"(candidates, )\d+\.\ds")
-# One generated trail per copy, then its federation health report with the
-# tenant admission gate in front of the sites and without it.
+# One generated trail per copy, also written as a WAL, then its federation
+# health report with the tenant admission gate in front of the sites and
+# without it, and the WAL read back by the durable commands.
 TRAIL = ["generate", "--accesses", "600", "--seed", "5",
-         "--audit-out", "same-audit.csv", "--policy-out", "same-policy.txt"]
+         "--audit-out", "same-audit.csv", "--policy-out", "same-policy.txt",
+         "--wal-out", "same.wal"]
 GATE = ["--class", "gold=50:5:3", "--class", "standard=20:2:1", "--tenant", "mark=gold"]
 FAULTS = ["--archive", "--heal", "--corrupt", "0.05", "--flaky", "0.3"]
 HEALTH = ["federation-health", "--audit", "same-audit.csv"]
@@ -83,13 +88,15 @@ def run(checkout, exe, *args):
 
 def checks(sides):
     """(name, executable, arguments) of every check: each sweep, the
-    generated trail and its two health reports, then a replay of each
-    repro either copy commits."""
+    generated trail, its two health reports and its WAL's recovery and
+    verification, then a replay of each repro either copy commits."""
     for sweep in SWEEPS:
         yield sweep, os.path.join("bench", sweep + ".exe"), []
     yield "generate", CLI, TRAIL
     yield "federation-health --class", CLI, HEALTH + GATE + FAULTS
     yield "federation-health", CLI, HEALTH + FAULTS
+    yield "recover", CLI, ["recover", "--wal", "same.wal"]
+    yield "verify", CLI, ["verify", "--wal", "same.wal"]
     repros = sorted({os.path.relpath(path, side)
                      for side in sides.values()
                      for path in glob.glob(os.path.join(side, CORPUS, "*.repro"))})

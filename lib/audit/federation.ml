@@ -120,6 +120,17 @@ let attach_archive t archive = t.archive <- Some archive
 
 let archive t = t.archive
 
+(* Every log the federation reaches: each member's op WAL and its store's
+   own log (the central audit WAL is the store log of the member [System]
+   registers as clinical-db), then the transit quarantine's log.  The
+   archive's shards are not among them: its manifest must be written after
+   them, so the archive syncs and checkpoints itself. *)
+let logs t =
+  List.concat_map
+    (fun m -> List.filter_map Fun.id [ Site.wal m.msite; Hdb.Audit_store.log (Site.store m.msite) ])
+    t.members
+  @ Option.to_list (Quarantine.log t.transit)
+
 (* {2 Tenant admission} — the one controller, and the one definition of
    the backpressure it reads. *)
 
@@ -128,18 +139,11 @@ let set_admission t admission = t.admission <- admission
 let admission t = t.admission
 
 (* The live overload signals backpressure is derived from: the unsynced
-   records of every log the federation reaches — each member's op WAL and
-   its store's own log (the central audit WAL is the store log of the
-   member [System] registers as clinical-db), and the transit
-   quarantine's log — plus degraded archive shards and open breakers. *)
+   records of every log the federation reaches, degraded archive shards
+   and open breakers. *)
 let pressure_signals t =
-  let pending = function Some log -> Durable.Log.pending_records log | None -> 0 in
   let wal_backlog =
-    List.fold_left
-      (fun acc m ->
-        acc + pending (Site.wal m.msite) + pending (Hdb.Audit_store.log (Site.store m.msite)))
-      (pending (Quarantine.log t.transit))
-      t.members
+    List.fold_left (fun acc log -> acc + Durable.Log.pending_records log) 0 (logs t)
   in
   let degraded_shards =
     match t.archive with None -> 0 | Some a -> Shard_store.shards_degraded a

@@ -46,6 +46,14 @@ val attach_archive : t -> Shard_store.t -> unit
 
 val archive : t -> Shard_store.t option
 
+val logs : t -> Durable.Log.t list
+(** Every log the federation reaches, the one list of them: each member's
+    op WAL ({!Site.wal}) and its store's own log ({!Hdb.Audit_store.log} —
+    the central audit WAL is the store log of the member [System]
+    registers), in member order, then the transit quarantine's log.  The
+    archive's shard logs are not listed: its manifest must follow them,
+    so it keeps its own {!Shard_store.sync} and {!Shard_store.checkpoint}. *)
+
 val set_admission : t -> Admission.t option -> unit
 (** Attach (or detach) the tenant admission controller.  The federation
     holds the only reference: the system's query gate and every caller of
@@ -55,9 +63,7 @@ val admission : t -> Admission.t option
 
 val pressure_signals : t -> Admission.pressure
 (** The live overload signals, the only definition of backpressure: the
-    unsynced records of every log the federation reaches (each member's
-    op WAL and its store's own log — which includes the central audit
-    WAL — and the transit quarantine's log), degraded archive shards, and
+    unsynced records summed over {!logs}, degraded archive shards, and
     open breakers. *)
 
 val refresh_pressure : t -> unit

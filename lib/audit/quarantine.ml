@@ -139,17 +139,22 @@ let clear t =
 
 let log t = t.log
 
-let sync t = Option.iter Durable.Log.sync t.log
-
 let apply_op t = function
   | Op_add { site; seq; raw; reason } -> add_mem t ~site ~seq ~raw ~reason
   | Op_remove (site, seq) -> remove_mem t ~site ~seq
   | Op_clear -> clear_mem t
 
+(* The snapshot image: the live items, each re-encoded as an 'A' op so
+   replay reuses the one decoder.  Mutations are write-ahead (op logged,
+   then applied), so whenever the log takes it, mid-append included, the
+   live items are exactly the state the logged ops produce. *)
+let image t = List.map (fun item -> encode_op (Op_add item)) (items t)
+
 (* Replay a recovered op log into [t] (assumed fresh), then attach it so
-   new mutations are write-ahead. *)
+   new mutations are write-ahead and checkpoints write [t]'s image. *)
 let restore t log =
   let result = Durable.Log.replay log ~decode:decode_op ~apply:(apply_op t) in
+  Durable.Log.attach log ~image:(fun () -> image t);
   t.log <- Some log;
   result
 
@@ -157,21 +162,6 @@ let open_durable log =
   let t = create () in
   let recovery, undecodable = restore t log in
   (t, recovery, undecodable)
-
-(* The snapshot image: the live items, each re-encoded as an 'A' op so
-   replay reuses the one decoder. *)
-let image t = List.map (fun item -> encode_op (Op_add item)) (items t)
-
-(* Compact the op history into a snapshot of the live items and truncate
-   the WAL. *)
-let checkpoint t = Option.iter (fun log -> Durable.Log.checkpoint log ~entries:(image t)) t.log
-
-(* Keep the op log bounded: compact automatically once it exceeds the
-   policy.  Mutations are write-ahead (op logged, then applied), so at
-   trigger time the live items are exactly the state the logged ops
-   produce. *)
-let enable_auto_checkpoint ?(policy = Durable.Log.checkpoint_every ~records:1024 ()) t =
-  Option.iter (fun log -> Durable.Log.set_auto_checkpoint log policy (fun () -> image t)) t.log
 
 let pp_item ppf item =
   Fmt.pf ppf "%s#%d: %s" item.site item.seq item.reason

@@ -43,8 +43,8 @@ val clear : t -> unit
     {!remove}, {!clear}) is then framed as an op record into the
     write-ahead log {e before} the tables change, so quarantined items —
     and their resolution — survive a restart.  Mutations are durable once
-    {!sync}ed; {!checkpoint} compacts the op history into a snapshot of
-    the live items. *)
+    the log is {!Durable.Log.sync}ed; a {!Durable.Log.checkpoint} compacts
+    the op history into a snapshot of the live items. *)
 
 type op =
   | Op_add of item  (** ['A']: an item added, or replaced *)
@@ -60,22 +60,11 @@ val decode_op : string -> op option
 
 val log : t -> Durable.Log.t option
 
-val sync : t -> unit
-(** fsync the attached log (no-op without one). *)
-
-val checkpoint : t -> unit
-(** Write the live items as a snapshot image and truncate the WAL. *)
-
-val enable_auto_checkpoint : ?policy:Durable.Log.checkpoint_policy -> t -> unit
-(** Register a background-compaction policy (default: every 1024 WAL
-    records) on the attached log; no-op without one.  Safe because
-    mutations are write-ahead: the image taken when the trigger fires is
-    exactly the state the logged ops produce. *)
-
 val restore : t -> Durable.Log.t -> Durable.Recovery.t * int
 (** Open-or-recover [log], replay the verified ops into [t] (assumed
-    fresh), attach the log, and return the recovery report plus the count
-    of ops that no longer decode (0 unless the codec changed). *)
+    fresh), attach the log ({!Durable.Log.attach}, with the live items as
+    the snapshot image), and return the recovery report plus the count of
+    ops that no longer decode (0 unless the codec changed). *)
 
 val open_durable : Durable.Log.t -> t * Durable.Recovery.t * int
 (** [create] + {!restore}. *)

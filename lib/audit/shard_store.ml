@@ -167,20 +167,27 @@ let shard_count t = List.length t.shards
 (* The newest archived timestamp for [site]; -1 with nothing archived. *)
 let site_high_water t ~site = read_totals t ~site (fun x -> x.high_water) ~none:(-1)
 
+(* A shard's log checkpoints the wire form of its entries, in append
+   order. *)
+let attached s =
+  Durable.Log.attach s.log ~image:(fun () -> List.map Hdb.Audit_schema.to_wire (shard_entries s));
+  s
+
 let fresh_shard t ~site ~bucket =
   let seed = t.next_shard_seed in
   t.next_shard_seed <- t.next_shard_seed + 1;
-  { site;
-    bucket;
-    log = Durable.Log.create ~seed ();
-    entries = [];
-    tail = [];
-    records = 0;
-    stranded = 0;
-    status = Healthy;
-    lo = 0;
-    hi = 0;
-  }
+  attached
+    { site;
+      bucket;
+      log = Durable.Log.create ~seed ();
+      entries = [];
+      tail = [];
+      records = 0;
+      stranded = 0;
+      status = Healthy;
+      lo = 0;
+      hi = 0;
+    }
 
 (* Keep [t.shards] site-major with buckets ascending within a site: a new
    site's shards go to the end, a new bucket into its site's group in
@@ -347,11 +354,7 @@ let sync t =
   Durable.Manifest.write t.manifest_device (manifest_of t)
 
 let checkpoint t =
-  List.iter
-    (fun s ->
-      let image = List.map Hdb.Audit_schema.to_wire (shard_entries s) in
-      Durable.Log.checkpoint s.log ~entries:image)
-    t.shards;
+  List.iter (fun s -> Durable.Log.checkpoint s.log) t.shards;
   Durable.Manifest.write t.manifest_device (manifest_of t)
 
 (* --- open-or-recover --- *)
@@ -383,7 +386,8 @@ let recover_shard ~name ~site ~bucket ~log ~expected =
   let lo = match entries with [] -> 0 | e :: _ -> e.Hdb.Audit_schema.time in
   let hi = List.fold_left (fun m e -> max m e.Hdb.Audit_schema.time) lo entries in
   let shard =
-    { site; bucket; log; entries; tail = []; records = recovered; stranded; status; lo; hi }
+    attached
+      { site; bucket; log; entries; tail = []; records = recovered; stranded; status; lo; hi }
   in
   { r_name = name; r_site = site; r_status = status; r_records = recovered }, shard
 

@@ -29,8 +29,6 @@ type t = {
   mutable next_seq : int;
   (* Per-site write-ahead durability (optional). *)
   mutable wal : Durable.Log.t option;
-  mutable recovery : Durable.Recovery.t option;
-  mutable undecodable : int; (* recovered ops that no longer decode *)
   (* A lossy or tampered recovery leaves the site degraded until the
      feed acknowledges it has replayed the lost suffix. *)
   mutable replay_pending : bool;
@@ -135,8 +133,6 @@ let of_store ?(mapping = Mapping.identity) ?quarantine ~name store =
     processed = Hashtbl.create 64;
     next_seq = 0;
     wal = None;
-    recovery = None;
-    undecodable = 0;
     replay_pending = false;
   }
 
@@ -278,17 +274,13 @@ let entries t = entries_from t 0
 
 let wal t = t.wal
 
-let recovery t = t.recovery
-
-let undecodable t = t.undecodable
-
-let attach_wal t log = t.wal <- Some log
-
 let sync_wal t = Option.iter Durable.Log.sync t.wal
 
 (* The live state re-encoded as ops: entries first, then the ledger, the
    quarantine, and the sequence floor.  Replay order is immaterial across
-   the groups — they touch disjoint state. *)
+   the groups — they touch disjoint state.  Mutations are write-ahead, so
+   whenever the log takes it, mid-append included, the live state is
+   exactly what the logged ops produce. *)
 let checkpoint_image t =
   let entry_ops = List.rev_map (fun e -> encode_op (Op_entry e)) (List.rev (entries t)) in
   let seqs = Hashtbl.fold (fun seq () acc -> seq :: acc) t.processed [] in
@@ -304,20 +296,9 @@ let checkpoint_image t =
   in
   entry_ops @ mark_ops @ quarantine_ops @ [ encode_op (Op_next t.next_seq) ]
 
-(* Compact the op history into a snapshot of the live state and truncate
-   the WAL. *)
-let checkpoint_wal t =
-  match t.wal with
-  | None -> ()
-  | Some log -> Durable.Log.checkpoint log ~entries:(checkpoint_image t)
-
-(* Keep the op log bounded: compact automatically once it exceeds the
-   policy.  Safe because mutations are write-ahead — at trigger time the
-   live state is exactly what the logged ops produce. *)
-let enable_auto_checkpoint ?(policy = Durable.Log.checkpoint_every ~records:1024 ()) t =
-  match t.wal with
-  | None -> ()
-  | Some log -> Durable.Log.set_auto_checkpoint log policy (fun () -> checkpoint_image t)
+let attach_wal t log =
+  Durable.Log.attach log ~image:(fun () -> checkpoint_image t);
+  t.wal <- Some log
 
 let apply_op t = function
   | Op_entry e -> apply_entry t e
@@ -338,9 +319,7 @@ let apply_op t = function
    new mutations are write-ahead. *)
 let restore t log =
   let report, undecodable = Durable.Log.replay log ~decode:decode_op ~apply:(apply_op t) in
-  t.wal <- Some log;
-  t.recovery <- Some report;
-  t.undecodable <- undecodable;
+  attach_wal t log;
   t.replay_pending <-
     Durable.Recovery.dropped_tail report || Durable.Recovery.tampered report || undecodable > 0;
   (report, undecodable)

@@ -118,33 +118,22 @@ val decode_op : string -> op option
 (** Inverse of {!encode_op}; [None] on anything else. *)
 
 val attach_wal : t -> Durable.Log.t -> unit
-(** Future mutations are write-ahead logged.  State already held is
+(** Future mutations are write-ahead logged, and the log takes the
+    site's snapshot image ({!Durable.Log.attach}): a
+    {!Durable.Log.checkpoint} compacts the op history into the live state
+    (entries, ledger, quarantine, sequence floor).  State already held is
     {e not} retro-logged — attach at creation or via {!restore}. *)
 
 val wal : t -> Durable.Log.t option
 
-val recovery : t -> Durable.Recovery.t option
-(** The report of the last {!restore}, if any. *)
-
-val undecodable : t -> int
-(** Recovered ops that no longer decode (0 unless the codec changed). *)
-
 val sync_wal : t -> unit
 (** fsync the attached WAL (no-op without one). *)
 
-val checkpoint_wal : t -> unit
-(** Compact the op history into a snapshot of the live state (entries,
-    ledger, quarantine, sequence floor) and truncate the WAL. *)
-
-val enable_auto_checkpoint : ?policy:Durable.Log.checkpoint_policy -> t -> unit
-(** Register a background-compaction policy (default: every 1024 WAL
-    records) on the attached WAL; no-op without one. *)
-
 val restore : t -> Durable.Log.t -> Durable.Recovery.t * int
 (** Open-or-recover [log], replay the verified ops into [t] (assumed
-    fresh), attach the log, and return the recovery report plus the count
-    of undecodable ops.  A lossy or tampered recovery leaves the site
-    {!durably_degraded} until {!acknowledge_replay}. *)
+    fresh), attach the log ({!attach_wal}), and return the recovery report
+    plus the count of undecodable ops.  A lossy or tampered recovery
+    leaves the site {!durably_degraded} until {!acknowledge_replay}. *)
 
 val open_durable :
   ?mapping:Mapping.t -> name:string -> Durable.Log.t -> t * Durable.Recovery.t * int

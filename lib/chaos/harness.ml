@@ -301,7 +301,7 @@ let append_clinical h es =
 
 let sync_q_floor h =
   let q = transit h.sys in
-  Q.sync q;
+  Option.iter Durable.Log.sync (Q.log q);
   h.q_floor <- List.sort compare (Q.items q)
 
 (* The demo table the enforcement-path budget checks query. *)
@@ -898,8 +898,15 @@ let site_crash_and_recover h i point =
     check_prefix ~site:name ~floor:(Model.remote_synced h.model i) ~point entries model_all
   in
   h.report.site_recovered <- h.report.site_recovered + k;
-  (* a site with auto-compaction enabled keeps it across the restart *)
-  if h.auto_checkpoint then Site.enable_auto_checkpoint site';
+  (* a site with auto-compaction enabled keeps it across the restart:
+     every 1024 records, where [Sys_.set_auto_checkpoint] gave it 64, and
+     without the group-commit toggle [reapply_config] restores after a
+     central rebuild *)
+  if h.auto_checkpoint then
+    Option.iter
+      (fun log ->
+        Durable.Log.set_auto_checkpoint log (Some (Durable.Log.checkpoint_every ~records:1024 ())))
+      (Site.wal site');
   (* swap the rebuilt site back in; the member keeps its breaker history
      and fault schedule (Fault.reseat inside) *)
   Sys_.reseat_site h.sys name site';

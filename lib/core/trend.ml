@@ -16,8 +16,11 @@ let time_of_rule rule =
   Option.bind (Rule.find_attr rule Vocabulary.Audit_attrs.time) int_of_string_opt
 
 (* [compute vocab ~p_ps ~p_al ~window ()] buckets the audit rules by
-   timestamp into consecutive windows of [window] ticks and reports bag
-   coverage per bucket.  Rules without a readable timestamp are ignored.
+   timestamp into consecutive windows of [window] ticks from the earliest
+   one and reports bag coverage for each window that holds a rule: an
+   empty window would read 0/0 = 100% and fake a drift.  Buckets are keyed
+   by window index, so memory follows the rules, not the timestamp spread.
+   Rules without a readable timestamp are ignored.
    @raise Invalid_argument when [window <= 0]. *)
 let compute ?(attrs = Vocabulary.Audit_attrs.pattern) vocab ~p_ps ~p_al ~window () :
     point list =
@@ -27,27 +30,23 @@ let compute ?(attrs = Vocabulary.Audit_attrs.pattern) vocab ~p_ps ~p_al ~window 
       (fun rule -> Option.map (fun t -> (t, rule)) (time_of_rule rule))
       (Policy.rules p_al)
   in
-  match timed with
-  | [] -> []
-  | _ ->
-    let min_time = List.fold_left (fun acc (t, _) -> min acc t) max_int timed in
-    let max_time = List.fold_left (fun acc (t, _) -> max acc t) min_int timed in
-    let bucket_of t = (t - min_time) / window in
-    let bucket_count = bucket_of max_time + 1 in
-    let buckets = Array.make bucket_count [] in
-    List.iter
-      (fun (t, rule) ->
-        let b = bucket_of t in
-        buckets.(b) <- rule :: buckets.(b))
-      timed;
-    List.init bucket_count (fun b ->
-        let rules = List.rev buckets.(b) in
-        let batch = Policy.make ~source:Policy.Audit_log rules in
-        { window_start = min_time + (b * window);
-          window_end = min_time + ((b + 1) * window) - 1;
-          entries = List.length rules;
-          stats = Coverage.aligned ~bag:true vocab ~attrs ~p_x:p_ps ~p_y:batch;
-        })
+  let min_time = List.fold_left (fun acc (t, _) -> min acc t) max_int timed in
+  let buckets = Hashtbl.create 16 in
+  List.iter
+    (fun (t, rule) ->
+      let b = (t - min_time) / window in
+      Hashtbl.replace buckets b (rule :: Option.value (Hashtbl.find_opt buckets b) ~default:[]))
+    timed;
+  Hashtbl.fold (fun b rules acc -> (b, rules) :: acc) buckets []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map (fun (b, rules) ->
+         let rules = List.rev rules in
+         let batch = Policy.make ~source:Policy.Audit_log rules in
+         { window_start = min_time + (b * window);
+           window_end = min_time + ((b + 1) * window) - 1;
+           entries = List.length rules;
+           stats = Coverage.aligned ~bag:true vocab ~attrs ~p_x:p_ps ~p_y:batch;
+         })
 
 (* Series form for Report.pp_series. *)
 let to_series points =

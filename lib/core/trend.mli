@@ -23,7 +23,10 @@ val compute :
   unit ->
   point list
 (** Buckets audit rules by timestamp into consecutive windows of [window]
-    ticks; rules without a readable [time] attribute are ignored.
+    ticks from the earliest timestamp, and returns one point per window
+    that holds a rule, in time order: a window with no rule has no
+    coverage to report.  Rules without a readable [time] attribute are
+    ignored.
     @raise Invalid_argument when [window <= 0]. *)
 
 val to_series : point list -> (string * float) list

@@ -13,14 +13,18 @@
    truncated or header-less WAL; recovery falls back to the snapshot.
    Either way no verified record is lost and none is duplicated.
 
-   Background checkpointing: a store can register a size/age policy plus
-   an image callback, and the log compacts itself during [append] once the
-   WAL exceeds the policy's thresholds.  The trigger is evaluated BEFORE
-   the new payload is appended: callers log first and update memory after
-   (write-ahead), so at trigger time the image callback sees exactly the
-   state the WAL covers.  Checkpointing after the append would snapshot a
-   memory state that lacks the record just logged, and the truncation
-   would silently drop it. *)
+   The store that takes the log hands it its image once ([attach]): the
+   full state the WAL covers, as snapshot payloads.  A manual [checkpoint]
+   and a policy-triggered one both write that image, so they write the
+   same bytes by construction.
+
+   Background checkpointing: a size policy makes the log compact itself
+   during [append] once the WAL exceeds its thresholds.  The trigger is
+   evaluated BEFORE the new payload is appended: callers log first and
+   update memory after (write-ahead), so at trigger time the image sees
+   exactly the state the WAL covers.  Checkpointing after the append would
+   snapshot a memory state that lacks the record just logged, and the
+   truncation would silently drop it. *)
 
 type checkpoint_policy = {
   max_records : int option;
@@ -33,32 +37,27 @@ type t = {
   wal_device : Device.t;
   snapshot_device : Device.t;
   mutable wal : Wal.t option; (* Some once opened/recovered *)
-  mutable auto : (checkpoint_policy * (unit -> string list)) option;
+  mutable image : (unit -> string list) option; (* Some once a store attached *)
+  mutable auto : checkpoint_policy option;
   mutable wal_payload_bytes : int; (* payload bytes appended since the last checkpoint *)
   mutable auto_checkpoints : int;
   (* Re-applied whenever the Wal.t is replaced (recovery, checkpoint). *)
   mutable group_commit : bool;
 }
 
-let create ?(seed = 0) () =
-  { wal_device = Device.create ~seed ();
-    snapshot_device = Device.create ~seed:(seed + 1) ();
+let of_devices ~wal ~snapshot =
+  { wal_device = wal;
+    snapshot_device = snapshot;
     wal = None;
+    image = None;
     auto = None;
     wal_payload_bytes = 0;
     auto_checkpoints = 0;
     group_commit = false;
   }
 
-let of_devices ~wal ~snapshot =
-  { wal_device = wal;
-    snapshot_device = snapshot;
-    wal = None;
-    auto = None;
-    wal_payload_bytes = 0;
-    auto_checkpoints = 0;
-    group_commit = false;
-  }
+let create ?(seed = 0) () =
+  of_devices ~wal:(Device.create ~seed ()) ~snapshot:(Device.create ~seed:(seed + 1) ())
 
 let wal_device t = t.wal_device
 let snapshot_device t = t.snapshot_device
@@ -113,7 +112,14 @@ let next_lsn t = Wal.next_lsn (wal t)
 
 let chain_head t = Wal.chain_head (wal t)
 
-let checkpoint t ~entries =
+let attach t ~image = t.image <- Some image
+
+let checkpoint t =
+  let entries =
+    match t.image with
+    | Some image -> image ()
+    | None -> invalid_arg "Durable.Log.checkpoint: no store attached"
+  in
   let w = wal t in
   (* Everything the snapshot will claim must be durable first. *)
   Wal.sync w;
@@ -135,8 +141,11 @@ let group_commit t = t.group_commit
 
 let pending_records t = match t.wal with Some w -> Wal.pending_records w | None -> 0
 
-let set_auto_checkpoint t policy image = t.auto <- Some (policy, image)
-let clear_auto_checkpoint t = t.auto <- None
+let set_auto_checkpoint t policy =
+  if Option.is_some policy && Option.is_none t.image then
+    invalid_arg "Durable.Log.set_auto_checkpoint: no store attached";
+  t.auto <- policy
+
 let auto_checkpoints t = t.auto_checkpoints
 
 let over_policy policy ~records ~bytes =
@@ -146,11 +155,11 @@ let over_policy policy ~records ~bytes =
 let append t payload =
   let w = wal t in
   (match t.auto with
-  | Some (policy, image)
+  | Some policy
     when over_policy policy
            ~records:(Wal.next_lsn w - Wal.base_lsn w)
            ~bytes:t.wal_payload_bytes ->
-    checkpoint t ~entries:(image ());
+    checkpoint t;
     t.auto_checkpoints <- t.auto_checkpoints + 1
   | _ -> ());
   t.wal_payload_bytes <- t.wal_payload_bytes + String.length payload;

@@ -2,6 +2,10 @@
     device, with the open-or-recover and checkpoint protocols in one
     place.
 
+    The store that takes the log hands it its snapshot image once
+    ({!attach}); every checkpoint, manual or policy-triggered, writes that
+    image.
+
     Checkpoint ordering: the snapshot image is written and synced {e
     before} the WAL is reformatted, so a crash anywhere in between loses
     no verified record and duplicates none (recovery skips the overlap). *)
@@ -29,13 +33,18 @@ val replay : t -> decode:(string -> 'a option) -> apply:('a -> unit) -> Recovery
     [decode] refused: they passed their checksums, so a non-zero count
     means a codec mismatch, and the store's contents are a lower bound. *)
 
+val attach : t -> image:(unit -> string list) -> unit
+(** The store taking this log gives it its snapshot image: [image ()]
+    must return the full state the WAL currently covers, as snapshot
+    payloads — for a write-ahead store, its in-memory contents at call
+    time.  A later [attach] replaces the image. *)
+
 val append : t -> string -> int
 (** Append one record, returning its LSN; opens the log first if nobody
-    did.  Not durable until {!sync}.  With an auto-checkpoint policy
-    registered, the log may compact itself first — the trigger is checked
-    {e before} the new record is written, so the image callback sees
-    exactly the state the WAL covers (callers log first, then update
-    memory). *)
+    did.  Not durable until {!sync}.  With an auto-checkpoint policy set,
+    the log may compact itself first — the trigger is checked {e before}
+    the new record is written, so the image sees exactly the state the
+    WAL covers (callers log first, then update memory). *)
 
 val sync : t -> unit
 val next_lsn : t -> int
@@ -57,9 +66,10 @@ val group_commit : t -> bool
 val pending_records : t -> int
 (** Records waiting in the group-commit batch (0 with it off). *)
 
-val checkpoint : t -> entries:string list -> unit
-(** Sync, write [entries] as the new snapshot image, then truncate the
-    WAL to empty at the snapshot's LSN. *)
+val checkpoint : t -> unit
+(** Sync, write the attached image as the new snapshot, then truncate the
+    WAL to empty at the snapshot's LSN.
+    @raise Invalid_argument when no store has {!attach}ed the log. *)
 
 (** {1 Background checkpointing} *)
 
@@ -70,14 +80,12 @@ type checkpoint_policy = {
 
 val checkpoint_every : ?records:int -> ?bytes:int -> unit -> checkpoint_policy
 
-val set_auto_checkpoint : t -> checkpoint_policy -> (unit -> string list) -> unit
-(** Register a policy and an image callback; when an {!append} finds the
-    WAL over a threshold, the log checkpoints itself with the callback's
-    image before admitting the new record.  The callback must return the
-    full state the WAL currently covers — for a write-ahead store, its
-    in-memory contents at call time. *)
-
-val clear_auto_checkpoint : t -> unit
+val set_auto_checkpoint : t -> checkpoint_policy option -> unit
+(** [Some policy]: when an {!append} finds the WAL over a threshold, the
+    log checkpoints itself before admitting the new record.  [None] turns
+    that off.
+    @raise Invalid_argument on [Some _] when no store has {!attach}ed the
+    log. *)
 
 val auto_checkpoints : t -> int
 (** How many policy-triggered checkpoints have fired on this log. *)

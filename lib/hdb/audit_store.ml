@@ -205,12 +205,17 @@ let base_lsn t =
 
 let lsn t = base_lsn t + length t
 
-let sync t = Option.iter Durable.Log.sync t.log
+(* The snapshot image: every entry's wire form, in append order.  Appends
+   are write-ahead (log first, columns after), so whenever the log takes
+   it, mid-append included, the columns hold exactly the state the WAL
+   covers. *)
+let image t = List.rev (fold (fun acc e -> Audit_schema.to_wire e :: acc) [] t)
 
 (* Replay a recovered log into [t] (assumed fresh), then attach it so new
-   appends are write-ahead. *)
+   appends are write-ahead and checkpoints write [t]'s image. *)
 let restore t log =
   let result = Durable.Log.replay log ~decode:Audit_schema.of_wire ~apply:(append_mem t) in
+  Durable.Log.attach log ~image:(fun () -> image t);
   t.log <- Some log;
   result
 
@@ -218,20 +223,6 @@ let open_durable log =
   let t = create () in
   let recovery, undecodable = restore t log in
   (t, recovery, undecodable)
-
-(* The snapshot image: every entry's wire form, in append order. *)
-let image t = List.rev (fold (fun acc e -> Audit_schema.to_wire e :: acc) [] t)
-
-(* Fold the whole store into a snapshot image and truncate the WAL. *)
-let checkpoint t = Option.iter (fun log -> Durable.Log.checkpoint log ~entries:(image t)) t.log
-
-(* Keep the WAL bounded: the log compacts itself mid-append once it holds
-   [policy]-many records/bytes, snapshotting the store's contents at that
-   moment.  Safe because appends are write-ahead (log first, columns
-   after): when the trigger fires, the columns hold exactly the state the
-   WAL covers, so the image neither misses nor anticipates a record. *)
-let enable_auto_checkpoint ?(policy = Durable.Log.checkpoint_every ~records:1024 ()) t =
-  Option.iter (fun log -> Durable.Log.set_auto_checkpoint log policy (fun () -> image t)) t.log
 
 (* Size of the flat row-store equivalent: every string stored inline. *)
 let naive_bytes t =

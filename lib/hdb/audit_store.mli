@@ -35,8 +35,9 @@ val of_entries : Audit_schema.entry list -> t
     A store may sit on a {!Durable.Log.t}: every {!append} is then framed
     into the write-ahead log {e before} the columns are touched, so the
     recovered WAL prefix is always a prefix of what the store held.
-    Appends are durable once {!sync}ed; {!checkpoint} compacts the log
-    into a snapshot image. *)
+    Appends are durable once the log is {!Durable.Log.sync}ed; a
+    {!Durable.Log.checkpoint} compacts it into a snapshot of every
+    entry's wire form. *)
 
 val log : t -> Durable.Log.t option
 
@@ -44,23 +45,11 @@ val lsn : t -> int
 (** LSN the next append will receive ([base + length]); equals {!length}
     for a store with no log. *)
 
-val sync : t -> unit
-(** fsync the attached log (no-op without one). *)
-
-val checkpoint : t -> unit
-(** Write the whole store as a snapshot image and truncate the WAL. *)
-
-val enable_auto_checkpoint : ?policy:Durable.Log.checkpoint_policy -> t -> unit
-(** Register a background-compaction policy (default: every 1024 WAL
-    records) on the attached log; no-op without one.  The log then
-    checkpoints itself mid-append once over a threshold — safe because
-    appends are write-ahead, so the image taken at trigger time is exactly
-    the state the WAL covers. *)
-
 val restore : t -> Durable.Log.t -> Durable.Recovery.t * int
 (** Open-or-recover [log], replay the verified entries into [t] (assumed
-    fresh), attach the log, and return the recovery report plus the count
-    of payloads that no longer decode (0 unless the codec changed). *)
+    fresh), attach the log ({!Durable.Log.attach}, with [t]'s snapshot
+    image), and return the recovery report plus the count of payloads
+    that no longer decode (0 unless the codec changed). *)
 
 val open_durable : Durable.Log.t -> t * Durable.Recovery.t * int
 (** [create] + {!restore}. *)

@@ -131,16 +131,16 @@ let evidence t health reasons =
     (Audit_mgmt.Health.evidence health)
     { Prima_core.Coverage.exact with reasons = t.standing @ reasons }
 
+(* The logs the system's durable walks visit, the central pair among
+   them; the archive comes after them, its manifest after its shards. *)
+let logs t = Audit_mgmt.Federation.logs t.federation
+
 let sync_durable t =
-  Hdb.Audit_store.sync (Hdb.Control_center.audit_store t.control);
-  Audit_mgmt.Quarantine.sync (Audit_mgmt.Federation.transit_quarantine t.federation);
-  List.iter Audit_mgmt.Site.sync_wal (Audit_mgmt.Federation.sites t.federation);
+  List.iter Durable.Log.sync (logs t);
   Option.iter Audit_mgmt.Shard_store.sync (Audit_mgmt.Federation.archive t.federation)
 
 let checkpoint_durable t =
-  Hdb.Audit_store.checkpoint (Hdb.Control_center.audit_store t.control);
-  Audit_mgmt.Quarantine.checkpoint (Audit_mgmt.Federation.transit_quarantine t.federation);
-  List.iter Audit_mgmt.Site.checkpoint_wal (Audit_mgmt.Federation.sites t.federation);
+  List.iter Durable.Log.checkpoint (logs t);
   Option.iter Audit_mgmt.Shard_store.checkpoint (Audit_mgmt.Federation.archive t.federation)
 
 let attach_archive t archive = Audit_mgmt.Federation.attach_archive t.federation archive
@@ -217,16 +217,9 @@ let heal_all t = Audit_mgmt.Federation.heal_all t.federation
 
 let advance_clock t ms = Audit_mgmt.Federation.advance_clock t.federation ms
 
-(* Toggle group-commit batching on both attached WALs (no-op without
-   [~storage]); pending appends coalesce into one device write at the next
-   [sync_durable]. *)
-let set_group_commit t on =
-  let set = function Some log -> Durable.Log.set_group_commit log on | None -> () in
-  set (Hdb.Audit_store.log (Hdb.Control_center.audit_store t.control));
-  set (Audit_mgmt.Quarantine.log (Audit_mgmt.Federation.transit_quarantine t.federation));
-  List.iter
-    (fun site -> set (Audit_mgmt.Site.wal site))
-    (Audit_mgmt.Federation.sites t.federation)
+(* Toggle group-commit batching on every log; pending appends coalesce
+   into one device write at the next [sync_durable]. *)
+let set_group_commit t on = List.iter (fun log -> Durable.Log.set_group_commit log on) (logs t)
 
 (* Adopt an edited vocabulary on the refinement/coverage plane.  The
    enforcement rule base keeps matching under the vocabulary it was
@@ -238,24 +231,10 @@ let set_vocab t vocab = Prima_core.Prima.set_vocab t.prima vocab
 
 let vocab t = Prima_core.Prima.vocab t.prima
 
-(* Toggle background WAL compaction on every attached log: the central
-   audit/quarantine pair and each member site's op WAL.  No-op for logs
-   that are not attached. *)
-let set_auto_checkpoint ?(policy = Durable.Log.checkpoint_every ~records:64 ()) t on =
-  let audit = Hdb.Control_center.audit_store t.control in
-  let transit = Audit_mgmt.Federation.transit_quarantine t.federation in
-  let sites = Audit_mgmt.Federation.sites t.federation in
-  if on then begin
-    Hdb.Audit_store.enable_auto_checkpoint ~policy audit;
-    Audit_mgmt.Quarantine.enable_auto_checkpoint ~policy transit;
-    List.iter (Audit_mgmt.Site.enable_auto_checkpoint ~policy) sites
-  end
-  else begin
-    let clear log = Option.iter Durable.Log.clear_auto_checkpoint log in
-    clear (Hdb.Audit_store.log audit);
-    clear (Audit_mgmt.Quarantine.log transit);
-    List.iter (fun site -> clear (Audit_mgmt.Site.wal site)) sites
-  end
+(* Toggle background WAL compaction, every 64 records, on every log. *)
+let set_auto_checkpoint t on =
+  let policy = if on then Some (Durable.Log.checkpoint_every ~records:64 ()) else None in
+  List.iter (fun log -> Durable.Log.set_auto_checkpoint log policy) (logs t)
 
 (* Pull the fault-aware consolidated view into the refinement component's
    P_AL; the health report of this consolidation is retained and its

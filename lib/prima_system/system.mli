@@ -108,12 +108,14 @@ val standing_reasons : t -> Prima_core.Coverage.reason list
     own reasons ({!Audit_mgmt.Health.evidence}). *)
 
 val sync_durable : t -> unit
-(** fsync every attached log: the central pair, each member site's WAL,
-    and the archive's shards + manifest (each a no-op when absent). *)
+(** fsync every log the federation reaches
+    ({!Audit_mgmt.Federation.logs}: the central pair and each member
+    site's WAL), then the archive's shards and manifest, if attached. *)
 
 val checkpoint_durable : t -> unit
-(** Compact every attached log: snapshot current state and truncate the
-    WALs (central pair, member site WALs, archive shards + manifest). *)
+(** Compact every log of {!Audit_mgmt.Federation.logs} (snapshot the
+    current state and truncate the WAL), then the archive's shards, and
+    rewrite its manifest. *)
 
 val attach_archive : t -> Audit_mgmt.Shard_store.t -> unit
 (** Attach the durable consolidated archive to the federation (see
@@ -147,9 +149,9 @@ val advance_clock : t -> int -> unit
     breaker cooldowns). *)
 
 val set_group_commit : t -> bool -> unit
-(** Toggle group-commit batching on every attached WAL (central pair and
-    member site WALs): pending appends coalesce into one device write at
-    the next {!sync_durable}. *)
+(** Toggle group-commit batching on every log of
+    {!Audit_mgmt.Federation.logs}: pending appends coalesce into one
+    device write at the next {!sync_durable}. *)
 
 val vocab : t -> Vocabulary.Vocab.t
 (** The vocabulary the refinement/coverage plane currently grounds
@@ -166,11 +168,10 @@ val set_vocab : t -> Vocabulary.Vocab.t -> unit
     permit rules reference values that existed when they were
     installed. *)
 
-val set_auto_checkpoint : ?policy:Durable.Log.checkpoint_policy -> t -> bool -> unit
+val set_auto_checkpoint : t -> bool -> unit
 (** Toggle background WAL compaction ({!Durable.Log.set_auto_checkpoint},
-    default policy: every 64 records) on every attached log — the central
-    audit/quarantine pair and each member site's op WAL.  [false] clears
-    the policy everywhere. *)
+    every 64 records) on every log of {!Audit_mgmt.Federation.logs}.
+    [false] clears the policy everywhere. *)
 
 val sync_audit : t -> Audit_mgmt.Health.t
 (** Pull the fault-aware consolidated view into the refinement component's

@@ -486,7 +486,7 @@ let test_site_wal_checkpoint_then_crash () =
   Site.attach_wal site log;
   Site.ingest_entries site (List.init 5 (fun i -> entry ~time:(i + 1) ()));
   ignore (Site.ingest_raw_all site [ raw_row ~time:"nope" () ]);
-  Site.checkpoint_wal site;
+  Durable.Log.checkpoint log;
   let wal = Durable.Log.wal_device log and snap = Durable.Log.snapshot_device log in
   Durable.Device.crash wal ~point:Durable.Device.Clean_loss;
   Durable.Device.crash snap ~point:Durable.Device.Clean_loss;

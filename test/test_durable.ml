@@ -143,7 +143,8 @@ let test_wal_snapshot_wal_roundtrip () =
   ignore (L.open_or_recover log);
   List.iter (fun p -> ignore (L.append log p)) (firstn 10 all);
   L.sync log;
-  L.checkpoint log ~entries:(firstn 10 all);
+  L.attach log ~image:(fun () -> firstn 10 all);
+  L.checkpoint log;
   check_int "WAL truncated to header" Durable.Wal.header_size
     (D.durable_size (L.wal_device log));
   List.iteri (fun i p -> check_int "LSN continues" (10 + i) (L.append log p))
@@ -167,7 +168,8 @@ let test_crash_after_checkpoint () =
       ignore (L.open_or_recover log);
       List.iter (fun p -> ignore (L.append log p)) all;
       L.sync log;
-      L.checkpoint log ~entries:all;
+      L.attach log ~image:(fun () -> all);
+      L.checkpoint log;
       (* Nothing is unsynced here, so only stable-media damage can bite. *)
       D.crash (L.wal_device log) ~point;
       let r = L.open_or_recover (restart log) in
@@ -216,7 +218,7 @@ let test_quarantine_survives_restart () =
   Audit_mgmt.Quarantine.add q ~site:"lab" ~seq:1 ~raw:(raw_of 3) ~reason:"unmappable";
   (* Resolve one: the removal must also survive the restart. *)
   Audit_mgmt.Quarantine.remove q ~site:"icu" ~seq:1;
-  Audit_mgmt.Quarantine.sync q;
+  L.sync log;
   let q2, r, undecodable = Audit_mgmt.Quarantine.open_durable (restart log) in
   check_bool "clean recovery" true (R.clean r);
   check_int "no codec mismatches" 0 undecodable;
@@ -231,8 +233,8 @@ let test_quarantine_checkpoint_and_crash () =
   ignore (Audit_mgmt.Quarantine.restore q log);
   Audit_mgmt.Quarantine.add q ~site:"icu" ~seq:1 ~raw:(raw_of 1) ~reason:"unmappable";
   Audit_mgmt.Quarantine.add q ~site:"icu" ~seq:2 ~raw:(raw_of 2) ~reason:"corrupt";
-  Audit_mgmt.Quarantine.sync q;
-  Audit_mgmt.Quarantine.checkpoint q;
+  L.sync log;
+  L.checkpoint log;
   (* An unsynced mutation after the checkpoint is lost by a crash, but the
      checkpointed state must come back intact. *)
   Audit_mgmt.Quarantine.add q ~site:"lab" ~seq:9 ~raw:(raw_of 9) ~reason:"late";
@@ -249,7 +251,7 @@ let test_quarantine_clear_is_durable () =
   ignore (Audit_mgmt.Quarantine.restore q log);
   Audit_mgmt.Quarantine.add q ~site:"icu" ~seq:1 ~raw:(raw_of 1) ~reason:"unmappable";
   Audit_mgmt.Quarantine.clear q;
-  Audit_mgmt.Quarantine.sync q;
+  L.sync log;
   let q2, _, _ = Audit_mgmt.Quarantine.open_durable (restart log) in
   check_int "clear survived" 0 (Audit_mgmt.Quarantine.length q2)
 
@@ -268,16 +270,17 @@ let test_audit_store_survives_restart () =
   ignore (Hdb.Audit_store.restore store log);
   let entries = List.init 20 entry in
   Hdb.Audit_store.append_all store entries;
-  Hdb.Audit_store.sync store;
-  let store2, r, undecodable = Hdb.Audit_store.open_durable (restart log) in
+  L.sync log;
+  let log2 = restart log in
+  let store2, r, undecodable = Hdb.Audit_store.open_durable log2 in
   check_bool "clean recovery" true (R.clean r);
   check_int "no codec mismatches" 0 undecodable;
   check_bool "entries identical" true (Hdb.Audit_store.to_list store2 = entries);
   check_int "LSN continues" 20 (Hdb.Audit_store.lsn store2);
   (* checkpoint, extend, crash the unsynced tail, restart *)
-  Hdb.Audit_store.checkpoint store2;
+  L.checkpoint log2;
   Hdb.Audit_store.append store2 (entry 20);
-  Hdb.Audit_store.sync store2;
+  L.sync log2;
   Hdb.Audit_store.append store2 (entry 21);
   (* not synced *)
   (match Hdb.Audit_store.log store2 with
@@ -511,7 +514,8 @@ let test_tamper_snapshot_anchor () =
   ignore (L.open_or_recover log);
   List.iter (fun p -> ignore (L.append log p)) (firstn 6 all);
   L.sync log;
-  L.checkpoint log ~entries:(firstn 6 all);
+  L.attach log ~image:(fun () -> firstn 6 all);
+  L.checkpoint log;
   List.iter (fun p -> ignore (L.append log p)) (List.filteri (fun i _ -> i >= 6) all);
   L.sync log;
   (* flip one bit of the snapshot header's chain field *)
@@ -583,7 +587,8 @@ let test_auto_checkpoint_records () =
   let log = L.create ~seed:51 () in
   ignore (L.open_or_recover log);
   let mem = ref [] in
-  L.set_auto_checkpoint log (L.checkpoint_every ~records:5 ()) (fun () -> !mem);
+  L.attach log ~image:(fun () -> !mem);
+  L.set_auto_checkpoint log (Some (L.checkpoint_every ~records:5 ()));
   let appended = List.init 23 payload in
   List.iter
     (fun p ->
@@ -603,7 +608,8 @@ let test_auto_checkpoint_bytes () =
   let log = L.create ~seed:52 () in
   ignore (L.open_or_recover log);
   let mem = ref [] in
-  L.set_auto_checkpoint log (L.checkpoint_every ~bytes:50 ()) (fun () -> !mem);
+  L.attach log ~image:(fun () -> !mem);
+  L.set_auto_checkpoint log (Some (L.checkpoint_every ~bytes:50 ()));
   let appended = List.init 18 (Printf.sprintf "%010d") in
   List.iter
     (fun p ->
@@ -618,11 +624,12 @@ let test_auto_checkpoint_bytes () =
   check_bool "clean recovery" true (R.clean r);
   check_bool "nothing lost to compaction" true (r.R.entries = appended);
   check_int "snapshot carries the compacted prefix" 15 r.R.snapshot_entries;
-  (* clear_auto_checkpoint really detaches the policy *)
+  (* setting no policy really detaches the old one *)
   let log2 = restart log in
   ignore (L.open_or_recover log2);
-  L.set_auto_checkpoint log2 (L.checkpoint_every ~records:1 ()) (fun () -> !mem);
-  L.clear_auto_checkpoint log2;
+  L.attach log2 ~image:(fun () -> !mem);
+  L.set_auto_checkpoint log2 (Some (L.checkpoint_every ~records:1 ()));
+  L.set_auto_checkpoint log2 None;
   ignore (L.append log2 "tail");
   check_int "cleared policy never fires" 0 (L.auto_checkpoints log2)
 
@@ -633,7 +640,8 @@ let test_crash_after_auto_checkpoint point seed () =
   let log = L.create ~seed () in
   ignore (L.open_or_recover log);
   let mem = ref [] in
-  L.set_auto_checkpoint log (L.checkpoint_every ~records:4 ()) (fun () -> !mem);
+  L.attach log ~image:(fun () -> !mem);
+  L.set_auto_checkpoint log (Some (L.checkpoint_every ~records:4 ()));
   let appended = List.init 14 payload in
   List.iter
     (fun p ->
@@ -661,11 +669,10 @@ let test_crash_after_auto_checkpoint point seed () =
 let test_audit_store_auto_checkpoint () =
   let log = L.create ~seed:53 () in
   let store, _, _ = Hdb.Audit_store.open_durable log in
-  Hdb.Audit_store.enable_auto_checkpoint
-    ~policy:(Durable.Log.checkpoint_every ~records:5 ()) store;
+  L.set_auto_checkpoint log (Some (L.checkpoint_every ~records:5 ()));
   let entries = List.init 17 entry in
   Hdb.Audit_store.append_all store entries;
-  Hdb.Audit_store.sync store;
+  L.sync log;
   check_bool "policy fired" true (L.auto_checkpoints log >= 2);
   let store2, r, undecodable = Hdb.Audit_store.open_durable (restart log) in
   check_bool "clean recovery" true (R.clean r);
@@ -677,8 +684,7 @@ let test_audit_store_auto_checkpoint () =
 let test_quarantine_auto_checkpoint () =
   let log = L.create ~seed:54 () in
   let q, _, _ = Audit_mgmt.Quarantine.open_durable log in
-  Audit_mgmt.Quarantine.enable_auto_checkpoint
-    ~policy:(Durable.Log.checkpoint_every ~records:4 ()) q;
+  L.set_auto_checkpoint log (Some (L.checkpoint_every ~records:4 ()));
   for i = 1 to 13 do
     Audit_mgmt.Quarantine.add q ~site:"icu" ~seq:i ~raw:(raw_of i) ~reason:"unmappable"
   done;
@@ -686,7 +692,7 @@ let test_quarantine_auto_checkpoint () =
      resurrect on restart even when compaction interleaves them. *)
   Audit_mgmt.Quarantine.remove q ~site:"icu" ~seq:2;
   Audit_mgmt.Quarantine.remove q ~site:"icu" ~seq:7;
-  Audit_mgmt.Quarantine.sync q;
+  L.sync log;
   check_bool "policy fired" true (L.auto_checkpoints log >= 2);
   let q2, r, undecodable = Audit_mgmt.Quarantine.open_durable (restart log) in
   check_bool "clean recovery" true (R.clean r);
@@ -760,7 +766,8 @@ let test_group_commit_survives_checkpoint () =
   for i = 0 to 4 do
     ignore (L.append log (payload i))
   done;
-  L.checkpoint log ~entries:(List.init 5 payload);
+  L.attach log ~image:(fun () -> List.init 5 payload);
+  L.checkpoint log;
   check_bool "mode survives the WAL replacement" true (L.group_commit log);
   ignore (L.append log (payload 99));
   check_int "appends still batch after checkpoint" 1 (L.pending_records log);
@@ -822,7 +829,7 @@ let test_quarantine_reprocess_idempotent_across_crash () =
   let batch = List.init 4 (fun i -> foreign_raw i "rolle") in
   let s = Audit_mgmt.Site.ingest_raw_all site batch in
   check_int "all quarantined" 4 s.Audit_mgmt.Site.quarantined;
-  Audit_mgmt.Quarantine.sync q;
+  L.sync log;
   (* the mapping fix lands; the process dies before reprocessing runs *)
   D.crash (L.wal_device log) ~point:D.Clean_loss;
   let q2, r, undecodable = Audit_mgmt.Quarantine.open_durable (restart log) in
@@ -1363,7 +1370,7 @@ let golden_images () =
   ignore (Site.reprocess_quarantined site);
   ignore (Site.ingest_raw_all site [ golden_raw ~time:8 ~role:"ruolo" ]);
   Site.sync_wal site;
-  Site.checkpoint_wal site;
+  L.checkpoint log;
   Site.ingest_entries site [ golden_entry 9; golden_entry ~user:"u3" 10 ];
   ignore (Site.ingest_raw_all site [ golden_raw ~time:11 ~role:"authorized" ]);
   Site.sync_wal site;
@@ -1448,41 +1455,38 @@ let central_images () =
   in
   List.iter (Hdb.Audit_store.append store)
     [ golden_entry 1; with_prov 2; golden_entry ~user:"u2" ~op:Schema.Disallow 3 ];
-  Hdb.Audit_store.sync store;
-  Hdb.Audit_store.checkpoint store;
+  L.sync log;
+  L.checkpoint log;
   List.iter (Hdb.Audit_store.append store)
     [ golden_entry ~status:Schema.Exception_based 4; with_prov 5 ];
-  Hdb.Audit_store.sync store;
-  let reopened, _, _ =
-    Hdb.Audit_store.open_durable
-      (L.of_devices ~wal:(L.wal_device log) ~snapshot:(L.snapshot_device log))
-  in
+  L.sync log;
+  let log = restart log in
+  let reopened, _, _ = Hdb.Audit_store.open_durable log in
   check_int "the audit store replays all five" 5 (Hdb.Audit_store.length reopened);
   Hdb.Audit_store.append reopened (golden_entry ~user:"u3" 6);
-  Hdb.Audit_store.sync reopened;
+  L.sync log;
   let qlog = L.create ~seed:6161 () in
   let q, _, _ = Q.open_durable qlog in
   let raw time = golden_raw ~time ~role:"rolle" in
   Q.add q ~site:"a" ~seq:1 ~raw:(raw 1) ~reason:"unmappable";
   Q.add q ~site:"b" ~seq:2 ~raw:[] ~reason:"corrupted in transit";
   Q.remove q ~site:"a" ~seq:1;
-  Q.sync q;
+  L.sync qlog;
   Q.clear q;
   Q.add q ~site:"a" ~seq:3 ~raw:(raw 3) ~reason:"unmappable";
   Q.add q ~site:"c" ~seq:4 ~raw:(raw 4) ~reason:"bad time";
-  Q.sync q;
-  Q.checkpoint q;
+  L.sync qlog;
+  L.checkpoint qlog;
   Q.add q ~site:"b" ~seq:5 ~raw:(raw 5) ~reason:"unmappable";
   Q.remove q ~site:"a" ~seq:3;
   Q.clear q;
   Q.add q ~site:"c" ~seq:6 ~raw:(raw 6) ~reason:"bad time";
-  Q.sync q;
-  let q, _, _ =
-    Q.open_durable (L.of_devices ~wal:(L.wal_device qlog) ~snapshot:(L.snapshot_device qlog))
-  in
+  L.sync qlog;
+  let qlog = restart qlog in
+  let q, _, _ = Q.open_durable qlog in
   check_int "the quarantine replays to one item" 1 (Q.length q);
   Q.add q ~site:"a" ~seq:7 ~raw:(raw 7) ~reason:"unmappable";
-  Q.sync q;
+  L.sync qlog;
   [ ("audit_store.wal", image_digest (L.wal_device log));
     ("audit_store.snapshot", image_digest (L.snapshot_device log));
     ("quarantine.wal", image_digest (L.wal_device qlog));
@@ -1500,6 +1504,148 @@ let test_central_images () =
   Alcotest.(check (list (pair string string)))
     "central pair digests" central_digests (central_images ())
 
+(* The system's four durable walks over one federation: a central pair on
+   its own logs, two member sites each on its own WAL, and an attached
+   archive.  The logs are listed here by hand — the central audit log, the
+   transit quarantine's log and each site's WAL — and every one of them,
+   every archive shard and the manifest must be reached: group commit
+   leaves each log with pending records, [sync_durable] drains every log
+   and syncs every shard and the manifest, auto-checkpointing fires on
+   every log and stops on every log, and [checkpoint_durable] leaves every
+   WAL at its bare header.  The final device images are pinned. *)
+let system_walk_images () =
+  let module Sys_ = Prima_system.System in
+  let audit_log = L.create ~seed:7171 () and quarantine_log = L.create ~seed:7272 () in
+  let system =
+    Sys_.create
+      ~storage:{ Sys_.audit_log; quarantine_log }
+      ~vocab:(Vocabulary.Samples.figure1 ()) ~p_ps:(Workload.Scenario.policy_store ()) ()
+  in
+  let sites =
+    List.map
+      (fun (name, seed) ->
+        let site = Site.create ~name () in
+        Site.attach_wal site (L.create ~seed ());
+        Sys_.add_site system site;
+        site)
+      [ ("a", 7373); ("b", 7474) ]
+  in
+  let archive = Shards.create ~bucket_ms:100 ~seed:75 () in
+  Sys_.attach_archive system archive;
+  let store = Hdb.Control_center.audit_store (Sys_.control system) in
+  let transit = Audit_mgmt.Federation.transit_quarantine (Sys_.federation system) in
+  let logs =
+    [ ("audit", audit_log); ("quarantine", quarantine_log) ]
+    @ List.map (fun site -> (Site.name site, Option.get (Site.wal site))) sites
+  in
+  let each f = List.iter (fun (name, log) -> f name log) logs in
+  let clock = ref 0 in
+  (* one more record in every log [n] times; the quarantined items belong
+     to no member, so no consolidation takes them back *)
+  let append_everywhere n =
+    for _ = 1 to n do
+      incr clock;
+      let time = !clock in
+      Hdb.Audit_store.append store (golden_entry ~user:"c" time);
+      Q.add transit ~site:"x" ~seq:time ~raw:[ ("time", string_of_int time) ] ~reason:"corrupt";
+      List.iter (fun site -> Site.ingest_entry site (golden_entry ~user:(Site.name site) time)) sites
+    done
+  in
+  let shard_devices () =
+    Shards.manifest_device archive
+    :: List.map (fun (_, wal, _) -> wal) (Shards.devices archive)
+  in
+  append_everywhere 10;
+  ignore (Sys_.sync_audit system);
+  check_int "every member archived" 3 (Shards.shard_count archive);
+  Sys_.set_group_commit system true;
+  append_everywhere 5;
+  each (fun name log -> check_bool (name ^ " has pending records") true (L.pending_records log > 0));
+  let syncs = List.map D.syncs (shard_devices ()) in
+  Sys_.sync_durable system;
+  each (fun name log -> check_int (name ^ " drained") 0 (L.pending_records log));
+  List.iter2
+    (fun before d -> check_bool "every shard and the manifest synced" true (D.syncs d > before))
+    syncs (shard_devices ());
+  let fired () = List.map (fun (_, log) -> L.auto_checkpoints log) logs in
+  let before = fired () in
+  Sys_.set_auto_checkpoint system true;
+  append_everywhere 70;
+  List.iter2
+    (fun (name, _) (a, b) -> check_bool (name ^ " compacted itself") true (b > a))
+    logs
+    (List.combine before (fired ()));
+  Sys_.set_auto_checkpoint system false;
+  let before = fired () in
+  append_everywhere 70;
+  check_bool "no log compacts itself once it is off" true (fired () = before);
+  ignore (Sys_.sync_audit system);
+  Sys_.checkpoint_durable system;
+  each (fun name log ->
+      check_int (name ^ " WAL truncated to its header") W.header_size
+        (D.durable_size (L.wal_device log)));
+  List.iter
+    (fun (name, wal, _) ->
+      check_int (name ^ " WAL truncated to its header") W.header_size (D.durable_size wal))
+    (Shards.devices archive);
+  List.concat_map
+    (fun (name, log) ->
+      [ (name ^ ".wal", image_digest (L.wal_device log));
+        (name ^ ".snapshot", image_digest (L.snapshot_device log)) ])
+    logs
+  @ ("manifest", image_digest (Shards.manifest_device archive))
+    :: List.concat_map
+         (fun (name, w, s) ->
+           [ (name ^ ".wal", image_digest w); (name ^ ".snapshot", image_digest s) ])
+         (Shards.devices archive)
+
+let system_walk_digests =
+  [ ("audit.wal", "ca9ee82e197091b8c4318c95cea37e88");
+    ("audit.snapshot", "d764fa280aa16c271742aeb11cdb3d4f");
+    ("quarantine.wal", "ee3146eac4372cd123dcdda9d2b814c3");
+    ("quarantine.snapshot", "0eb2ea4ec2c1764ea6dbc56606dc2411");
+    ("a.wal", "2cd8be2741bc7f64fa7a9e16b8701964");
+    ("a.snapshot", "3153efceed1ec4b5f392bc77f069b651");
+    ("b.wal", "6830140ce719c5f2adb73f91f376a90a");
+    ("b.snapshot", "927b0b471020284e5e0b1b71ff371c0b");
+    ("manifest", "03d7b3d8f4d5b56f28ea7b6352d0e91d");
+    ("clinical-db#0.wal", "f77be31c019224e40052f1992bbc6a00");
+    ("clinical-db#0.snapshot", "44bd1901f10f018966962ef238fabcf0");
+    ("clinical-db#1.wal", "3d53abe45c52bed3ca4ec018f984e631");
+    ("clinical-db#1.snapshot", "5431178ee4075ecfeda058d673114307");
+    ("a#0.wal", "61233696b6ab0a5b7de82a6ff6e4e18a");
+    ("a#0.snapshot", "71a28995432fc0c52b144dc597e04f90");
+    ("a#1.wal", "122f24e25f1341789cabf600ce7ac80c");
+    ("a#1.snapshot", "806603ee76e21fc4fe1fd37fcffbaf83");
+    ("b#0.wal", "161c35846c1976a5c8886be2cd64a853");
+    ("b#0.snapshot", "b966eb56d790eef7ab4ee155d052ef8e");
+    ("b#1.wal", "21ce99406e63d4b839c11b4bb9b8d772");
+    ("b#1.snapshot", "205ee415fafd95704485219e8d593069");
+  ]
+
+let test_system_walks () =
+  Alcotest.(check (list (pair string string)))
+    "system walk digests" system_walk_digests (system_walk_images ())
+
+(* A log takes its checkpoint image from the store that attached it; with
+   none attached there is nothing to write, and the log is left as it
+   was. *)
+let test_checkpoint_needs_a_store () =
+  let log = L.create ~seed:7676 () in
+  ignore (L.append log (payload 0));
+  L.sync log;
+  Alcotest.check_raises "manual checkpoint"
+    (Invalid_argument "Durable.Log.checkpoint: no store attached") (fun () -> L.checkpoint log);
+  Alcotest.check_raises "policy"
+    (Invalid_argument "Durable.Log.set_auto_checkpoint: no store attached") (fun () ->
+      L.set_auto_checkpoint log (Some (L.checkpoint_every ~records:1 ())));
+  L.set_auto_checkpoint log None;
+  ignore (L.append log (payload 1));
+  L.sync log;
+  check_int "no snapshot written" 0 (D.durable_size (L.snapshot_device log));
+  check_bool "the WAL kept both records" true
+    ((L.open_or_recover (restart log)).R.entries = [ payload 0; payload 1 ])
+
 let () =
   Alcotest.run "durable"
     [ ("crash-matrix", matrix "prefix" test_crash_matrix);
@@ -1510,6 +1656,7 @@ let () =
           Alcotest.test_case "crash after checkpoint" `Quick test_crash_after_checkpoint;
           Alcotest.test_case "overlapping wal not duplicated" `Quick
             test_overlapping_wal_not_duplicated;
+          Alcotest.test_case "needs an attached store" `Quick test_checkpoint_needs_a_store;
         ] );
       ( "quarantine",
         [ Alcotest.test_case "survives restart" `Quick test_quarantine_survives_restart;
@@ -1583,5 +1730,6 @@ let () =
           Alcotest.test_case "tamper -> lower bound" `Quick
             test_system_tamper_forces_lower_bound;
           Alcotest.test_case "adaptive threshold" `Quick test_adaptive_threshold_scales;
+          Alcotest.test_case "durable walks reach every log" `Quick test_system_walks;
         ] );
     ]

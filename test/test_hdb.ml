@@ -185,7 +185,7 @@ let test_provenance_store_roundtrip () =
   let store2 = Audit_store.create () in
   ignore (Audit_store.restore store2 log);
   List.iter (Audit_store.append store2) entries;
-  Audit_store.sync store2;
+  Durable.Log.sync log;
   let store3, r, undecodable =
     Audit_store.open_durable
       (Durable.Log.of_devices

@@ -104,6 +104,24 @@ let test_drift_appears_and_is_refined_away () =
   in
   check_bool "drift resolved" false (T.drifting after)
 
+(* A trail with a gap: Table 1's ten accesses at t1-t10 and again at
+   t51-t60.  The four windows between them hold no entry, so they report
+   nothing: no 0/0 read as 100%, and no drift between two equal
+   windows. *)
+let test_gap_reports_no_empty_window () =
+  let entries = S.table1_entries () in
+  let again =
+    List.map (fun (e : Hdb.Audit_schema.entry) -> { e with time = e.time + 50 }) entries
+  in
+  let p_al = Audit_mgmt.To_policy.policy_of_entries (entries @ again) in
+  let points = T.compute vocab ~p_ps:(S.policy_store ()) ~p_al ~window:10 () in
+  check_int "only the windows holding entries" 2 (List.length points);
+  check_int "the second window starts at t51" 51 (List.nth points 1).T.window_start;
+  check_int "each holds ten" 10 (List.nth points 1).T.entries;
+  check_float "the second reads the first's 30%" (List.hd points).T.stats.C.coverage
+    (List.nth points 1).T.stats.C.coverage;
+  check_bool "not drifting" false (T.drifting points)
+
 let test_system_trend () =
   let system =
     Prima_system.System.create ~vocab ~p_ps:(S.policy_store ()) ()
@@ -127,6 +145,8 @@ let () =
             test_drift_resolved_after_refinement;
           Alcotest.test_case "drift appears and is refined away" `Quick
             test_drift_appears_and_is_refined_away;
+          Alcotest.test_case "a gap reports no empty window" `Quick
+            test_gap_reports_no_empty_window;
           Alcotest.test_case "system trend" `Quick test_system_trend;
         ] );
     ]
