@@ -4,15 +4,17 @@ build:
 	dune build
 
 # Line counts of lib/'s .ml and .mli files, and the optional arguments
-# (`?name:`) its .mli files declare: the figures CHANGES.md entries report
-# for each change.  `make loc BASE=<rev>` also prints them at that
-# revision (read with git show, nothing checked out) and the difference
-# from the working tree.
+# (`?name:`) and `val` declarations its .mli files declare: the figures
+# CHANGES.md entries report for each change.  `make loc BASE=<rev>` also
+# prints them at that revision (read with git show, nothing checked out)
+# and the difference from the working tree.
 OPTIONALS = grep -o '?[a-z_0-9]*:' | wc -l
+VALS = grep -c '^ *val '
 loc:
 	@printf 'lib .ml  %s\n' "$$(find lib -name '*.ml' -exec cat {} + | wc -l)"
 	@printf 'lib .mli %s\n' "$$(find lib -name '*.mli' -exec cat {} + | wc -l)"
 	@printf 'lib .mli optional arguments %s\n' "$$(find lib -name '*.mli' -exec cat {} + | $(OPTIONALS))"
+	@printf 'lib .mli val declarations %s\n' "$$(find lib -name '*.mli' -exec cat {} + | $(VALS))"
 	@if [ -n "$(BASE)" ]; then \
 	  git rev-parse -q --verify "$(BASE)^{commit}" > /dev/null \
 	    || { echo "make loc: $(BASE) is not a revision" >&2; exit 1; }; \
@@ -26,6 +28,9 @@ loc:
 	  now=$$(find lib -name '*.mli' -exec cat {} + | $(OPTIONALS)); \
 	  base=$$(base_files mli | $(OPTIONALS)); \
 	  printf 'lib .mli optional arguments %s at %s, %+d\n' "$$base" "$(BASE)" "$$((now - base))"; \
+	  now=$$(find lib -name '*.mli' -exec cat {} + | $(VALS)); \
+	  base=$$(base_files mli | $(VALS)); \
+	  printf 'lib .mli val declarations %s at %s, %+d\n' "$$base" "$(BASE)" "$$((now - base))"; \
 	fi
 
 test:

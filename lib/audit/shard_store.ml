@@ -27,10 +27,11 @@
    a clean fetch supersedes a damaged archive.  Per-site streams are
    assumed time-sorted (the consolidation path sorts defensively).
 
-   Consolidation reads the archive through {!Tournament} cursors, one per
-   shard, site-major in bucket order — within a site equal timestamps
-   share a bucket, so the merge's (time, cursor-priority) order equals
-   the federation's (time, site-index) order. *)
+   The archive keeps one record per site: its shards in bucket order —
+   within a site equal timestamps share a bucket, so bucket order is time
+   order — beside the counters a consolidation reads.  A stale serve
+   returns a site's servable records in that order ([merged_site]), and
+   the federation merges them with the live fetches. *)
 
 type status =
   | Healthy
@@ -38,7 +39,6 @@ type status =
   | Tampered of { offset : int } (* divergence offset; shard quarantined *)
 
 type shard = {
-  site : string;
   bucket : int;
   log : Durable.Log.t;
   mutable entries : Hdb.Audit_schema.entry list; (* append order = time order *)
@@ -51,14 +51,14 @@ type shard = {
   mutable hi : int;
 }
 
-(* One site's totals over its shards, kept as shards are added, appended
-   to and dropped, so a consolidation reads them without a scan of every
-   shard. *)
-type totals = {
-  mutable shard_count : int;
+(* One archived site: its shards, and the counters over them kept as
+   shards are added and appended to, so a consolidation reads them without
+   a scan of every shard. *)
+type site = {
+  name : string;
+  mutable shards : shard list; (* buckets ascending; never empty *)
   mutable degraded : int; (* shards torn or tampered *)
   mutable servable : int; (* records in shards that are not tampered *)
-  mutable stranded : int;
   mutable high_water : int; (* newest archived time; -1 with nothing archived *)
   (* where the site's last append went: its stream is time-sorted, so the
      next entry almost always goes there too *)
@@ -66,12 +66,11 @@ type totals = {
 }
 
 type t = {
-  seed : int;
   bucket_ms : int;
   manifest_device : Durable.Device.t;
-  mutable shards : shard list; (* site-major, buckets ascending per site *)
+  (* in the order they were first archived; a rebuilt site goes last *)
+  mutable sites : site list;
   mutable next_shard_seed : int;
-  totals : (string, totals) Hashtbl.t; (* per site with at least one shard *)
 }
 
 type shard_report = {
@@ -107,12 +106,10 @@ let parse_shard_name name =
 let default_bucket_ms = 10_000
 
 let create ?(bucket_ms = default_bucket_ms) ?(seed = 0) () =
-  { seed;
-    bucket_ms;
+  { bucket_ms;
     manifest_device = Durable.Device.create ~seed:(seed * 7 + 1) ();
-    shards = [];
+    sites = [];
     next_shard_seed = seed * 7 + 2;
-    totals = Hashtbl.create 8;
   }
 
 let bucket_ms t = t.bucket_ms
@@ -121,17 +118,23 @@ let bucket_of t time = if t.bucket_ms <= 0 then 0 else time / t.bucket_ms
 
 let manifest_device t = t.manifest_device
 
+(* Every shard beside its site's name, site by site and buckets ascending:
+   the order every listing of the archive keeps. *)
+let all_shards t = List.concat_map (fun x -> List.map (fun s -> (x.name, s)) x.shards) t.sites
+
 (* The surviving media, for crash simulation / reopen: (name, wal,
    snapshot) per shard — the simulated "directory listing". *)
 let devices t =
   List.map
-    (fun s ->
-      ( shard_name ~site:s.site ~bucket:s.bucket,
+    (fun (site, s) ->
+      ( shard_name ~site ~bucket:s.bucket,
         Durable.Log.wal_device s.log,
         Durable.Log.snapshot_device s.log ))
-    t.shards
+    (all_shards t)
 
-let site_shards t ~site = List.filter (fun s -> String.equal s.site site) t.shards
+let find_site t site = List.find_opt (fun x -> String.equal x.name site) t.sites
+
+let find_shard x ~bucket = List.find_opt (fun s -> s.bucket = bucket) x.shards
 
 (* Fold the append tail into the committed list on read (amortised). *)
 let shard_entries s =
@@ -144,28 +147,30 @@ let shard_entries s =
 (* Records the shard can serve (a tampered shard serves none). *)
 let servable s = match s.status with Tampered _ -> 0 | _ -> s.records
 
-let read_totals t ~site f ~none =
-  match Hashtbl.find_opt t.totals site with Some x -> f x | None -> none
+let read_site t ~site f ~none = match find_site t site with Some x -> f x | None -> none
 
-let site_records t ~site = read_totals t ~site (fun x -> x.servable) ~none:0
+let site_records t ~site = read_site t ~site (fun x -> x.servable) ~none:0
 
-let site_stranded t ~site = read_totals t ~site (fun x -> x.stranded) ~none:0
+let site_stranded t ~site =
+  read_site t ~site (fun x -> List.fold_left (fun n s -> n + s.stranded) 0 x.shards) ~none:0
 
-let site_degraded t ~site = read_totals t ~site (fun x -> x.degraded > 0) ~none:false
+let site_degraded t ~site = read_site t ~site (fun x -> x.degraded > 0) ~none:false
 
-let shards_degraded t = Hashtbl.fold (fun _ x acc -> acc + x.degraded) t.totals 0
+let sum t f = List.fold_left (fun n x -> n + f x) 0 t.sites
+
+let shards_degraded t = sum t (fun x -> x.degraded)
 
 let tally t =
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
-    (Hashtbl.fold (fun site x acc -> (site, (x.shard_count, x.degraded)) :: acc) t.totals [])
+    (List.map (fun x -> (x.name, (List.length x.shards, x.degraded))) t.sites)
 
-let total_records t = Hashtbl.fold (fun _ x acc -> acc + x.servable) t.totals 0
+let total_records t = sum t (fun x -> x.servable)
 
-let shard_count t = List.length t.shards
+let shard_count t = sum t (fun x -> List.length x.shards)
 
 (* The newest archived timestamp for [site]; -1 with nothing archived. *)
-let site_high_water t ~site = read_totals t ~site (fun x -> x.high_water) ~none:(-1)
+let site_high_water t ~site = read_site t ~site (fun x -> x.high_water) ~none:(-1)
 
 (* A shard's log checkpoints the wire form of its entries, in append
    order. *)
@@ -173,12 +178,11 @@ let attached s =
   Durable.Log.attach s.log ~image:(fun () -> List.map Hdb.Audit_schema.to_wire (shard_entries s));
   s
 
-let fresh_shard t ~site ~bucket =
+let fresh_shard t ~bucket =
   let seed = t.next_shard_seed in
   t.next_shard_seed <- t.next_shard_seed + 1;
   attached
-    { site;
-      bucket;
+    { bucket;
       log = Durable.Log.create ~seed ();
       entries = [];
       tail = [];
@@ -189,89 +193,69 @@ let fresh_shard t ~site ~bucket =
       hi = 0;
     }
 
-(* Keep [t.shards] site-major with buckets ascending within a site: a new
-   site's shards go to the end, a new bucket into its site's group in
-   bucket order.  Site groups are contiguous by construction.  The shard
-   is counted into its site's totals as it stands. *)
-let insert_shard t shard =
-  let x =
-    match Hashtbl.find_opt t.totals shard.site with
-    | Some x -> x
-    | None ->
-      let x =
-        { shard_count = 0; degraded = 0; servable = 0; stranded = 0; high_water = -1; last = None }
-      in
-      Hashtbl.replace t.totals shard.site x;
-      x
+(* [site]'s record; a site archived for the first time goes last. *)
+let site_for t site =
+  match find_site t site with
+  | Some x -> x
+  | None ->
+    let x = { name = site; shards = []; degraded = 0; servable = 0; high_water = -1; last = None } in
+    t.sites <- t.sites @ [ x ];
+    x
+
+(* Add a shard to its site in bucket order, counted as it stands. *)
+let insert_shard x shard =
+  let rec go = function
+    | s :: rest when s.bucket <= shard.bucket -> s :: go rest
+    | rest -> shard :: rest
   in
-  x.shard_count <- x.shard_count + 1;
+  x.shards <- go x.shards;
   if shard.status <> Healthy then x.degraded <- x.degraded + 1;
   x.servable <- x.servable + servable shard;
-  x.stranded <- x.stranded + shard.stranded;
-  if shard.records > 0 then x.high_water <- max x.high_water shard.hi;
-  if x.shard_count = 1 then t.shards <- t.shards @ [ shard ]
-  else begin
-    let rec go = function
-      | [] -> [ shard ]
-      | s :: rest when String.equal s.site shard.site && s.bucket > shard.bucket ->
-        shard :: s :: rest
-      | s :: rest
-        when String.equal s.site shard.site
-             && not (List.exists (fun x -> String.equal x.site shard.site) rest) ->
-        s :: shard :: rest
-      | s :: rest -> s :: go rest
-    in
-    t.shards <- go t.shards
-  end
-
-let find_shard t ~site ~bucket =
-  List.find_opt (fun s -> String.equal s.site site && s.bucket = bucket) t.shards
+  if shard.records > 0 then x.high_water <- max x.high_water shard.hi
 
 (* Append a site's entries, each to its time bucket's shard (created on
    first use).  Its stream is time-sorted, so an entry almost always goes
-   where the last one went: the site's totals are looked up once and
-   keep that shard at hand. *)
+   where the last one went, which the site's record keeps at hand. *)
 let append_entries t ~site entries =
-  let totals = ref (Hashtbl.find_opt t.totals site) in
-  List.iter
-    (fun entry ->
-      let time = entry.Hdb.Audit_schema.time in
-      let bucket = bucket_of t time in
-      let s, x =
-        match !totals with
-        | Some ({ last = Some s; _ } as x) when s.bucket = bucket -> (s, x)
-        | _ ->
-          let s =
-            match find_shard t ~site ~bucket with
-            | Some s -> s
-            | None ->
-              let s = fresh_shard t ~site ~bucket in
-              insert_shard t s;
-              s
-          in
-          let x = Hashtbl.find t.totals site in
-          x.last <- Some s;
-          totals := Some x;
-          (s, x)
-      in
-      ignore (Durable.Log.append s.log (Hdb.Audit_schema.to_wire entry));
-      s.tail <- entry :: s.tail;
-      if s.records = 0 then s.lo <- time;
-      if s.records = 0 || time > s.hi then s.hi <- time;
-      s.records <- s.records + 1;
-      (match s.status with Tampered _ -> () | _ -> x.servable <- x.servable + 1);
-      x.high_water <- max x.high_water time)
-    entries
-
-let drop_site_shards t ~site =
-  t.shards <- List.filter (fun s -> not (String.equal s.site site)) t.shards;
-  Hashtbl.remove t.totals site
+  if entries <> [] then begin
+    let x = site_for t site in
+    List.iter
+      (fun entry ->
+        let time = entry.Hdb.Audit_schema.time in
+        let bucket = bucket_of t time in
+        let s =
+          match x.last with
+          | Some s when s.bucket = bucket -> s
+          | _ ->
+            let s =
+              match find_shard x ~bucket with
+              | Some s -> s
+              | None ->
+                let s = fresh_shard t ~bucket in
+                insert_shard x s;
+                s
+            in
+            x.last <- Some s;
+            s
+        in
+        ignore (Durable.Log.append s.log (Hdb.Audit_schema.to_wire entry));
+        s.tail <- entry :: s.tail;
+        if s.records = 0 then s.lo <- time;
+        if s.records = 0 || time > s.hi then s.hi <- time;
+        s.records <- s.records + 1;
+        (match s.status with Tampered _ -> () | _ -> x.servable <- x.servable + 1);
+        x.high_water <- max x.high_water time)
+      entries
+  end
 
 (* A site's servable records, in bucket order. *)
 let merged_site t ~site =
-  List.concat_map
-    (fun s -> match s.status with Tampered _ -> [] | _ -> shard_entries s)
-    (site_shards t ~site)
+  read_site t ~site
+    (fun x ->
+      List.concat_map
+        (fun s -> match s.status with Tampered _ -> [] | _ -> shard_entries s)
+        x.shards)
+    ~none:[]
 
 type archive_summary = {
   appended : int; (* fresh records archived this call *)
@@ -298,7 +282,7 @@ let archive_site t ~site entries =
     { appended = List.length fresh; rebuilt = false }
   end
   else begin
-    drop_site_shards t ~site;
+    t.sites <- List.filter (fun x -> not (String.equal x.name site)) t.sites;
     append_entries t ~site entries;
     { appended = List.length entries; rebuilt = true }
   end
@@ -319,42 +303,30 @@ let append_site t ~site ~held ~newest entries =
   if holds then append_entries t ~site entries;
   holds
 
-(* --- consolidation cursors --- *)
-
-(* One cursor per servable shard, priority in site-major bucket order;
-   within a site equal times share a bucket, so (time, priority) order
-   equals the federation's (time, site-index) order. *)
-let cursors t =
-  List.filter (fun s -> match s.status with Tampered _ -> false | _ -> true) t.shards
-  |> List.mapi (fun i s -> Tournament.cursor ~priority:i (shard_entries s))
-
-let merged t =
-  Tournament.merge_cursors ~key:(fun e -> e.Hdb.Audit_schema.time) (cursors t)
-
 (* --- durability --- *)
 
 let manifest_of t =
   { Durable.Manifest.shards =
       List.map
-        (fun s ->
-          { Durable.Manifest.name = shard_name ~site:s.site ~bucket:s.bucket;
+        (fun (site, s) ->
+          { Durable.Manifest.name = shard_name ~site ~bucket:s.bucket;
             lo = s.lo;
             hi = s.hi;
             records = s.records;
             chain = Durable.Log.chain_head s.log;
           })
-        t.shards;
+        (all_shards t);
   }
 
 (* Shards first, manifest second: the manifest never claims records the
    shards do not durably hold (a crash in between leaves the manifest
    behind, which reopen treats as extra-records-survived, not loss). *)
 let sync t =
-  List.iter (fun s -> Durable.Log.sync s.log) t.shards;
+  List.iter (fun (_, s) -> Durable.Log.sync s.log) (all_shards t);
   Durable.Manifest.write t.manifest_device (manifest_of t)
 
 let checkpoint t =
-  List.iter (fun s -> Durable.Log.checkpoint s.log) t.shards;
+  List.iter (fun (_, s) -> Durable.Log.checkpoint s.log) (all_shards t);
   Durable.Manifest.write t.manifest_device (manifest_of t)
 
 (* --- open-or-recover --- *)
@@ -386,8 +358,7 @@ let recover_shard ~name ~site ~bucket ~log ~expected =
   let lo = match entries with [] -> 0 | e :: _ -> e.Hdb.Audit_schema.time in
   let hi = List.fold_left (fun m e -> max m e.Hdb.Audit_schema.time) lo entries in
   let shard =
-    attached
-      { site; bucket; log; entries; tail = []; records = recovered; stranded; status; lo; hi }
+    attached { bucket; log; entries; tail = []; records = recovered; stranded; status; lo; hi }
   in
   { r_name = name; r_site = site; r_status = status; r_records = recovered }, shard
 
@@ -403,12 +374,10 @@ let reopen ?(bucket_ms = default_bucket_ms) ?(seed = 0) ~manifest ~shards () =
     | Error _ -> (None, true)
   in
   let t =
-    { seed;
-      bucket_ms;
+    { bucket_ms;
       manifest_device = manifest;
-      shards = [];
+      sites = [];
       next_shard_seed = (seed * 7) + 2 + List.length shards;
-      totals = Hashtbl.create 8;
     }
   in
   let adopted = ref 0 in
@@ -425,7 +394,7 @@ let reopen ?(bucket_ms = default_bucket_ms) ?(seed = 0) ~manifest ~shards () =
         let log = Durable.Log.of_devices ~wal ~snapshot in
         let report, shard = recover_shard ~name ~site ~bucket ~log ~expected in
         reports := report :: !reports;
-        insert_shard t shard)
+        insert_shard (site_for t site) shard)
     shards;
   let lost =
     match catalogue with
@@ -448,9 +417,9 @@ let reopen ?(bucket_ms = default_bucket_ms) ?(seed = 0) ~manifest ~shards () =
           | Some d -> d.Durable.Manifest.records
           | None -> 0
         in
-        let s = fresh_shard t ~site ~bucket in
+        let s = fresh_shard t ~bucket in
         s.status <- Torn { lost = records };
-        insert_shard t s
+        insert_shard (site_for t site) s
       | _ -> ())
     lost;
   (* Rewrite the manifest to match what actually survived. *)
@@ -458,7 +427,7 @@ let reopen ?(bucket_ms = default_bucket_ms) ?(seed = 0) ~manifest ~shards () =
   (t, { manifest_rebuilt; adopted = !adopted; lost; shard_reports = List.rev !reports })
 
 let shard_status t ~site ~bucket =
-  Option.map (fun s -> s.status) (find_shard t ~site ~bucket)
+  read_site t ~site (fun x -> Option.map (fun s -> s.status) (find_shard x ~bucket)) ~none:None
 
 type shard_info = {
   name : string;
@@ -471,15 +440,15 @@ type shard_info = {
 
 let shard_infos t =
   List.map
-    (fun (s : shard) ->
-      { name = shard_name ~site:s.site ~bucket:s.bucket;
-        site = s.site;
+    (fun (site, (s : shard)) ->
+      { name = shard_name ~site ~bucket:s.bucket;
+        site;
         bucket = s.bucket;
         records = s.records;
         stranded = s.stranded;
         status = s.status;
       })
-    t.shards
+    (all_shards t)
 
 let pp ppf t =
   Fmt.pf ppf "shard store: %d shard(s), %d record(s), %d degraded@." (shard_count t)

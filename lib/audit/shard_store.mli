@@ -30,7 +30,11 @@ val manifest_device : t -> Durable.Device.t
 
 val devices : t -> (string * Durable.Device.t * Durable.Device.t) list
 (** The surviving media, for crash simulation / reopen: per shard its
-    name and (wal, snapshot) devices — the simulated directory listing. *)
+    name and (wal, snapshot) devices — the simulated directory listing.
+    Each site's shards are listed together, buckets ascending, and the
+    sites in the order they were first archived; a site rebuilt from a
+    fetch, or brought back as torn placeholders after a reopen lost every
+    device it had, goes last.  {!sync}'s manifest lists them alike. *)
 
 val shard_count : t -> int
 val total_records : t -> int
@@ -71,11 +75,9 @@ val append_site :
     repeating the newest archived timestamp is appended, not taken as
     already held. *)
 
-val merged : t -> Hdb.Audit_schema.entry list
-(** Tournament merge over all servable shard cursors, (time, site) order
-    identical to the federation's direct merge. *)
-
 val merged_site : t -> site:string -> Hdb.Audit_schema.entry list
+(** [site]'s servable records in bucket order, which is time order: the
+    stream a stale serve returns. *)
 
 val sync : t -> unit
 (** Sync every shard, then rewrite the manifest — in that order, so the

@@ -1,42 +1,35 @@
-(* Tournament (k-way) merge over sorted cursors.
+(* Tournament (k-way) merge over sorted streams.
 
    A complete binary tournament tree of the next power of two ≥ k leaves:
-   each internal node holds the index of the cursor that wins its subtree,
-   so the overall winner sits at the root and advancing it replays only
-   its leaf-to-root path — O(N log k) for N merged records, identical to
-   the heap merge it replaces but with a cheaper, branch-predictable inner
-   loop and a cursor abstraction shard stores can plug into.
+   each internal node holds the index of the stream that wins its
+   subtree, so the overall winner sits at the root and advancing it
+   replays only its leaf-to-root path — O(N log k) for N merged records,
+   identical to the heap merge it replaces but with a cheaper,
+   branch-predictable inner loop.
 
-   Ordering is (key, cursor priority): ties across cursors resolve in
-   priority (= stream) order, and records within one cursor are emitted in
-   cursor order, so the merge is stable and deterministic — the same
-   guarantee the consolidated-view QCheck parity test pins against a
-   global stable sort. *)
+   Ordering is (key, stream index): ties across streams resolve in stream
+   order, and records within one stream are emitted in stream order, so
+   the merge is stable and deterministic — the same guarantee the
+   consolidated-view QCheck parity test pins against a global stable
+   sort. *)
 
-type 'a cursor = {
-  mutable rest : 'a list;
-  priority : int; (* tie-break rank; lower wins on equal keys *)
-}
-
-let cursor ?(priority = 0) rest = { rest; priority }
-
-(* Merge already-sorted cursors into one key-ordered list. *)
-let merge_cursors ~(key : 'a -> int) (cursors : 'a cursor list) : 'a list =
-  let cursors = Array.of_list cursors in
-  let k = Array.length cursors in
+(* Merge sorted streams; stream order is the tie-break priority. *)
+let merge ~(key : 'a -> int) (streams : 'a list list) : 'a list =
+  let rest = Array.of_list streams in
+  let k = Array.length rest in
   if k = 0 then []
   else begin
-    let head_key c = match c.rest with [] -> max_int | x :: _ -> key x in
-    (* Does cursor [i] sort strictly before cursor [j]?  Exhausted cursors
+    let head_key i = match rest.(i) with [] -> max_int | x :: _ -> key x in
+    (* Does stream [i] sort strictly before stream [j]?  Exhausted streams
        key at max_int and sink to the bottom of the bracket. *)
     let less i j =
-      let ki = head_key cursors.(i) and kj = head_key cursors.(j) in
-      ki < kj || (ki = kj && cursors.(i).priority < cursors.(j).priority)
+      let ki = head_key i and kj = head_key j in
+      ki < kj || (ki = kj && i < j)
     in
     let p = ref 1 in
     while !p < k do p := !p * 2 done;
     let p = !p in
-    (* tree.(1) is the root; leaves p .. p+k-1 hold cursor indices, the
+    (* tree.(1) is the root; leaves p .. p+k-1 hold stream indices, the
        padding leaves hold -1 (an absent contestant that always loses). *)
     let tree = Array.make (2 * p) (-1) in
     let better i j = if i < 0 then j else if j < 0 then i else if less j i then j else i in
@@ -57,19 +50,15 @@ let merge_cursors ~(key : 'a -> int) (cursors : 'a cursor list) : 'a list =
       let w = tree.(1) in
       if w < 0 then running := false
       else
-        match cursors.(w).rest with
+        match rest.(w) with
         | [] -> running := false
-        | x :: rest ->
+        | x :: tail ->
           acc := x :: !acc;
-          cursors.(w).rest <- rest;
+          rest.(w) <- tail;
           replay w
     done;
     List.rev !acc
   end
-
-(* Merge sorted streams; stream order is the tie-break priority. *)
-let merge ~key (streams : 'a list list) : 'a list =
-  merge_cursors ~key (List.mapi (fun i s -> { rest = s; priority = i }) streams)
 
 (* A merge's continuation.  [last] is the (key, stream index) of the last
    record a merge of some sorted prefixes emitted.  When every record of

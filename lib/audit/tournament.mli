@@ -1,17 +1,7 @@
-(** Tournament (k-way) merge over sorted cursors: O(N log k), stable and
-    deterministic — ties across cursors resolve by cursor priority, and
-    records within one cursor keep cursor order.  The consolidation path
-    and the sharded store both merge through it. *)
-
-type 'a cursor = {
-  mutable rest : 'a list;
-  priority : int;  (** tie-break rank; lower wins on equal keys *)
-}
-
-val cursor : ?priority:int -> 'a list -> 'a cursor
-
-val merge_cursors : key:('a -> int) -> 'a cursor list -> 'a list
-(** Merge already-sorted cursors into one key-ordered list. *)
+(** Tournament (k-way) merge over sorted streams: O(N log k), stable and
+    deterministic — ties across streams resolve in stream order, and
+    records within one stream keep their order.  Consolidation merges the
+    sites' live fetches and stale serves through it. *)
 
 val merge : key:('a -> int) -> 'a list list -> 'a list
 (** Merge sorted streams; stream order is the tie-break priority. *)

@@ -7,49 +7,26 @@
    feed the storage-efficiency experiment (E6). *)
 
 module Ids = Hashtbl.Make (String)
+module Vec = Relational.Vec
 
 type dict = {
   ids : int Ids.t;
-  mutable strings : string array;
-  mutable count : int;
+  strings : string Vec.t; (* by id *)
 }
 
-let dict_create () = { ids = Ids.create 64; strings = [||]; count = 0 }
+let dict_create () = { ids = Ids.create 64; strings = Vec.create () }
 
 let dict_intern d s =
   match Ids.find_opt d.ids s with
   | Some id -> id
   | None ->
-    let id = d.count in
-    if id >= Array.length d.strings then begin
-      let capacity = max 16 (2 * Array.length d.strings) in
-      let strings = Array.make capacity "" in
-      Array.blit d.strings 0 strings 0 d.count;
-      d.strings <- strings
-    end;
-    d.strings.(id) <- s;
-    d.count <- d.count + 1;
+    let id = Vec.length d.strings in
+    Vec.push d.strings s;
     Ids.add d.ids s id;
     id
 
-let dict_get d id = d.strings.(id)
-
-type int_vec = {
-  mutable data : int array;
-  mutable len : int;
-}
-
-let vec_create () = { data = [||]; len = 0 }
-
-let vec_push v x =
-  if v.len >= Array.length v.data then begin
-    let capacity = max 64 (2 * Array.length v.data) in
-    let data = Array.make capacity 0 in
-    Array.blit v.data 0 data 0 v.len;
-    v.data <- data
-  end;
-  v.data.(v.len) <- x;
-  v.len <- v.len + 1
+(* The string that the id column [ids] holds at row [i]. *)
+let dict_get d ids i = Vec.get d.strings (Vec.get ids i)
 
 type bitvec = {
   mutable bits : Bytes.t;
@@ -74,39 +51,21 @@ let bitvec_push b x =
 
 let bitvec_get b i = Char.code (Bytes.get b.bits (i / 8)) land (1 lsl (i mod 8)) <> 0
 
-(* Provenance side column: one word per row (None for the common case), so
-   the columnar core stays exactly as compact as before for trails without
-   the extension. *)
-type prov_vec = {
-  mutable items : Audit_schema.provenance option array;
-  mutable plen : int;
-}
-
-let prov_create () = { items = [||]; plen = 0 }
-
-let prov_push v x =
-  if v.plen >= Array.length v.items then begin
-    let capacity = max 64 (2 * Array.length v.items) in
-    let items = Array.make capacity None in
-    Array.blit v.items 0 items 0 v.plen;
-    v.items <- items
-  end;
-  v.items.(v.plen) <- x;
-  v.plen <- v.plen + 1
-
 type t = {
   users : dict;
   datas : dict;
   purposes : dict;
   authorizeds : dict;
-  times : int_vec;
-  user_ids : int_vec;
-  data_ids : int_vec;
-  purpose_ids : int_vec;
-  authorized_ids : int_vec;
+  times : int Vec.t;
+  user_ids : int Vec.t;
+  data_ids : int Vec.t;
+  purpose_ids : int Vec.t;
+  authorized_ids : int Vec.t;
   ops : bitvec;
   statuses : bitvec;
-  provenances : prov_vec;
+  (* Provenance side column: one word per row, None for the common case,
+     so a trail without the extension pays that word and nothing more. *)
+  provenances : Audit_schema.provenance option Vec.t;
   (* Write-ahead durability (optional): every append is framed into the
      log before touching the columns, so after a crash the recovered WAL
      prefix is always a prefix of what this store held. *)
@@ -118,30 +77,30 @@ let create () =
     datas = dict_create ();
     purposes = dict_create ();
     authorizeds = dict_create ();
-    times = vec_create ();
-    user_ids = vec_create ();
-    data_ids = vec_create ();
-    purpose_ids = vec_create ();
-    authorized_ids = vec_create ();
+    times = Vec.create ();
+    user_ids = Vec.create ();
+    data_ids = Vec.create ();
+    purpose_ids = Vec.create ();
+    authorized_ids = Vec.create ();
     ops = bitvec_create ();
     statuses = bitvec_create ();
-    provenances = prov_create ();
+    provenances = Vec.create ();
     log = None;
   }
 
-let length t = t.times.len
+let length t = Vec.length t.times
 
 (* Column update alone — shared by the public append (which logs first)
    and recovery replay (whose entries are already in the log). *)
 let append_mem t (e : Audit_schema.entry) =
-  vec_push t.times e.time;
-  vec_push t.user_ids (dict_intern t.users e.user);
-  vec_push t.data_ids (dict_intern t.datas e.data);
-  vec_push t.purpose_ids (dict_intern t.purposes e.purpose);
-  vec_push t.authorized_ids (dict_intern t.authorizeds e.authorized);
+  Vec.push t.times e.time;
+  Vec.push t.user_ids (dict_intern t.users e.user);
+  Vec.push t.data_ids (dict_intern t.datas e.data);
+  Vec.push t.purpose_ids (dict_intern t.purposes e.purpose);
+  Vec.push t.authorized_ids (dict_intern t.authorizeds e.authorized);
   bitvec_push t.ops (e.op = Audit_schema.Allow);
   bitvec_push t.statuses (e.status = Audit_schema.Regular);
-  prov_push t.provenances e.provenance
+  Vec.push t.provenances e.provenance
 
 (* An entry the wire codec cannot encode is refused before any state
    changes, with or without a log: a store never holds what its WAL,
@@ -154,14 +113,14 @@ let append t (e : Audit_schema.entry) =
 
 let get t i : Audit_schema.entry =
   if i < 0 || i >= length t then invalid_arg "Audit_store.get: index out of bounds";
-  { Audit_schema.time = t.times.data.(i);
+  { Audit_schema.time = Vec.get t.times i;
     op = (if bitvec_get t.ops i then Audit_schema.Allow else Audit_schema.Disallow);
-    user = dict_get t.users t.user_ids.data.(i);
-    data = dict_get t.datas t.data_ids.data.(i);
-    purpose = dict_get t.purposes t.purpose_ids.data.(i);
-    authorized = dict_get t.authorizeds t.authorized_ids.data.(i);
+    user = dict_get t.users t.user_ids i;
+    data = dict_get t.datas t.data_ids i;
+    purpose = dict_get t.purposes t.purpose_ids i;
+    authorized = dict_get t.authorizeds t.authorized_ids i;
     status = (if bitvec_get t.statuses i then Audit_schema.Regular else Audit_schema.Exception_based);
-    provenance = t.provenances.items.(i);
+    provenance = Vec.get t.provenances i;
   }
 
 let iter f t =
@@ -238,29 +197,21 @@ let naive_bytes t =
    dictionaries. *)
 let encoded_bytes t =
   let word = 8 in
-  let dict_bytes d =
-    let sum = ref 0 in
-    for i = 0 to d.count - 1 do
-      sum := !sum + String.length d.strings.(i) + word
-    done;
-    !sum
+  let dict_bytes d = Vec.fold_left (fun acc s -> acc + String.length s + word) 0 d.strings in
+  let prov_bytes acc = function
+    | None -> acc
+    | Some (p : Audit_schema.provenance) ->
+      acc + String.length p.session + String.length p.request + (4 * word)
+      + List.fold_left (fun acc c -> acc + String.length c + word) 0 p.changed
   in
   let n = length t in
-  let prov_bytes = ref (n * word) (* one word per row for the option column *) in
-  for i = 0 to t.provenances.plen - 1 do
-    match t.provenances.items.(i) with
-    | None -> ()
-    | Some p ->
-      prov_bytes :=
-        !prov_bytes + String.length p.session + String.length p.request + (4 * word)
-        + List.fold_left (fun acc c -> acc + String.length c + word) 0 p.changed
-  done;
   (* times + four id columns *)
   (5 * n * word)
   + (2 * ((n + 7) / 8))
   + dict_bytes t.users + dict_bytes t.datas + dict_bytes t.purposes
   + dict_bytes t.authorizeds
-  + !prov_bytes
+  (* one word per row for the option column, and what it points to *)
+  + Vec.fold_left prov_bytes (n * word) t.provenances
 
 (* Export into a relational table (used by refinement's SQL analysis). *)
 let to_table t ~database ~table_name =

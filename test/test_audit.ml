@@ -314,14 +314,6 @@ let test_tournament_basics () =
     (Tournament.merge ~key:(fun x -> x) [ [ 10 ]; []; [ 1; 2; 3 ]; [ 2 ]; [ 0; 11 ] ]
     = [ 0; 1; 2; 2; 3; 10; 11 ])
 
-(* Equal keys resolve by cursor priority, not arrival order: the archive
-   hands the merge cursors in site order regardless of shard layout. *)
-let test_tournament_priority_ties () =
-  let a = Tournament.cursor ~priority:2 [ (1, "low") ] in
-  let b = Tournament.cursor ~priority:1 [ (1, "high") ] in
-  check_bool "lower priority value wins the tie" true
-    (Tournament.merge_cursors ~key:fst [ a; b ] = [ (1, "high"); (1, "low") ])
-
 (* Eleven cursors push the bracket past one 8-leaf level, and every
    cursor carries the same four keys: each key's run must come out in
    exact stream order, with every stream's own order intact. *)
@@ -568,7 +560,6 @@ let () =
         ] );
       ( "tournament",
         [ Alcotest.test_case "degenerate shapes" `Quick test_tournament_basics;
-          Alcotest.test_case "priority breaks ties" `Quick test_tournament_priority_ties;
           Alcotest.test_case "11 cursors, duplicate keys" `Quick
             test_tournament_many_cursors_duplicate_keys;
           QCheck_alcotest.to_alcotest ~long:false prop_tournament_stable_tie_break;

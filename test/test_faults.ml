@@ -240,7 +240,8 @@ let test_archive_manifest_rebuild () =
   ignore (Shard_store.archive_site a ~site:"lab" [ entry ~time:7 ~user:"c" () ]);
   Shard_store.sync a;
   check_int "two buckets + one = three shards" 3 (Shard_store.shard_count a);
-  let before = Shard_store.merged a in
+  let served store = List.map (fun site -> Shard_store.merged_site store ~site) [ "icu"; "lab" ] in
+  let before = served a in
   (* tear the manifest: drop its last bytes *)
   let md = Shard_store.manifest_device a in
   let img = Durable.Device.contents md in
@@ -252,7 +253,7 @@ let test_archive_manifest_rebuild () =
   check_int "no adoptions against a rebuilt catalogue" 0 report.Shard_store.adopted;
   check_int "no shard degraded" 0 (Shard_store.shards_degraded b);
   check_bool "merge identical after rebuild" true
-    (List.for_all2 Hdb.Audit_schema.equal before (Shard_store.merged b));
+    (List.equal (List.equal Hdb.Audit_schema.equal) before (served b));
   (* and the rewritten manifest now reads back whole *)
   let _, report2 = Shard_store.reopen ~manifest:md ~shards:(Shard_store.devices b) () in
   check_bool "second open trusts the manifest" false report2.Shard_store.manifest_rebuilt
@@ -291,8 +292,11 @@ let test_archive_tampered_shard_quarantined () =
   check_int "other site unaffected" 1 (Shard_store.site_records b ~site:"lab");
   check_bool "merge excludes the quarantined shard" true
     (List.for_all
-       (fun e -> e.Hdb.Audit_schema.user = "c")
-       (Shard_store.merged b));
+       (fun site ->
+         List.for_all
+           (fun e -> e.Hdb.Audit_schema.user = "c")
+           (Shard_store.merged_site b ~site))
+       [ "icu"; "lab" ]);
   (* a clean fetch supersedes the damaged archive *)
   let s = Shard_store.archive_site b ~site:"icu" icu in
   check_bool "rebuilt wholesale from the fetch" true s.Shard_store.rebuilt;
@@ -568,16 +572,19 @@ type shard_op =
   | Grow of int * int list (* site, time increments of the new entries *)
   | Late of int (* a late entry at the site's first time: rebuild *)
   | Reopen
+  | Lose of int (* reopen without the [n mod count]th listed shard device *)
 
-let gen_shard_ops =
+(* [~lose] adds [Lose] steps to the schedules. *)
+let gen_shard_ops ~lose =
   let open QCheck2.Gen in
   list_size (int_range 1 14)
     (frequency
-       [ (6, map2 (fun s steps -> Grow (s, steps)) (int_range 0 1)
-                 (list_size (int_range 0 8) (int_range 0 7)));
-         (1, map (fun s -> Late s) (int_range 0 1));
-         (2, return Reopen);
-       ])
+       ([ (6, map2 (fun s steps -> Grow (s, steps)) (int_range 0 1)
+                  (list_size (int_range 0 8) (int_range 0 7)));
+          (1, map (fun s -> Late s) (int_range 0 1));
+          (2, return Reopen);
+        ]
+       @ if lose then [ (2, map (fun n -> Lose n) (int_bound 20)) ] else []))
 
 let print_shard_ops ops =
   String.concat "; "
@@ -586,8 +593,54 @@ let print_shard_ops ops =
          | Grow (s, steps) ->
            Printf.sprintf "Grow(%d,[%s])" s (String.concat "," (List.map string_of_int steps))
          | Late s -> Printf.sprintf "Late %d" s
-         | Reopen -> "Reopen")
+         | Reopen -> "Reopen"
+         | Lose n -> Printf.sprintf "Lose %d" n)
        ops)
+
+let shard_bucket_ms = 10
+
+let shard_site i = if i = 0 then "a" else "b"
+
+(* Run one step on [store] (a reopen replaces it) and the two sites'
+   reversed [streams].  Every fetch is archived whole; the result says
+   whether that archive step rebuilt the site. *)
+let run_shard_op store streams op =
+  let archive i =
+    (Shard_store.archive_site !store ~site:(shard_site i) (List.rev streams.(i)))
+      .Shard_store.rebuilt
+  in
+  let reopen ~keep =
+    Shard_store.sync !store;
+    store :=
+      fst
+        (Shard_store.reopen ~bucket_ms:shard_bucket_ms ~seed:3
+           ~manifest:(Shard_store.manifest_device !store)
+           ~shards:(List.filter keep (Shard_store.devices !store)) ());
+    false
+  in
+  match op with
+  | Grow (i, steps) ->
+    List.iter
+      (fun step ->
+        let last = match streams.(i) with e :: _ -> e.Hdb.Audit_schema.time | [] -> 0 in
+        let n = List.length streams.(i) in
+        let user = Printf.sprintf "%s%d" (shard_site i) n in
+        streams.(i) <- entry ~time:(last + step) ~user () :: streams.(i))
+      steps;
+    archive i
+  | Late i -> (
+    match List.rev streams.(i) with
+    | [] -> false
+    | first :: _ as stream ->
+      streams.(i) <- List.rev ({ first with Hdb.Audit_schema.user = "late" } :: stream);
+      archive i)
+  | Reopen -> reopen ~keep:(fun _ -> true)
+  | Lose n -> (
+    match Shard_store.devices !store with
+    | [] -> reopen ~keep:(fun _ -> true)
+    | devices ->
+      let lost, _, _ = List.nth devices (n mod List.length devices) in
+      reopen ~keep:(fun (name, _, _) -> not (String.equal name lost)))
 
 let bounds_match_fold store =
   let sites = [ "a"; "b" ] in
@@ -640,44 +693,75 @@ let bounds_match_fold store =
 
 let prop_shard_bounds_match_fold =
   QCheck2.Test.make ~name:"shard high-water and manifest bounds = fold over entries" ~count:200
-    ~print:print_shard_ops gen_shard_ops (fun ops ->
-      let bucket_ms = 10 in
-      let store = ref (Shard_store.create ~bucket_ms ~seed:3 ()) in
+    ~print:print_shard_ops (gen_shard_ops ~lose:false) (fun ops ->
+      let store = ref (Shard_store.create ~bucket_ms:shard_bucket_ms ~seed:3 ()) in
       let streams = [| []; [] |] (* reversed *) in
-      let name i = if i = 0 then "a" else "b" in
       List.for_all
         (fun op ->
-          (match op with
-          | Grow (i, steps) ->
-            List.iter
-              (fun step ->
-                let last = match streams.(i) with e :: _ -> e.Hdb.Audit_schema.time | [] -> 0 in
-                let n = List.length streams.(i) in
-                let user = Printf.sprintf "%s%d" (name i) n in
-                streams.(i) <- entry ~time:(last + step) ~user () :: streams.(i))
-              steps;
-            ignore (Shard_store.archive_site !store ~site:(name i) (List.rev streams.(i)))
-          | Late i ->
-            (match List.rev streams.(i) with
-            | [] -> ()
-            | first :: _ as stream ->
-              streams.(i) <- List.rev ({ first with Hdb.Audit_schema.user = "late" } :: stream);
-              ignore (Shard_store.archive_site !store ~site:(name i) (List.rev streams.(i))))
-          | Reopen ->
-            Shard_store.sync !store;
-            store :=
-              fst
-                (Shard_store.reopen ~bucket_ms ~seed:3
-                   ~manifest:(Shard_store.manifest_device !store)
-                   ~shards:(Shard_store.devices !store) ()));
+          ignore (run_shard_op store streams op);
           (* every fetch is archived whole, by append or by rebuild *)
           List.for_all
             (fun i ->
               List.equal Hdb.Audit_schema.equal
-                (Shard_store.merged_site !store ~site:(name i))
+                (Shard_store.merged_site !store ~site:(shard_site i))
                 (List.rev streams.(i)))
             [ 0; 1 ]
           && bounds_match_fold !store)
+        ops)
+
+(* --- the archive's listing order, against a model ---
+
+   [Shard_store.devices] and the manifest [sync] writes list each site's
+   shards together, buckets ascending, and the sites in the order each
+   was last (re)created: first archived, rebuilt by an archive step, or,
+   when a reopen lost every device it had, brought back last as a torn
+   placeholder.  The model keeps that site order from the steps alone
+   (an archive step's [rebuilt] flag included) and each site's buckets
+   from its stream. *)
+
+let prop_listing_order_matches_model =
+  QCheck2.Test.make ~name:"archive listing = sites in (re)creation order, buckets ascending"
+    ~count:300 ~print:print_shard_ops (gen_shard_ops ~lose:true) (fun ops ->
+      let store = ref (Shard_store.create ~bucket_ms:shard_bucket_ms ~seed:3 ()) in
+      let streams = [| []; [] |] (* reversed *) in
+      let order = ref [] in
+      let to_last site = order := List.filter (( <> ) site) !order @ [ site ] in
+      let buckets site =
+        let i = if String.equal site (shard_site 0) then 0 else 1 in
+        List.sort_uniq compare
+          (List.map (fun e -> e.Hdb.Audit_schema.time / shard_bucket_ms) streams.(i))
+      in
+      let listing () =
+        List.concat_map
+          (fun site -> List.map (fun b -> Printf.sprintf "%s#%d" site b) (buckets site))
+          !order
+      in
+      List.for_all
+        (fun op ->
+          (* the site a lost device takes with it, judged before the step *)
+          let emptied =
+            match (op, listing ()) with
+            | Lose n, (_ :: _ as names) ->
+              let lost = List.nth names (n mod List.length names) in
+              let site = String.sub lost 0 (String.rindex lost '#') in
+              if List.length (buckets site) = 1 then Some site else None
+            | _ -> None
+          in
+          let rebuilt = run_shard_op store streams op in
+          (match op with
+          | Grow (i, _) | Late i ->
+            let site = shard_site i in
+            if streams.(i) <> [] && (rebuilt || not (List.mem site !order)) then to_last site
+          | Reopen | Lose _ -> Option.iter to_last emptied);
+          let expected = listing () in
+          List.map (fun (name, _, _) -> name) (Shard_store.devices !store) = expected
+          &&
+          (Shard_store.sync !store;
+           match Durable.Manifest.read (Shard_store.manifest_device !store) with
+           | Ok (Some m) ->
+             List.map (fun (d : Durable.Manifest.shard) -> d.name) m.Durable.Manifest.shards
+             = expected
+           | _ -> false))
         ops)
 
 (* --- the fault matrix --- *)
@@ -1002,6 +1086,7 @@ let () =
           Alcotest.test_case "crash-replaced record rebuilds" `Quick
             test_crash_replaced_record_rebuilds;
           QCheck_alcotest.to_alcotest ~long:false prop_shard_bounds_match_fold;
+          QCheck_alcotest.to_alcotest ~long:false prop_listing_order_matches_model;
         ] );
       ( "suffix-fetch",
         List.map

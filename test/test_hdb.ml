@@ -66,6 +66,29 @@ let test_store_compression_wins () =
   check_bool "dictionary encoding smaller" true
     (Audit_store.encoded_bytes store < Audit_store.naive_bytes store)
 
+(* E6's storage figures, pinned on one trail that crosses every column's
+   growth point: 100 rows, 20 distinct users, and provenance on every
+   seventh row. *)
+let test_store_sizes_pinned () =
+  let store =
+    Audit_store.of_entries
+      (List.init 100 (fun i ->
+           let e =
+             entry ~time:i
+               ~user:(Printf.sprintf "user-%d" (i mod 20))
+               ~data:(if i mod 3 = 0 then "psychiatry" else "referral")
+               ~op:(if i mod 5 = 0 then Audit_schema.Disallow else Audit_schema.Allow)
+               ~status:(if i mod 4 = 0 then Audit_schema.Exception_based else Audit_schema.Regular)
+               ()
+           in
+           if i mod 7 = 0 then
+             Audit_schema.with_provenance ~session:"s-1" ~request:(Printf.sprintf "rq-%d" i)
+               ~changed:[ "purpose" ] e
+           else e))
+  in
+  check_int "naive bytes" 8518 (Audit_store.naive_bytes store);
+  check_int "encoded bytes" 6003 (Audit_store.encoded_bytes store)
+
 let test_store_to_table () =
   let store = Audit_store.of_entries [ entry ~time:1 (); entry ~time:2 () ] in
   let db = Relational.Database.create () in
@@ -610,6 +633,7 @@ let () =
         [ Alcotest.test_case "append/get" `Quick test_store_append_get;
           Alcotest.test_case "roundtrip many" `Quick test_store_roundtrip_many;
           Alcotest.test_case "compression wins" `Quick test_store_compression_wins;
+          Alcotest.test_case "storage figures pinned" `Quick test_store_sizes_pinned;
           Alcotest.test_case "to relational table" `Quick test_store_to_table;
         ] );
       ( "logger",
