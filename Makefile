@@ -143,8 +143,9 @@ pipebench-trace:
 # `make ab BASE=<rev> WORKLOAD=monitor [PAIRS=10] [SEEDS=1,2,7919]`.
 # git-archives BASE into a temporary directory under $TMPDIR, alternates its
 # runs with this working tree's, each BENCHMARK.json's run_seconds long,
-# prints each gated metric's medians and quartiles, and fails if any run
-# is not correct (bench/ab.py).
+# prints each gated metric's medians and quartiles, the pairs the change
+# won, the parent's quartile spread and a verdict (gain, worse, unresolved
+# or same), and fails if any run is not correct (bench/ab.py).
 PAIRS ?= 10
 SEEDS ?= 1
 ab:

@@ -273,22 +273,37 @@ let e6 () =
           ignore (Relational.Engine.query engine sql)
         done)
   in
+  let enforced () =
+    match
+      Hdb.Control_center.query control ~user:"tim" ~role:"nurse" ~purpose:"treatment" sql
+    with
+    | Ok _ -> ()
+    | Error _ -> failwith "unexpected denial"
+  in
   let _, t_enforced =
     time_it (fun () ->
         for _ = 1 to iterations do
-          match
-            Hdb.Control_center.query control ~user:"tim" ~role:"nurse" ~purpose:"treatment"
-              sql
-          with
-          | Ok _ -> ()
-          | Error _ -> failwith "unexpected denial"
+          enforced ()
         done)
+  in
+  (* Repeating one query reuses its cached consent exclusion; the first
+     query after a consent change computes it again.  A fresh opt-out,
+     untimed, precedes each timed query. *)
+  let t_after_opt_out =
+    List.fold_left ( +. ) 0.
+      (List.init iterations (fun i ->
+           Hdb.Control_center.opt_out control
+             ~patient:(Printf.sprintf "p%04d" ((2 * i) + 1))
+             ~purpose:"treatment" ~data:"referral";
+           snd (time_it enforced)))
   in
   let per_query t = 1000. *. t /. float_of_int iterations in
   Fmt.pr "clinical rows: %d, %d query iterations@.@." rows iterations;
   Fmt.pr "raw query                 : %.3f ms/query@." (per_query t_raw);
   Fmt.pr "enforced (rewrite+audit)  : %.3f ms/query@." (per_query t_enforced);
   Fmt.pr "overhead                  : %.1fx@." (t_enforced /. t_raw);
+  Fmt.pr "enforced after an opt-out : %.3f ms/query (%.1fx raw)@." (per_query t_after_opt_out)
+    (t_after_opt_out /. t_raw);
   check "enforcement overhead is bounded" ~paper:"minimal impact (< 10x here)"
     ~measured:
       (if t_enforced /. t_raw < 10. then "minimal impact (< 10x here)"

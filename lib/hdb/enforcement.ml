@@ -28,12 +28,22 @@ type context = {
   purpose : string;
 }
 
+(* A computed exclusion, with what it was computed from: the table value,
+   its row version and the consent store's record count. *)
+type exclusion = {
+  table : Table.t;
+  version : int;
+  choices : int;
+  excluded : (string * Value.t) list;
+}
+
 type t = {
   engine : Engine.t;
   rules : Privacy_rules.t;
   consent : Consent.t;
   categories : Category_map.t;
   logger : Audit_logger.t;
+  exclusions : (string * string * string * string list, exclusion) Hashtbl.t;
 }
 
 type outcome = {
@@ -50,7 +60,9 @@ type error =
   | Unsupported of string
 
 let create ~engine ~rules ~consent ~categories ~logger =
-  { engine; rules; consent; categories; logger }
+  { engine; rules; consent; categories; logger; exclusions = Hashtbl.create 64 }
+
+let exclusion_limit = 1 lsl 10 (* [exclusions] is reset wholesale at this size *)
 
 let engine t = t.engine
 let logger t = t.logger
@@ -143,8 +155,7 @@ exception Untyped_patient_column of string
    under an opt-out store every patient is a candidate and the rows are
    scanned.
    @raise Untyped_patient_column when the column can hold no patient id. *)
-let excluded_in_table t ctx ~table ~patient_column ~categories =
-  let tbl = Database.table (Engine.database t.engine) table in
+let compute_exclusion t ctx tbl ~patient_column ~categories =
   let column = Schema.find_exn (Table.schema tbl) patient_column in
   let value_of_id =
     match Schema.ty_at (Table.schema tbl) column with
@@ -158,7 +169,7 @@ let excluded_in_table t ctx ~table ~patient_column ~categories =
       raise
         (Untyped_patient_column
            (Printf.sprintf "patient column %s.%s is %s; patient ids need TEXT or INTEGER"
-              table patient_column (Value.ty_to_string ty)))
+              (Table.name tbl) patient_column (Value.ty_to_string ty)))
   in
   Table.create_index tbl ~column_name:patient_column;
   let candidates =
@@ -194,6 +205,21 @@ let excluded_in_table t ctx ~table ~patient_column ~categories =
   Consent.opted_out_patients t.consent ~patients:candidates ~purpose:ctx.purpose ~categories
   |> List.map (fun id -> (id, Option.get (value_of_id id)))
 
+(* [compute_exclusion], reused while the same table value holds the same
+   rows and the consent store has recorded no choice since ([Consent.count]
+   only grows).  [categories] arrive sorted and distinct. *)
+let excluded_in_table t ctx ~table ~patient_column ~categories =
+  let tbl = Database.table (Engine.database t.engine) table in
+  let key = (table, patient_column, ctx.purpose, categories) in
+  let version = Table.version tbl and choices = Consent.count t.consent in
+  match Hashtbl.find_opt t.exclusions key with
+  | Some e when e.table == tbl && e.version = version && e.choices = choices -> e.excluded
+  | Some _ | None ->
+    let excluded = compute_exclusion t ctx tbl ~patient_column ~categories in
+    if Hashtbl.length t.exclusions >= exclusion_limit then Hashtbl.reset t.exclusions;
+    Hashtbl.replace t.exclusions key { table = tbl; version; choices; excluded };
+    excluded
+
 let log_categories t ctx ~op ~status categories =
   let _ = Audit_logger.tick t.logger in
   List.iter
@@ -223,9 +249,10 @@ let expand_select_projections scope (projections : Sql_ast.projection list) =
 
 (* The rewrite itself: returns the rewritten select, masked output columns,
    excluded patients and disclosed categories, or the denial reason.  Its
-   one side effect is building a patient index on first use (see
-   [excluded_in_table]).  Handles any join tree of base tables; unmapped
-   tables in scope contribute nothing to enforcement. *)
+   side effects are building a patient index on first use and caching each
+   exclusion it computes (see [excluded_in_table]).  Handles any join tree
+   of base tables; unmapped tables in scope contribute nothing to
+   enforcement. *)
 let rewrite t ctx (select : Sql_ast.select) =
   match select.Sql_ast.from with
   | None -> Ok (select, [], [], [])

@@ -59,10 +59,16 @@ val rewrite :
   (Relational.Sql_ast.select * string list * string list * string list, error) result
 (** The rewrite: [(rewritten, masked columns, excluded patients,
     disclosed categories)] or the denial.  Queries over unmapped tables
-    pass through untouched.  Its one side effect: the first exclusion
-    computed over a table builds a hash index on its patient column, which
-    the table then keeps current.  A disclosure from a table whose patient
-    column is neither TEXT nor INTEGER is [Unsupported]. *)
+    pass through untouched.  A disclosure from a table whose patient
+    column is neither TEXT nor INTEGER is [Unsupported].
+
+    Side effects: the first exclusion computed over a table builds a hash
+    index on its patient column, which the table then keeps current; and
+    each exclusion list is cached under (table, patient column, purpose,
+    disclosed categories) and reused while the table is the same value at
+    the same {!Relational.Table.version} and {!Consent.count} has not
+    moved, so the first query per key after a write pays the full
+    computation.  Rule decisions are memoized by {!Privacy_rules.decide}. *)
 
 val run_query :
   ?break_glass:bool ->

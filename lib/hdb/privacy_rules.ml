@@ -18,14 +18,18 @@ type rule = {
 type t = {
   vocab : Vocabulary.Vocab.t;
   mutable rules : rule list;
+  decisions : (string * string * string, effect) Hashtbl.t;
 }
 
-let create ~vocab = { vocab; rules = [] }
+let decision_limit = 1 lsl 12 (* [decisions] is reset wholesale at this size *)
+
+let create ~vocab = { vocab; rules = []; decisions = Hashtbl.create 64 }
 
 let vocab t = t.vocab
 
 let add t ?(effect = Permit) ~data ~purpose ~authorized () =
-  t.rules <- { data; purpose; authorized; effect } :: t.rules
+  t.rules <- { data; purpose; authorized; effect } :: t.rules;
+  Hashtbl.reset t.decisions
 
 let rules t = List.rev t.rules
 
@@ -44,14 +48,24 @@ let rule_matches vocab rule ~data ~purpose ~authorized =
        ~rule_value:rule.authorized ~request_value:authorized
 
 (* Deny overrides permit; absence of any matching rule denies (closed
-   world, per the limited-use-and-disclosure provision). *)
+   world, per the limited-use-and-disclosure provision).  Memoized until
+   the next [add]; the vocabulary is immutable. *)
 let decide t ~data ~purpose ~authorized =
-  let matching =
-    List.filter (fun r -> rule_matches t.vocab r ~data ~purpose ~authorized) t.rules
-  in
-  if List.exists (fun r -> r.effect = Forbid) matching then Forbid
-  else if List.exists (fun r -> r.effect = Permit) matching then Permit
-  else Forbid
+  let key = (data, purpose, authorized) in
+  match Hashtbl.find_opt t.decisions key with
+  | Some effect -> effect
+  | None ->
+    let matching =
+      List.filter (fun r -> rule_matches t.vocab r ~data ~purpose ~authorized) t.rules
+    in
+    let effect =
+      if List.exists (fun r -> r.effect = Forbid) matching then Forbid
+      else if List.exists (fun r -> r.effect = Permit) matching then Permit
+      else Forbid
+    in
+    if Hashtbl.length t.decisions >= decision_limit then Hashtbl.reset t.decisions;
+    Hashtbl.add t.decisions key effect;
+    effect
 
 let permits t ~data ~purpose ~authorized = decide t ~data ~purpose ~authorized = Permit
 

@@ -32,6 +32,10 @@ val rules : t -> rule list
 val count : t -> int
 
 val decide : t -> data:string -> purpose:string -> authorized:string -> effect
+(** Deny overrides permit; no matching rule forbids.  Each (data, purpose,
+    authorized) decision is memoized until the next {!add}, which empties
+    the memo; the memo is also emptied whenever it reaches a fixed size. *)
+
 val permits : t -> data:string -> purpose:string -> authorized:string -> bool
 
 val conflicts : t -> (rule * rule) list

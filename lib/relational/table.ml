@@ -8,15 +8,18 @@ type t = {
   schema : Schema.t;
   rows : Row.t Vec.t;
   mutable indexes : Index.t list;
+  mutable version : int;
 }
 
-let create ~name ~schema = { name; schema; rows = Vec.create (); indexes = [] }
+let create ~name ~schema = { name; schema; rows = Vec.create (); indexes = []; version = 0 }
 
 let name t = t.name
 
 let schema t = t.schema
 
 let row_count t = Vec.length t.rows
+
+let version t = t.version
 
 let check_row t row =
   if Row.arity row <> Schema.arity t.schema then
@@ -37,6 +40,7 @@ let insert t row =
   let row = check_row t row in
   let row_id = Vec.length t.rows in
   Vec.push t.rows row;
+  t.version <- t.version + 1;
   List.iter (fun idx -> Index.add idx row row_id) t.indexes
 
 let insert_values t values = insert t (Row.of_list values)
@@ -75,6 +79,7 @@ let delete_where t keep =
   let removed = Vec.length t.rows - Vec.length kept in
   Vec.clear t.rows;
   Vec.iter (Vec.push t.rows) kept;
+  t.version <- t.version + 1;
   rebuild_indexes t;
   removed
 
@@ -87,11 +92,12 @@ let update_where t ~pred ~transform =
         incr changed
       end)
     t.rows;
-  if !changed > 0 then rebuild_indexes t;
+  if !changed > 0 then (t.version <- t.version + 1; rebuild_indexes t);
   !changed
 
 let truncate t =
   Vec.clear t.rows;
+  t.version <- t.version + 1;
   List.iter Index.clear t.indexes
 
 let pp ppf t =

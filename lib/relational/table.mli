@@ -11,6 +11,11 @@ val name : t -> string
 val schema : t -> Schema.t
 val row_count : t -> int
 
+val version : t -> int
+(** Bumped by every {!insert}, {!delete_where} and {!truncate}, and by an
+    {!update_where} that changed a row: a reader that saw the same version
+    saw the same rows.  Index builds leave it alone. *)
+
 val insert : t -> Row.t -> unit
 (** @raise Errors.Sql_error (Execute) on arity or type mismatch. *)
 

@@ -1,7 +1,8 @@
-(* Index-backed consent exclusion (DESIGN.md §18) against the row scan it
-   replaced: a QCheck differential oracle over random tables, consent
-   histories and queries, then the patient index's lifecycle under DML and
-   DDL and its effect on strict tuple quotas. *)
+(* Index-backed, cached consent exclusion (DESIGN.md §18) against the row
+   scan it replaced: a QCheck differential oracle over random tables,
+   consent histories and queries, then the patient index's and the
+   exclusion cache's lifecycle under DML, DDL and consent changes, and the
+   index's effect on strict tuple quotas. *)
 
 open Hdb
 module R = Relational
@@ -450,8 +451,14 @@ let make_control ?(designate_first = false) () =
 let admin control sql = ignore (Control_center.admin_exec control sql)
 
 (* Runs the permitted full select; checks the NOT IN list, in order, and
-   the patients whose rows came back. *)
+   the patients whose rows came back, and checks that the row-scan oracle
+   excludes the same patients in the same order. *)
 let expect control ~excluded ~returned =
+  let oracle =
+    scan_exclusion (Control_center.engine control) (Control_center.consent control)
+      ~table:"records" ~purpose:"treatment" ~categories:[ "referral" ]
+  in
+  check_strings "the row-scan oracle's NOT IN list" excluded (List.map fst oracle);
   match
     Control_center.query control ~user:"tim" ~role:"nurse" ~purpose:"treatment"
       "SELECT patient, referral FROM records"
@@ -501,6 +508,36 @@ let test_after_drop_and_create () =
   admin control "INSERT INTO records VALUES ('p4', 'r4'), ('p3', 'r3'), ('p2', 'r2')";
   expect control ~excluded:[ "p4"; "p2" ] ~returned:[ "p3" ]
 
+(* The exclusion cache (DESIGN.md §18): the same query before and after
+   one change, each answer checked against the row-scan oracle. *)
+let test_opt_out_in_between () =
+  let control = make_control () in
+  expect control ~excluded:[ "p2" ] ~returned:[ "p1"; "p3" ];
+  Control_center.opt_out control ~patient:"p3" ~purpose:"treatment" ~data:"referral";
+  expect control ~excluded:[ "p2"; "p3" ] ~returned:[ "p1" ]
+
+let test_re_opt_in_in_between () =
+  let control = make_control () in
+  expect control ~excluded:[ "p2" ] ~returned:[ "p1"; "p3" ];
+  Control_center.opt_in control ~patient:"p2" ~purpose:"treatment" ~data:"referral";
+  expect control ~excluded:[] ~returned:[ "p1"; "p2"; "p3" ]
+
+(* p4 opted out before any row named p4. *)
+let test_recorded_patient_first_row () =
+  let control = make_control () in
+  expect control ~excluded:[ "p2" ] ~returned:[ "p1"; "p3" ];
+  admin control "INSERT INTO records VALUES ('p4', 'r4')";
+  expect control ~excluded:[ "p2"; "p4" ] ~returned:[ "p1"; "p3" ]
+
+(* p2's second row comes after p3's only row; the list stays in first-row
+   order. *)
+let test_excluded_patient_second_row () =
+  let control = make_control () in
+  Control_center.opt_out control ~patient:"p3" ~purpose:"treatment" ~data:"referral";
+  expect control ~excluded:[ "p2"; "p3" ] ~returned:[ "p1" ];
+  admin control "INSERT INTO records VALUES ('p2', 'r9')";
+  expect control ~excluded:[ "p2"; "p3" ] ~returned:[ "p1" ]
+
 let test_designated_before_table () =
   let control = make_control ~designate_first:true () in
   expect control ~excluded:[ "p2" ] ~returned:[ "p1"; "p3" ]
@@ -539,6 +576,12 @@ let () =
           Alcotest.test_case "drop and create" `Quick test_after_drop_and_create;
           Alcotest.test_case "designated before the table exists" `Quick
             test_designated_before_table;
+          Alcotest.test_case "opt-out recorded in between" `Quick test_opt_out_in_between;
+          Alcotest.test_case "re-opt-in recorded in between" `Quick test_re_opt_in_in_between;
+          Alcotest.test_case "a recorded patient's first row" `Quick
+            test_recorded_patient_first_row;
+          Alcotest.test_case "an excluded patient's second row" `Quick
+            test_excluded_patient_second_row;
         ] );
       ("governance", [ Alcotest.test_case "strict tuple quota" `Quick test_strict_quota ]);
     ]

@@ -284,6 +284,62 @@ let test_rules_role_subsumption () =
   check_bool "nurse is not" false
     (Privacy_rules.permits rules ~data:"psychiatry" ~purpose:"treatment" ~authorized:"nurse")
 
+(* The decision memo against the uncached fold over the rule list: rules
+   are added (permit and forbid, leaf and composite values) between
+   decisions, and every answer must equal the reference's.  The values
+   come from a few branches of the hospital vocabulary, so requests repeat
+   and share two of their three values. *)
+type rules_step =
+  | Add of Privacy_rules.rule
+  | Decide of string * string * string
+  | Permits of string * string * string
+
+let rules_step_to_string = function
+  | Add r -> Fmt.str "add %a" Privacy_rules.pp_rule r
+  | Decide (d, p, a) -> Printf.sprintf "decide %s/%s/%s" d p a
+  | Permits (d, p, a) -> Printf.sprintf "permits %s/%s/%s" d p a
+
+let gen_rules_steps =
+  let open QCheck2.Gen in
+  let data = oneofl [ "data"; "clinical"; "routine"; "referral"; "prescription"; "sensitive";
+                      "psychiatry"; "demographic"; "address" ] in
+  let purpose = oneofl [ "purpose"; "administering-healthcare"; "care-delivery"; "treatment";
+                         "diagnosis"; "payment"; "billing" ] in
+  let authorized = oneofl [ "staff"; "clinical-staff"; "physician"; "psychiatrist"; "nursing";
+                            "nurse"; "clerk" ] in
+  let triple = triple data purpose authorized in
+  let step =
+    frequency
+      [ (1, map2 (fun effect (data, purpose, authorized) ->
+                Add { Privacy_rules.data; purpose; authorized; effect })
+              (frequencyl [ (3, Privacy_rules.Permit); (1, Privacy_rules.Forbid) ]) triple);
+        (3, map (fun (d, p, a) -> Decide (d, p, a)) triple);
+        (2, map (fun (d, p, a) -> Permits (d, p, a)) triple);
+      ]
+  in
+  list_size (int_range 1 60) step
+
+let prop_decision_memo =
+  QCheck2.Test.make ~name:"memoized decide = fold over the rules" ~count:500
+    ~print:(fun steps -> String.concat "\n" (List.map rules_step_to_string steps))
+    gen_rules_steps (fun steps ->
+      let rules = Privacy_rules.create ~vocab:(Vocabulary.Samples.hospital ()) in
+      List.for_all
+        (fun step ->
+          match step with
+          | Add r ->
+            Privacy_rules.add rules ~effect:r.Privacy_rules.effect ~data:r.Privacy_rules.data
+              ~purpose:r.Privacy_rules.purpose ~authorized:r.Privacy_rules.authorized ();
+            true
+          | Decide (data, purpose, authorized) ->
+            Privacy_rules.decide rules ~data ~purpose ~authorized
+            = Test_support.Decision_reference.decide rules ~data ~purpose ~authorized
+          | Permits (data, purpose, authorized) ->
+            Privacy_rules.permits rules ~data ~purpose ~authorized
+            = (Test_support.Decision_reference.decide rules ~data ~purpose ~authorized
+               = Privacy_rules.Permit))
+        steps)
+
 (* --- consent --- *)
 
 let test_consent_default_and_optout () =
@@ -656,6 +712,7 @@ let () =
           Alcotest.test_case "composite covers" `Quick test_rules_composite_covers;
           Alcotest.test_case "deny overrides" `Quick test_rules_deny_overrides;
           Alcotest.test_case "role subsumption" `Quick test_rules_role_subsumption;
+          QCheck_alcotest.to_alcotest prop_decision_memo;
         ] );
       ( "consent",
         [ Alcotest.test_case "default & opt-out" `Quick test_consent_default_and_optout;
