@@ -2,28 +2,34 @@
    category each (table, column) holds, and which column identifies the
    patient.  Active Enforcement needs this to know what a query touches. *)
 
+open Relational
+
+(* Keys are stored folded; lookups compare in place.  The tables with a
+   mapped column are [categories]' keys, so [is_mapped_table] walks
+   nothing. *)
 type t = {
-  categories : (string * string, string) Hashtbl.t; (* (table, column) -> category *)
-  patient_columns : (string, string) Hashtbl.t; (* table -> patient id column *)
+  categories : string Name.Tbl.t Name.Tbl.t; (* table -> column -> category *)
+  patient_columns : string Name.Tbl.t; (* table -> patient id column *)
 }
 
-let create () = { categories = Hashtbl.create 32; patient_columns = Hashtbl.create 8 }
+let create () = { categories = Name.Tbl.create 8; patient_columns = Name.Tbl.create 8 }
 
 let normalize = String.lowercase_ascii
 
 let set_category t ~table ~column ~category =
-  Hashtbl.replace t.categories (normalize table, normalize column) category
+  if not (Name.Tbl.mem t.categories table) then
+    Name.Tbl.replace t.categories (normalize table) (Name.Tbl.create 32);
+  Name.Tbl.replace (Name.Tbl.find t.categories table) (normalize column) category
 
 let category_of t ~table ~column =
-  Hashtbl.find_opt t.categories (normalize table, normalize column)
+  match Name.Tbl.find_opt t.categories table with
+  | Some columns -> Name.Tbl.find_opt columns column
+  | None -> None
 
 let set_patient_column t ~table ~column =
-  Hashtbl.replace t.patient_columns (normalize table) (normalize column)
+  Name.Tbl.replace t.patient_columns (normalize table) (normalize column)
 
-let patient_column t ~table = Hashtbl.find_opt t.patient_columns (normalize table)
+let patient_column t ~table = Name.Tbl.find_opt t.patient_columns table
 
 let is_mapped_table t ~table =
-  Hashtbl.mem t.patient_columns (normalize table)
-  || Hashtbl.fold
-       (fun (tbl, _) _ acc -> acc || String.equal tbl (normalize table))
-       t.categories false
+  Name.Tbl.mem t.patient_columns table || Name.Tbl.mem t.categories table

@@ -74,7 +74,7 @@ let categories t = t.categories
    expression. *)
 let rec expr_columns (e : Sql_ast.expr) =
   match e with
-  | Sql_ast.Col { qualifier; name } -> [ (qualifier, String.lowercase_ascii name) ]
+  | Sql_ast.Col { qualifier; name } -> [ (qualifier, name) ]
   | Sql_ast.Lit _ | Sql_ast.Star -> []
   | Sql_ast.Unop (_, x) -> expr_columns x
   | Sql_ast.Binop (_, a, b) -> expr_columns a @ expr_columns b
@@ -110,7 +110,7 @@ let rec scope_of t (ref : Sql_ast.table_ref) : scope_entry list =
   | Sql_ast.Table { name; alias } ->
     let table = Database.table (Engine.database t.engine) name in
     [ { table_name = Table.name table;
-        qualifier = String.lowercase_ascii (Option.value alias ~default:(Table.name table));
+        qualifier = Name.fold (Option.value alias ~default:(Table.name table));
         table_schema = Table.schema table;
       } ]
   | Sql_ast.Derived _ -> raise Derived_in_scope
@@ -124,9 +124,7 @@ let rec scope_of t (ref : Sql_ast.table_ref) : scope_entry list =
 let table_of_column scope (qualifier, name) =
   match qualifier with
   | Some q ->
-    List.find_opt
-      (fun entry -> String.equal entry.qualifier (String.lowercase_ascii q))
-      scope
+    List.find_opt (fun entry -> Name.equal entry.qualifier q) scope
   | None -> begin
     match List.filter (fun entry -> Schema.mem entry.table_schema name) scope with
     | [ entry ] -> Some entry
@@ -322,7 +320,8 @@ let rewrite t ctx (select : Sql_ast.select) =
                   p
                 end
                 else begin
-                  masked := List.map snd refs @ !masked;
+                  masked :=
+                    List.map (fun (_, name) -> String.lowercase_ascii name) refs @ !masked;
                   let name =
                     match alias, e with
                     | Some a, _ -> Some a

@@ -61,8 +61,8 @@ let collect_aggs exprs =
 let projection_name i (p : Sql_ast.projection) =
   match p with
   | Sql_ast.All_columns -> Errors.internal "projection_name on *"
-  | Sql_ast.Proj (_, Some alias) -> String.lowercase_ascii alias
-  | Sql_ast.Proj (Sql_ast.Col { name; _ }, None) -> String.lowercase_ascii name
+  | Sql_ast.Proj (_, Some alias) -> Name.fold alias
+  | Sql_ast.Proj (Sql_ast.Col { name; _ }, None) -> Name.fold name
   | Sql_ast.Proj (e, None) ->
     let text = String.lowercase_ascii (Sql_ast.expr_to_sql e) in
     if String.length text <= 40 then text else Printf.sprintf "col%d" (i + 1)
@@ -421,8 +421,11 @@ and exec_select budget db (q : Sql_ast.select) : result_set =
         let spec =
           match e with
           | Sql_ast.Col { qualifier = None; name } ->
-            let lname = String.lowercase_ascii name in
-            (match List.find_index (String.equal lname) output_names with
+            (* An output name is taken as stored, as [Schema.find_all] takes
+               a column's. *)
+            (match
+               List.find_index (fun o -> Name.equal o name && Name.is_folded o) output_names
+             with
             | Some i -> By_output i
             | None -> By_expr (Expr.compile ctx e))
           | Sql_ast.Lit (Value.Int k) when k >= 1 && k <= List.length output_names ->

@@ -10,7 +10,7 @@ type column = {
 
 type t = column array
 
-let column ?qualifier name ty = { name = String.lowercase_ascii name; ty; qualifier }
+let column ?qualifier name ty = { name = Name.fold name; ty; qualifier }
 
 let of_list columns = Array.of_list columns
 
@@ -20,23 +20,25 @@ let columns (t : t) = Array.to_list t
 
 let column_names (t : t) = Array.to_list (Array.map (fun c -> c.name) t)
 
-let normalize = String.lowercase_ascii
-
 (* Resolution returns all candidate positions so callers can report
-   ambiguity precisely. *)
-let find_all (t : t) ?qualifier name =
-  let name = normalize name in
-  let qualifier = Option.map normalize qualifier in
-  let matches i c =
-    let name_ok = String.equal c.name name in
-    let qual_ok =
-      match qualifier with
-      | None -> true
-      | Some q -> (match c.qualifier with Some cq -> String.equal (normalize cq) q | None -> false)
+   ambiguity precisely.  A column's name is taken as stored, and the name
+   looked up is folded to it, so a name stored with an upper-case letter
+   matches nothing; qualifiers compare folded on both sides. *)
+let rec find_from (t : t) qualifier name i acc =
+  if i < 0 then acc
+  else
+    let c = t.(i) in
+    let hit =
+      Name.equal c.name name && Name.is_folded c.name
+      &&
+      match qualifier, c.qualifier with
+      | None, _ -> true
+      | Some q, Some cq -> Name.equal cq q
+      | Some _, None -> false
     in
-    if name_ok && qual_ok then Some i else None
-  in
-  Array.to_list t |> List.mapi matches |> List.filter_map Fun.id
+    find_from t qualifier name (i - 1) (if hit then i :: acc else acc)
+
+let find_all (t : t) ?qualifier name = find_from t qualifier name (Array.length t - 1) []
 
 let find (t : t) ?qualifier name =
   match find_all t ?qualifier name with
@@ -57,7 +59,7 @@ let find_exn (t : t) ?qualifier name =
   | Ok i -> i
   | Error msg -> Errors.fail Errors.Plan "%s" msg
 
-let mem (t : t) name = find_all t name <> []
+let mem (t : t) name = match find_all t name with [] -> false | _ :: _ -> true
 
 let ty_at (t : t) i = t.(i).ty
 

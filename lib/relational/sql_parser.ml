@@ -34,9 +34,11 @@ let fail_tok st expected =
 let expect st token name =
   if peek st = token then advance st else fail_tok st name
 
+(* Keywords are spelled in upper case here, so [Name.equal s kw] is
+   [String.uppercase_ascii s = kw]. *)
 let is_kw st kw =
   match peek st with
-  | Ident s -> String.uppercase_ascii s = kw
+  | Ident s -> Name.equal s kw
   | _ -> false
 
 (* Consume the keyword if present; return whether it was. *)
@@ -49,14 +51,18 @@ let accept_kw st kw =
 
 let expect_kw st kw = if not (accept_kw st kw) then fail_tok st kw
 
-let reserved =
-  [ "SELECT"; "FROM"; "WHERE"; "GROUP"; "HAVING"; "ORDER"; "LIMIT"; "OFFSET";
-    "AND"; "OR"; "NOT"; "AS"; "ON"; "JOIN"; "LEFT"; "CROSS"; "INNER"; "BY";
-    "ASC"; "DESC"; "IN"; "LIKE"; "IS"; "NULL"; "BETWEEN"; "DISTINCT"; "VALUES";
-    "INSERT"; "INTO"; "DELETE"; "UPDATE"; "SET"; "CREATE"; "DROP"; "TABLE";
-    "TRUE"; "FALSE"; "UNION"; "EXISTS" ]
+let reserved = Name.Tbl.create 64
 
-let is_reserved s = List.mem (String.uppercase_ascii s) reserved
+let () =
+  List.iter
+    (fun kw -> Name.Tbl.replace reserved kw ())
+    [ "SELECT"; "FROM"; "WHERE"; "GROUP"; "HAVING"; "ORDER"; "LIMIT"; "OFFSET";
+      "AND"; "OR"; "NOT"; "AS"; "ON"; "JOIN"; "LEFT"; "CROSS"; "INNER"; "BY";
+      "ASC"; "DESC"; "IN"; "LIKE"; "IS"; "NULL"; "BETWEEN"; "DISTINCT"; "VALUES";
+      "INSERT"; "INTO"; "DELETE"; "UPDATE"; "SET"; "CREATE"; "DROP"; "TABLE";
+      "TRUE"; "FALSE"; "UNION"; "EXISTS" ]
+
+let is_reserved s = Name.Tbl.mem reserved s
 
 let parse_ident st =
   match peek st with
@@ -106,7 +112,7 @@ and parse_predicate st =
     end
     else begin
       let negated = is_kw st "NOT" && (match peek2 st with
-        | Ident s -> (match String.uppercase_ascii s with "IN" | "LIKE" | "BETWEEN" -> true | _ -> false)
+        | Ident s -> Name.equal s "IN" || Name.equal s "LIKE" || Name.equal s "BETWEEN"
         | _ -> false)
       in
       if negated then advance st;
@@ -185,16 +191,16 @@ and parse_primary st =
   | Star_tok ->
     advance st;
     Sql_ast.Star
-  | Ident s when String.uppercase_ascii s = "EXISTS" ->
+  | Ident s when Name.equal s "EXISTS" ->
     advance st;
     expect st Lparen "(";
     if not (is_kw st "SELECT") then fail_tok st "SELECT";
     let select = parse_select st in
     expect st Rparen ")";
     Sql_ast.Exists select
-  | Ident s when String.uppercase_ascii s = "NULL" -> advance st; Sql_ast.Lit Value.Null
-  | Ident s when String.uppercase_ascii s = "TRUE" -> advance st; Sql_ast.Lit (Value.Bool true)
-  | Ident s when String.uppercase_ascii s = "FALSE" ->
+  | Ident s when Name.equal s "NULL" -> advance st; Sql_ast.Lit Value.Null
+  | Ident s when Name.equal s "TRUE" -> advance st; Sql_ast.Lit (Value.Bool true)
+  | Ident s when Name.equal s "FALSE" ->
     advance st;
     Sql_ast.Lit (Value.Bool false)
   | Ident s when not (is_reserved s) ->

@@ -340,6 +340,65 @@ let prop_decision_memo =
                = Privacy_rules.Permit))
         steps)
 
+(* --- category map against Test_support.Name_reference's folding map: a
+   sequence of mappings and lookups, every name spelled in mixed case --- *)
+
+type map_step =
+  | Set_category of string * string * string
+  | Set_patient of string * string
+  | Lookup of string * string
+
+let map_step_to_string = function
+  | Set_category (t, c, cat) -> Printf.sprintf "set_category %s.%s %s" t c cat
+  | Set_patient (t, c) -> Printf.sprintf "set_patient_column %s.%s" t c
+  | Lookup (t, c) -> Printf.sprintf "lookup %s.%s" t c
+
+let gen_map_steps =
+  let open QCheck2.Gen in
+  let recase s =
+    map
+      (fun upper ->
+        String.mapi
+          (fun i c -> if List.nth upper i then Char.uppercase_ascii c else Char.lowercase_ascii c)
+          s)
+      (list_repeat (String.length s) bool)
+  in
+  let table = oneofl [ "records"; "visits"; "lab_2" ] >>= recase in
+  let column = oneofl [ "patient"; "referral"; "psychiatry" ] >>= recase in
+  let step =
+    frequency
+      [ (2, map3 (fun t c cat -> Set_category (t, c, cat)) table column
+              (oneofl [ "referral"; "psychiatry"; "address" ]));
+        (1, map2 (fun t c -> Set_patient (t, c)) table column);
+        (4, map2 (fun t c -> Lookup (t, c)) table column);
+      ]
+  in
+  list_size (int_range 1 30) step
+
+let prop_category_map =
+  QCheck2.Test.make ~name:"category map = the folding map" ~count:1000
+    ~print:(fun steps -> String.concat "\n" (List.map map_step_to_string steps))
+    gen_map_steps (fun steps ->
+      let module R = Test_support.Name_reference in
+      let map = Category_map.create () and reference = R.create_map () in
+      List.for_all
+        (fun step ->
+          match step with
+          | Set_category (table, column, category) ->
+            Category_map.set_category map ~table ~column ~category;
+            R.set_category reference ~table ~column ~category;
+            true
+          | Set_patient (table, column) ->
+            Category_map.set_patient_column map ~table ~column;
+            R.set_patient_column reference ~table ~column;
+            true
+          | Lookup (table, column) ->
+            Category_map.is_mapped_table map ~table = R.is_mapped_table reference ~table
+            && Category_map.category_of map ~table ~column
+               = R.category_of reference ~table ~column
+            && Category_map.patient_column map ~table = R.patient_column reference ~table)
+        steps)
+
 (* --- consent --- *)
 
 let test_consent_default_and_optout () =
@@ -662,6 +721,50 @@ let test_enforcement_alias_supported () =
   Alcotest.(check (list string)) "disclosed" [ "referral" ]
     outcome.Enforcement.disclosed_categories
 
+(* Names are case-insensitive all the way through enforcement: a mapping
+   registered as RECORDS/Referral and a query spelled in mixed case answer,
+   mask, exclude and audit as the lowercase query does. *)
+let test_enforcement_mixed_case_names () =
+  let run ~mapped_table ~mapped_column queries =
+    let control = Control_center.create ~vocab () in
+    List.iter (fun sql -> ignore (Control_center.admin_exec control sql)) clinical_sql;
+    Control_center.set_patient_column control ~table:mapped_table ~column:"Patient";
+    Control_center.map_column control ~table:mapped_table ~column:mapped_column
+      ~category:"referral";
+    Control_center.map_column control ~table:mapped_table ~column:"PSYCHIATRY"
+      ~category:"psychiatry";
+    Control_center.permit control ~data:"routine" ~purpose:"treatment" ~authorized:"nurse";
+    Control_center.opt_out control ~patient:"p2" ~purpose:"treatment" ~data:"referral";
+    let outcomes =
+      List.map (run_ok control ~user:"tim" ~role:"nurse" ~purpose:"treatment") queries
+    in
+    ( List.map
+        (fun o ->
+          ( o.Enforcement.result.Relational.Executor.rows,
+            o.Enforcement.masked_columns,
+            o.Enforcement.excluded_patients,
+            o.Enforcement.disclosed_categories ))
+        outcomes,
+      Control_center.audit_entries control )
+  in
+  let mixed, mixed_audit =
+    run ~mapped_table:"RECORDS" ~mapped_column:"Referral"
+      [ "SELECT Referral FROM Records r WHERE R.Patient = 'p1'";
+        "SELECT R.Referral, Psychiatry FROM Records r WHERE R.Patient = 'p1'";
+      ]
+  and lower, lower_audit =
+    run ~mapped_table:"records" ~mapped_column:"referral"
+      [ "SELECT referral FROM records r WHERE r.patient = 'p1'";
+        "SELECT r.referral, psychiatry FROM records r WHERE r.patient = 'p1'";
+      ]
+  in
+  check_bool "same rows, masks, exclusions and disclosures" true (mixed = lower);
+  (match lower with
+  | [ (rows, [], [ "p2" ], [ "referral" ]); (_, [ "psychiatry" ], [ "p2" ], [ "referral" ]) ] ->
+    check_int "p1's row" 1 (List.length rows)
+  | _ -> Alcotest.fail "the lowercase queries should read p1, mask psychiatry, exclude p2");
+  check_bool "same audit entries" true (List.equal Audit_schema.equal mixed_audit lower_audit)
+
 let test_enforcement_rewritten_sql_inspectable () =
   let control = make_control () in
   Control_center.opt_out control ~patient:"p1" ~purpose:"treatment" ~data:"referral";
@@ -714,6 +817,7 @@ let () =
           Alcotest.test_case "role subsumption" `Quick test_rules_role_subsumption;
           QCheck_alcotest.to_alcotest prop_decision_memo;
         ] );
+      ("category-map", [ QCheck_alcotest.to_alcotest prop_category_map ]);
       ( "consent",
         [ Alcotest.test_case "default & opt-out" `Quick test_consent_default_and_optout;
           Alcotest.test_case "latest wins" `Quick test_consent_latest_wins;
@@ -735,6 +839,7 @@ let () =
           Alcotest.test_case "non-select rejected" `Quick test_enforcement_rejects_non_select;
           Alcotest.test_case "rewritten sql inspectable" `Quick
             test_enforcement_rewritten_sql_inspectable;
+          Alcotest.test_case "mixed-case names" `Quick test_enforcement_mixed_case_names;
         ] );
       ( "enforcement-edges",
         [ Alcotest.test_case "aggregate queries" `Quick test_enforcement_aggregate_query;

@@ -129,23 +129,183 @@ let test_parse_errors () =
   expect_parse_error "SELECT a FROM t extra garbage (";
   expect_parse_error "CREATE TABLE t (a BLOB)"
 
+let fixpoint_cases =
+  [ "SELECT DISTINCT a, b FROM t WHERE (a = 'x') ORDER BY b DESC LIMIT 3 OFFSET 1";
+    "INSERT INTO t (a, b) VALUES ('q', 1)";
+    "DELETE FROM t WHERE (b > 2)";
+    "UPDATE t SET b = (b + 1) WHERE (a = 'x')";
+    "CREATE TABLE u (x INTEGER, y TEXT)";
+    "DROP TABLE u";
+  ]
+
 let test_roundtrip_statements () =
-  let cases =
-    [ "SELECT DISTINCT a, b FROM t WHERE (a = 'x') ORDER BY b DESC LIMIT 3 OFFSET 1";
-      "INSERT INTO t (a, b) VALUES ('q', 1)";
-      "DELETE FROM t WHERE (b > 2)";
-      "UPDATE t SET b = (b + 1) WHERE (a = 'x')";
-      "CREATE TABLE u (x INTEGER, y TEXT)";
-      "DROP TABLE u";
-    ]
-  in
   List.iter
     (fun sql ->
       (* parse → print → parse → print must be a fixed point *)
       let once = roundtrip sql in
       let twice = roundtrip once in
       check_string ("fixpoint: " ^ sql) once twice)
-    cases
+    fixpoint_cases
+
+(* The keywords (and type names) of the fixpoint statements are their
+   upper-case identifiers; re-cased at random, each statement must parse
+   to the same AST. *)
+let recase_keywords flip sql =
+  let bytes = Bytes.of_string sql in
+  List.iter
+    (fun (token, offset) ->
+      match token with
+      | Sql_lexer.Ident s when String.equal s (String.uppercase_ascii s) ->
+        String.iteri
+          (fun i c ->
+            if flip () then Bytes.set bytes (offset + i) (Char.lowercase_ascii c))
+          s
+      | _ -> ())
+    (Sql_lexer.tokenize sql);
+  Bytes.to_string bytes
+
+let prop_recased_keywords =
+  QCheck2.Test.make ~name:"re-cased keywords parse to the same AST" ~count:300
+    ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun sql ->
+          let recased = recase_keywords (fun () -> Random.State.bool rng) sql in
+          Sql_parser.parse_stmt recased = Sql_parser.parse_stmt sql
+          || QCheck2.Test.fail_reportf "%s\nre-cased: %s" sql recased)
+        fixpoint_cases)
+
+(* Pinned: the lexer does not tell keywords from names, so a quoted
+   identifier that spells one is still the keyword; names fold over ASCII
+   only, so bytes >= 0x80 compare exactly. *)
+let test_quoted_keyword_and_non_ascii () =
+  let parse_error sql =
+    match Sql_parser.parse_stmt sql with
+    | exception Errors.Parse_error { phase = Errors.Parse; message; position = { offset; _ } } ->
+      Printf.sprintf "%d: %s" offset message
+    | _ -> Alcotest.failf "expected a parse error: %s" sql
+  in
+  check_string "quoted keyword as a column" "7: expected expression, found from"
+    (parse_error "SELECT \"from\" FROM t");
+  check_string "quoted keyword as a table" "13: expected identifier, found from"
+    (parse_error "CREATE TABLE \"from\" (a TEXT)");
+  (match Sql_lexer.tokenize "SELECT caf\xc3\xa9 FROM t" with
+  | exception Errors.Parse_error { phase = Errors.Lex; message; position = { offset; _ } } ->
+    check_string "bare non-ASCII identifier" "10: unexpected character '\\195'"
+      (Printf.sprintf "%d: %s" offset message)
+  | _ -> Alcotest.fail "expected a lex error");
+  let e = Engine.create () in
+  ignore (Engine.exec e "CREATE TABLE n (\"Caf\xc3\xa9\" TEXT)");
+  ignore (Engine.exec e "INSERT INTO n VALUES ('v')");
+  Alcotest.(check (list string)) "stored name folds ASCII only" [ "caf\xc3\xa9" ]
+    (Schema.column_names (Table.schema (Engine.table e "N")));
+  check_int "ASCII bytes fold" 1 (List.length (rows e "SELECT \"CAF\xc3\xa9\" FROM n"));
+  match rows e "SELECT \"CAF\xc3\x89\" FROM n" with
+  | exception Errors.Sql_error (_, message) ->
+    check_string "non-ASCII bytes do not" "unknown column CAF\xc3\x89" message
+  | _ -> Alcotest.fail "expected an unknown column"
+
+(* --- names: the in-place comparisons against the folding ones they
+   replaced (Test_support.Name_reference) --- *)
+
+module Names = Test_support.Name_reference
+
+(* Every keyword the parser tests for, spelled as it spells them. *)
+let keywords = "ALL" :: Names.reserved
+
+(* Bytes for names: letters of both cases, digits, '_', the pairs of
+   non-letters that differ in bit 0x20 as letters' cases do ('@' and '`',
+   '[' and '{', '_' and DEL), and bytes >= 0x80. *)
+let gen_byte =
+  QCheck2.Gen.(
+    frequency
+      [ (6, char_range 'a' 'z'); (6, char_range 'A' 'Z'); (2, char_range '0' '9');
+        (2, oneofl [ '_'; '@'; '`'; '['; '{'; '\x7f' ]);
+        (2, map Char.chr (int_range 0x80 0xff));
+      ])
+
+(* A spelling of [s]: each byte kept, upper- or lower-cased, or with bit
+   0x20 flipped whatever it is. *)
+let gen_respelling s =
+  QCheck2.Gen.(
+    map
+      (fun ops ->
+        String.mapi
+          (fun i c ->
+            match List.nth ops i with
+            | 0 -> c
+            | 1 -> Char.uppercase_ascii c
+            | 2 -> Char.lowercase_ascii c
+            | _ -> Char.chr (Char.code c lxor 0x20))
+          s)
+      (list_repeat (String.length s) (frequencyl [ (3, 0); (3, 1); (3, 2); (1, 3) ])))
+
+(* Keywords re-spelled, their near misses ("SELEC", "SELECTS", one byte
+   changed), random names and the empty string. *)
+let gen_word =
+  QCheck2.Gen.(
+    let near_miss kw =
+      let n = String.length kw in
+      oneof
+        [ return (String.sub kw 0 (n - 1));
+          map (fun c -> kw ^ String.make 1 c) gen_byte;
+          map2
+            (fun i c -> String.mapi (fun j d -> if j = i then c else d) kw)
+            (int_bound (n - 1)) gen_byte;
+        ]
+    in
+    frequency
+      [ (1, return "");
+        (4, oneofl keywords >>= gen_respelling);
+        (3, oneofl keywords >>= near_miss >>= gen_respelling);
+        (3, string_size ~gen:gen_byte (int_range 1 8));
+      ])
+
+let prop_keyword_test =
+  QCheck2.Test.make ~name:"keyword test = uppercase copy compared" ~count:2000
+    ~print:QCheck2.Print.(pair string string)
+    QCheck2.Gen.(pair gen_word (oneofl keywords))
+    (fun (s, kw) -> Name.equal s kw = Names.keyword_equal s kw)
+
+(* The parser's reserved-word test, read through the parser: a quoted
+   identifier (the lexer reads any bytes but '"' as one) parses as a
+   column exactly when it spells no reserved word. *)
+let parses_as_column s =
+  match Sql_parser.parse_expr_string ("\"" ^ s ^ "\"") with
+  | Sql_ast.Col { qualifier = None; name } -> String.equal name s
+  | _ | (exception Errors.Parse_error _) -> false
+
+let prop_reserved =
+  QCheck2.Test.make ~name:"reserved words = List.mem of the uppercase copy" ~count:2000
+    ~print:QCheck2.Print.string gen_word (fun s ->
+      parses_as_column s = not (Names.is_reserved s))
+
+(* Schemas over a few base names so that lookups hit, miss and collide.
+   A column is built by [Schema.column] (its name folded) or as a record
+   literal holding the spelling as given; qualifiers are spelled freely. *)
+let gen_schema_lookup =
+  QCheck2.Gen.(
+    let base = oneofl [ "a"; "b_1"; "pat"; "x\xc9"; "q@" ] in
+    let qualifier = opt (oneofl [ "t"; "r"; "Rec" ] >>= gen_respelling) in
+    let column =
+      map3
+        (fun name qualifier literal ->
+          if literal then { Schema.name; ty = Value.T_string; qualifier }
+          else Schema.column ?qualifier name Value.T_string)
+        (base >>= gen_respelling) qualifier bool
+    in
+    triple
+      (map Schema.of_list (list_size (int_range 0 6) column))
+      qualifier
+      (oneof [ base >>= gen_respelling; gen_word ]))
+
+let prop_find_all =
+  QCheck2.Test.make ~name:"Schema.find_all = the folding find_all" ~count:2000
+    ~print:(fun (schema, qualifier, name) ->
+      Fmt.str "%a ?qualifier:%s %S" Schema.pp schema
+        (Option.value qualifier ~default:"-") name)
+    gen_schema_lookup (fun (schema, qualifier, name) ->
+      Schema.find_all schema ?qualifier name = Names.find_all schema ?qualifier name)
 
 (* --- executor: filtering and projection --- *)
 
@@ -573,6 +733,14 @@ let () =
           Alcotest.test_case "qualified/alias" `Quick test_parse_qualified_and_alias;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "print fixpoint" `Quick test_roundtrip_statements;
+          QCheck_alcotest.to_alcotest prop_recased_keywords;
+          Alcotest.test_case "quoted keyword, non-ASCII name" `Quick
+            test_quoted_keyword_and_non_ascii;
+        ] );
+      ( "names",
+        [ QCheck_alcotest.to_alcotest prop_keyword_test;
+          QCheck_alcotest.to_alcotest prop_reserved;
+          QCheck_alcotest.to_alcotest prop_find_all;
         ] );
       ( "select",
         [ Alcotest.test_case "where" `Quick test_where_filters;
